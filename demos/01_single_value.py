@@ -26,9 +26,15 @@ print(f"  closed form   : {hk_closed_form(f, 5, 1)}")
 print(f"  direct count  : {hk_direct_count(f, q)}")
 print(f"  oracle        : {hk_oracle(f, q)}")
 
-print("\nThe automatic engine prefers the closed form and records fallbacks:")
+print("\nThe automatic engine evaluates the closed form, which never enumerates:")
 for n in range(1, 9):
     rep = hk(f, 5, n)
     print(f"  n={n}: q={rep.q:>7} value={rep.value:>8} engine={rep.engine}")
 
 print("\nThe values are exactly 2 * 5^n: the multiplicity of the cusp is 2.")
+
+g = parse_binomial("x1^2*x2 - x1", p=5)
+rep = hk(g, 5, 8)
+print(f"\ng = {render(g)}: the trail term divides the lead term, so the ideal is")
+print("the monomial ideal (x1^q, x2^q, x1) and the length is a product.")
+print(f"  n=8: q={rep.q} value={rep.value} engine={rep.engine}")

@@ -15,12 +15,13 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
 from .engines import Config, cross_check, hk, load_corpus, jsonable_int
-from .errors import HKError, NotApplicableError, ResourceError
+from .errors import DomainError, HKError, NotApplicableError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import estimate_multiplicity
 
@@ -72,26 +73,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> Config:
-    base = {}
+    merged = {}
     path = os.environ.get("HKB_CONFIG")
     if path:
         with open(path, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    merged = {
-        "enum_cap": base.get("enum_cap", 10**7),
-        "oracle_cap": base.get("oracle_cap", 10**6),
-        "workers": base.get("workers", 1),
-        "format": base.get("format", "plain"),
-        "verbose": base.get("verbose", False),
-    }
-    if getattr(args, "enum_cap", None) is not None:
-        merged["enum_cap"] = args.enum_cap
-    if getattr(args, "oracle_cap", None) is not None:
-        merged["oracle_cap"] = args.oracle_cap
-    if getattr(args, "workers", None) is not None:
-        merged["workers"] = args.workers
-    if getattr(args, "format", None) is not None:
-        merged["format"] = args.format
+            merged = json.load(fh)
+        if not isinstance(merged, dict):
+            raise DomainError(f"HKB_CONFIG {path}: expected a JSON object")
+        known = [fld.name for fld in fields(Config)]
+        unknown = sorted(set(merged) - set(known))
+        if unknown:
+            raise DomainError(
+                f"HKB_CONFIG {path}: unknown key {unknown[0]!r} (known: {', '.join(known)})"
+            )
+    for key in ("enum_cap", "oracle_cap", "workers", "format"):
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
     if getattr(args, "verbose", None):
         merged["verbose"] = True
     return Config(**merged)
@@ -121,8 +118,6 @@ def _cmd_hk(args, cfg: Config) -> int:
         print(rep.value)
         if cfg.verbose:
             print(f"engine: {rep.engine}", file=sys.stderr)
-            for note in rep.guard_notes:
-                print(f"note: {note}", file=sys.stderr)
     return EXIT_OK
 
 

@@ -12,6 +12,8 @@ Layout of the computation, all in the delta-sorted frame:
 * hk_closed_form: assembles the total by enumerating each shrinking
   variable's exponent through its bracket table, folding levels from the
   least negative variable outward with running suffix sums.
+* trail_complement_count: the length for the shapes the closed form
+  excludes (`is_monomial_shape`), where the ideal is a monomial ideal.
 
 Everything is exact integer arithmetic; no floating point.
 """
@@ -290,6 +292,29 @@ def _g_complement(cls: Classification, p: int, n: int, i: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# degenerate shapes: the ideal is a monomial ideal
+
+
+def is_monomial_shape(cls: Classification, qq: int) -> bool:
+    """True when (x_1^q, ..., x_m^q, f) = (x_1^q, ..., x_m^q, trail).
+
+    Either no variable grows (t = 0: the trail term divides the lead term,
+    so f = trail * unit in the Artinian local quotient), or some lead
+    exponent is >= q (the lead term lies in the Frobenius power).
+    """
+    return cls.t == 0 or max(cls.lead_exps) >= qq
+
+
+def trail_complement_count(qq: int, trail_exps) -> int:
+    """Standard monomials with some exponent under its trail power: the
+    length q^m - prod max(0, q - e_i) of S / (x_1^q, ..., x_m^q, trail)."""
+    prod = 1
+    for e in trail_exps:
+        prod *= max(0, qq - e)
+    return qq ** len(trail_exps) - prod
+
+
+# ---------------------------------------------------------------------------
 # full assembly
 
 
@@ -316,18 +341,11 @@ def _widths(prm: MmaxParams):
 def _setup(f: Binomial, p: int, n: int):
     cls = classify(f)
     qq = p**n
-    if cls.t == 0:
-        raise NotApplicableError("no growing variable (t = 0): use the direct count")
-    for z in cls.zero:
-        if z.zmin > qq - 1:
-            raise NotApplicableError(
-                f"lead power of x{z.var} exceeds q-1: no standard monomial divisible"
-            )
-    for P in cls.pos:
-        if P.pmin > qq - 1:
-            raise NotApplicableError(
-                f"lead power of x{P.var} exceeds q-1: no standard monomial divisible"
-            )
+    if is_monomial_shape(cls, qq):
+        raise NotApplicableError(
+            "no growing variable, or a lead exponent is >= q: "
+            "the length is the trail complement count"
+        )
     params = mmax_params(cls, p, n)
     return cls, qq, params
 
@@ -390,8 +408,9 @@ def hk_closed_form(f: Binomial, p: int, n: int) -> int:
     """Exact quotient length via the iterative closed form.
 
     Applicable when there is at least one growing variable and every lead
-    exponent is at most q-1; raises NotApplicableError otherwise so the
-    engine layer can fall back to enumeration.
+    exponent is at most q-1; raises NotApplicableError otherwise.  Those
+    excluded shapes are exactly `is_monomial_shape`, whose length is
+    `trail_complement_count`.
     """
     total, *_ = _assemble(f, p, n)
     return total

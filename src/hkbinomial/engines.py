@@ -6,11 +6,13 @@ Three routes compute the same exact length:
 * direct: per-monomial membership enumeration (budgeted by q^m)
 * oracle: relation-graph union-find (budgeted by node count)
 
-`hk` with engine="auto" prefers closed, then direct, then oracle, and
-records every fallback reason.  `cross_check` runs all applicable engines
-per corpus instance and treats any disagreement as a hard failure; the
-closed form's boundary conventions are only trusted because this gate
-exists.
+`hk` with engine="auto" answers every binomial without enumeration: the
+shapes the closed form excludes (no growing variable, or a lead exponent
+>= q) have a monomial ideal, whose length is a product ("monomial" route);
+every other shape goes to the closed form.  direct and oracle run only when
+asked for by name, and `cross_check` runs all three per corpus instance and
+treats any disagreement as a hard failure; the closed form's boundary
+conventions are only trusted because this gate exists.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .algebra import Binomial, PrimePower, parse_binomial, render
 from .classify import classify, classification_summary
-from .closedform import hk_closed_form_tables
+from .closedform import hk_closed_form_tables, is_monomial_shape, trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ResourceError
 from .keycheck import hk_direct_count
 from .mmax import params_summary
@@ -42,10 +44,14 @@ class Config:
     verbose: bool = False
 
     def __post_init__(self):
-        if self.enum_cap < 1 or self.oracle_cap < 1 or self.workers < 1:
-            raise DomainError("caps and worker count must be positive")
+        for name in ("enum_cap", "oracle_cap", "workers"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise DomainError(f"{name} must be a positive integer, got {value!r}")
         if self.format not in ("plain", "json", "csv"):
             raise DomainError(f"unknown output format {self.format!r}")
+        if type(self.verbose) is not bool:
+            raise DomainError(f"verbose must be true or false, got {self.verbose!r}")
 
 
 def jsonable_int(x: int):
@@ -60,8 +66,8 @@ class HKReport:
     q: int
     m: int
     value: int
-    engine: str
-    guard_notes: list = field(default_factory=list)
+    engine: str  # "monomial", "closed", "direct" or "oracle"
+    guard_notes: list = field(default_factory=list)  # no route adds notes; a payload key
     classification: dict = field(default_factory=dict)
     mmax_params: list | None = None
     oracle_stats: dict | None = None
@@ -113,8 +119,10 @@ def hk(
 ) -> HKReport:
     """Evaluate the length for q = p^n with the requested engine.
 
-    engine="auto" tries closed, then direct, then oracle; a specific
-    engine raises instead of falling back.
+    engine="auto" returns the trail complement count (engine "monomial")
+    when `is_monomial_shape` holds and the closed form otherwise; it never
+    enumerates.  A named engine runs alone and raises NotApplicableError
+    or ResourceError (budgets from `config`) instead of switching routes.
     """
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
@@ -125,7 +133,6 @@ def hk(
     cfg = config or Config()
     q = PrimePower(p, n)
     cls = classify(f)
-    notes = []
     started = time.perf_counter()
 
     def report(value, used, mmax=None, oracle_stats=None, tables=None):
@@ -136,7 +143,6 @@ def hk(
             m=f.m,
             value=value,
             engine=used,
-            guard_notes=notes,
             classification=classification_summary(cls),
             mmax_params=mmax,
             oracle_stats=oracle_stats,
@@ -144,59 +150,46 @@ def hk(
             timing_ms=(time.perf_counter() - started) * 1000.0,
         )
 
+    if engine == "auto" and is_monomial_shape(cls, q.q):
+        return report(trail_complement_count(q.q, f.trail.exps), "monomial")
+
     if engine in ("auto", "closed"):
-        try:
-            value, tables, params = hk_closed_form_tables(f, p, n)
-            mmax = [
-                {k: jsonable_int(v) if isinstance(v, int) else v for k, v in row.items()}
-                for row in params_summary(params)
-            ]
-            return report(
-                value,
-                "closed",
-                mmax=mmax,
-                tables=_tables_dict(tables) if (verbose or cfg.verbose) else None,
-            )
-        except NotApplicableError as exc:
-            if engine == "closed":
-                raise
-            notes.append(f"closed-form not applicable: {exc}")
+        value, tables, params = hk_closed_form_tables(f, p, n)
+        mmax = [
+            {k: jsonable_int(v) if isinstance(v, int) else v for k, v in row.items()}
+            for row in params_summary(params)
+        ]
+        return report(
+            value,
+            "closed",
+            mmax=mmax,
+            tables=_tables_dict(tables) if (verbose or cfg.verbose) else None,
+        )
 
     size = q.q**f.m
-    if engine in ("auto", "direct"):
-        if size <= cfg.enum_cap:
-            value = hk_direct_count(f, q, enum_cap=cfg.enum_cap)
-            return report(value, "direct")
-        if engine == "direct":
+    if engine == "direct":
+        if size > cfg.enum_cap:
             raise ResourceError(
                 f"direct count needs {size} membership tests, budget is {cfg.enum_cap}",
                 required=size,
                 budget=cfg.enum_cap,
             )
-        notes.append(f"direct budget exceeded: q^m = {size} > {cfg.enum_cap}")
+        return report(hk_direct_count(f, q, enum_cap=cfg.enum_cap), "direct")
 
-    if engine in ("auto", "oracle"):
-        if size <= cfg.oracle_cap:
-            rep = hk_oracle_report(f, q, node_cap=cfg.oracle_cap)
-            stats = {
-                "nodes": jsonable_int(rep.nodes),
-                "dead": jsonable_int(rep.dead_nodes),
-                "merges": jsonable_int(rep.merges),
-                "live_merged_classes": jsonable_int(rep.live_merged_classes),
-            }
-            return report(rep.length, "oracle", oracle_stats=stats)
-        if engine == "oracle":
-            raise ResourceError(
-                f"oracle needs {size} nodes, budget is {cfg.oracle_cap}",
-                required=size,
-                budget=cfg.oracle_cap,
-            )
-        notes.append(f"oracle budget exceeded: q^m = {size} > {cfg.oracle_cap}")
-
-    raise ResourceError(
-        "no engine applicable within budgets: " + "; ".join(notes),
-        required=size,
-    )
+    if size > cfg.oracle_cap:
+        raise ResourceError(
+            f"oracle needs {size} nodes, budget is {cfg.oracle_cap}",
+            required=size,
+            budget=cfg.oracle_cap,
+        )
+    rep = hk_oracle_report(f, q, node_cap=cfg.oracle_cap)
+    stats = {
+        "nodes": jsonable_int(rep.nodes),
+        "dead": jsonable_int(rep.dead_nodes),
+        "merges": jsonable_int(rep.merges),
+        "live_merged_classes": jsonable_int(rep.live_merged_classes),
+    }
+    return report(rep.length, "oracle", oracle_stats=stats)
 
 
 @dataclass
@@ -261,8 +254,10 @@ def load_corpus(path: str) -> list:
                 continue
             try:
                 obj = json.loads(line)
-                f = parse_binomial(obj["poly"], int(obj["p"]))
-                out.append((f, int(obj["p"]), int(obj["n"])))
-            except (KeyError, ValueError, HKError) as exc:
+                p, n = obj["p"], obj["n"]
+                if type(p) is not int or type(n) is not int:
+                    raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")
+                out.append((parse_binomial(obj["poly"], p), p, n))
+            except (KeyError, TypeError, ValueError, HKError) as exc:
                 raise HKError(f"{path}:{lineno}: bad corpus entry: {exc}") from exc
     return out

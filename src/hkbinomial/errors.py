@@ -34,7 +34,7 @@ class ContractError(HKError):
 
 
 class NotApplicableError(HKError):
-    """A closed-form route's applicability guard failed; callers may fall back."""
+    """A closed-form route's applicability guard failed for this shape."""
 
 
 class FormulaDomainError(NotApplicableError):

@@ -83,7 +83,8 @@ class MembershipResult:
     mmax_scanned: int
 
     def __post_init__(self):
-        assert self.member == (self.witness is not None)
+        if self.member != (self.witness is not None):
+            raise ContractError("a member needs a witness and a non-member none")
 
 
 def _lead_scan_bound(A, e2, delta):

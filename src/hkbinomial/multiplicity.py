@@ -17,18 +17,10 @@ from fractions import Fraction
 
 from .algebra import Binomial
 from .classify import classify
+from .closedform import is_monomial_shape, trail_complement_count
 from .errors import DomainError, ResourceError
 from .mmax import ceil_div, mmax_params
 from . import engines as _engines
-
-
-def _complement_count(qq: int, trail_exps) -> int:
-    """Monomial count with some exponent under its trail power: exactly the
-    non-members once the lead term divides nothing."""
-    prod = 1
-    for e in trail_exps:
-        prod *= max(0, qq - e)
-    return qq ** len(trail_exps) - prod
 
 
 def hk_1dim(f: Binomial, p: int, n: int):
@@ -44,13 +36,14 @@ def hk_1dim(f: Binomial, p: int, n: int):
     cls = classify(f)
     qq = p**n
     if cls.t == 0:
-        return _complement_count(qq, f.trail.exps), "II/III"
-    # t = 1 forces r = 1, s = 0 for a normalized binomial
-    neg, pos = cls.neg[0], cls.pos[0]
-    a, dp = neg.a, pos.dp
-    label = "I(i)" if a < dp else ("I(ii)" if a > dp else "I(iii)")
-    if neg.nmax > qq - 1 or pos.pmin > qq - 1:
-        return _complement_count(qq, f.trail.exps), label
+        label = "II/III"
+    else:
+        # t = 1 forces r = 1, s = 0 for a normalized binomial
+        neg, pos = cls.neg[0], cls.pos[0]
+        a, dp = neg.a, pos.dp
+        label = "I(i)" if a < dp else ("I(ii)" if a > dp else "I(iii)")
+    if is_monomial_shape(cls, qq):
+        return trail_complement_count(qq, f.trail.exps), label
     prm = mmax_params(cls, p, n)[0]
     V = prm.top_value
     K = qq - neg.nmax

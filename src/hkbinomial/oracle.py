@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import Binomial, PrimePower
-from .errors import DomainError, ResourceError
+from .errors import ContractError, DomainError, ResourceError
 
 
 class RelationGraph:
@@ -68,9 +68,7 @@ class RelationGraph:
         ry, wy = self.find_weighted(y)
         if rx == ry:
             if wx != lam * wy % p:
-                raise AssertionError(
-                    "inconsistent cycle weight; impossible for a binomial"
-                )
+                raise ContractError("inconsistent cycle weight; impossible for a binomial")
             return
         w_rx = pow(wx, -1, p) * lam % p * wy % p  # class(rx) = w_rx * class(ry)
         if self.rank[rx] < self.rank[ry]:

@@ -54,12 +54,17 @@ def test_json_error_on_stderr(capsys):
 
 
 def test_resource_exit_code(capsys):
-    code, _, err = run_cli(
-        capsys,
-        ["hk", "--poly", "x1^3*x2 - x1*x2", "--p", "3", "--n", "1",
-         "--enum-cap", "2", "--oracle-cap", "2"],
-    )
-    assert code == 3
+    base = ["hk", "--poly", "x1^3*x2 - x1*x2", "--p", "3", "--n", "1",
+            "--enum-cap", "2", "--oracle-cap", "2"]
+    code, out, _ = run_cli(capsys, base + ["--format", "json"])
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert (data["value"], data["engine"], data["guard_notes"]) == ("5", "monomial", [])
+    for engine in ("direct", "oracle"):
+        code, out, _ = run_cli(capsys, base + ["--engine", engine])
+        assert code == 3 and out == ""
+        code, out, _ = run_cli(capsys, base[:7] + ["--engine", engine])
+        assert (code, out.strip()) == (0, "5")
 
 
 def test_usage_error(capsys):
@@ -160,3 +165,19 @@ def test_env_config(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert json.loads(out)["data"]["value"] == "10"
+
+
+def test_env_config_rejects_unknown_and_mistyped_keys(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "cfg.json"
+    monkeypatch.setenv("HKB_CONFIG", str(cfg))
+    argv = ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1"]
+    for bad, needle in (
+        ({"workers": "4"}, "workers"),
+        ({"enum_capp": 5}, "enum_capp"),
+        ({"verbose": "yes"}, "verbose"),
+        ([1, 2], "JSON object"),
+    ):
+        cfg.write_text(json.dumps(bad))
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and needle in err

@@ -4,16 +4,20 @@ import pytest
 
 from hkbinomial import (
     Config,
+    DomainError,
+    HKError,
     NotApplicableError,
     ResourceError,
     cross_check,
     hk,
+    hk_1dim,
     load_corpus,
     parse_binomial,
     render,
 )
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
+F_T0 = parse_binomial("x1^3*x2 - x1*x2", 3)  # trail divides lead: no growing variable
 
 
 def test_auto_prefers_closed():
@@ -25,11 +29,12 @@ def test_auto_prefers_closed():
 
 
 def test_auto_falls_back_to_direct():
-    f = parse_binomial("x1^3*x2 - x1*x2", 3)
-    rep = hk(f, 3, 1)
-    assert rep.value == 5
-    assert rep.engine == "direct"
-    assert any("not applicable" in note for note in rep.guard_notes)
+    # auto answers the degenerate shape itself; direct and oracle agree
+    rep = hk(F_T0, 3, 1)
+    assert (rep.value, rep.engine, rep.guard_notes) == (5, "monomial", [])
+    assert rep.mmax_params is None and rep.classification["t"] == 0
+    assert hk(F_T0, 3, 1, engine="direct").value == rep.value
+    assert hk(F_T0, 3, 1, engine="oracle").value == rep.value
 
 
 def test_explicit_closed_large_n():
@@ -39,25 +44,43 @@ def test_explicit_closed_large_n():
 
 def test_explicit_engine_errors_propagate():
     with pytest.raises(NotApplicableError):
-        hk(parse_binomial("x1^3*x2 - x1*x2", 3), 3, 1, engine="closed")
+        hk(F_T0, 3, 1, engine="closed")
     with pytest.raises(ResourceError):
         hk(F1, 5, 8, engine="oracle")
 
 
 def test_auto_oracle_fallback():
-    # shrink the direct budget so auto lands on the oracle
-    f = parse_binomial("x1^3*x2 - x1*x2", 3)
+    # a direct budget below q^m binds only the direct engine
     cfg = Config(enum_cap=5, oracle_cap=10**6)
-    rep = hk(f, 3, 1, config=cfg)
-    assert rep.engine == "oracle"
-    assert rep.value == 5
-    assert rep.oracle_stats is not None
+    rep = hk(F_T0, 3, 1, config=cfg)
+    assert (rep.value, rep.engine) == (5, "monomial")
+    with pytest.raises(ResourceError):
+        hk(F_T0, 3, 1, engine="direct", config=cfg)
+    orc = hk(F_T0, 3, 1, engine="oracle", config=cfg)
+    assert orc.value == rep.value == hk(F_T0, 3, 1, engine="direct").value
+    assert orc.oracle_stats is not None
 
 
 def test_all_engines_exhausted():
-    f = parse_binomial("x1^3*x2 - x1*x2", 3)
+    # budgets below q^m refuse both enumerating engines, never auto
+    cfg = Config(enum_cap=5, oracle_cap=5)
     with pytest.raises(ResourceError):
-        hk(f, 3, 1, config=Config(enum_cap=5, oracle_cap=5))
+        hk(F_T0, 3, 1, engine="direct", config=cfg)
+    with pytest.raises(ResourceError):
+        hk(F_T0, 3, 1, engine="oracle", config=cfg)
+    rep = hk(F_T0, 3, 1, config=cfg)
+    assert (rep.value, rep.engine) == (5, "monomial")
+    assert rep.value == hk(F_T0, 3, 1, engine="direct").value == hk(F_T0, 3, 1, engine="oracle").value
+
+
+def test_auto_answers_beyond_every_budget():
+    f = parse_binomial("x1^2*x2 - x1", 5)
+    rep = hk(f, 5, 8)
+    assert (rep.value, rep.engine, rep.guard_notes) == (5**8, "monomial", [])
+    assert rep.value == 390625 == hk_1dim(f, 5, 8)[0]
+    assert hk(f, 5, 2).value == hk(f, 5, 2, engine="direct").value == 25
+    with pytest.raises(NotApplicableError):
+        hk(f, 5, 8, engine="closed")
 
 
 def test_cross_check_agrees(corpus_small):
@@ -109,3 +132,30 @@ def test_load_corpus(tmp_path):
     items = load_corpus(str(path))
     assert len(items) == 2
     assert items[0][0] == F1
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        {"poly": "x1^3 - x2^2", "p": 5, "n": 2.7},
+        {"poly": "x1^3 - x2^2", "p": 5, "n": True},
+        {"poly": "x1^3 - x2^2", "p": 5.0, "n": 1},
+        {"poly": "x1^3 - x2^2", "p": "5", "n": 1},
+        {"poly": 7, "p": 5, "n": 1},
+        ["x1^3 - x2^2", 5, 1],
+    ],
+)
+def test_load_corpus_rejects_bad_fields(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(json.dumps(line) + "\n")
+    with pytest.raises(HKError, match=":1: bad corpus entry"):
+        load_corpus(str(path))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"workers": "4"}, {"enum_cap": 0}, {"oracle_cap": True}, {"format": "xml"}, {"verbose": 1}],
+)
+def test_config_rejects_bad_values(fields):
+    with pytest.raises(DomainError):
+        Config(**fields)

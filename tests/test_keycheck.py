@@ -1,10 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
 from hkbinomial import (
     ContractError,
     DomainError,
+    MembershipResult,
     PrimePower,
     ResourceError,
     Term,
@@ -44,6 +48,26 @@ def test_is_convergent_examples():
 def test_is_convergent_contract_error():
     with pytest.raises(ContractError):
         is_convergent((4, 1), (4, 1), Q5)
+
+
+def test_membership_result_invariant_survives_optimize():
+    with pytest.raises(ContractError):
+        MembershipResult(True, None, None, 0)
+    with pytest.raises(ContractError):
+        MembershipResult(False, "trail", None, 0)
+    # the check is not an assert, so it also holds under python -O
+    script = (
+        "from hkbinomial import ContractError, MembershipResult\n"
+        "try:\n"
+        "    MembershipResult(True, None, None, 0)\n"
+        "except ContractError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit(1)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-O", "-c", script], env=env, timeout=60)
+    assert done.returncode == 0
 
 
 @pytest.mark.parametrize("qq,m", [(4, 2), (9, 2), (5, 3)])

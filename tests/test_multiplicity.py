@@ -86,11 +86,17 @@ def test_estimate_three_variables_no_exact_claim():
 def test_estimate_partial_on_budget():
     from hkbinomial import Config
 
-    f = parse_binomial("x1^3*x2 - x1*x2", 3)  # no growing variable: closed form out
+    f = parse_binomial("x1^3*x2 - x1*x2", 3)  # no growing variable: monomial route
     cfg = Config(enum_cap=30, oracle_cap=30)
     rep = estimate_multiplicity(f, 3, range(1, 4), config=cfg)
-    assert not rep.complete
-    assert len(rep.samples) == 1
+    assert rep.complete and [n for n, _, _ in rep.samples] == [1, 2, 3]
+    for n, value, _ in rep.samples:
+        assert hk(f, 3, n).engine == "monomial"
+        assert value == hk(f, 3, n, engine="direct").value == hk(f, 3, n, engine="oracle").value
+    for engine in ("direct", "oracle"):  # the budget binds the named engine: q^m = 81 > 30
+        rep = estimate_multiplicity(f, 3, range(1, 4), config=cfg, engine=engine)
+        assert not rep.complete
+        assert len(rep.samples) == 1
 
 
 def test_report_serialization_round_trip():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from hkbinomial import (
+    ContractError,
     HKError,
     PrimePower,
     ResourceError,
@@ -13,7 +14,7 @@ from hkbinomial import (
     normalize,
     parse_binomial,
 )
-from hkbinomial.oracle import build_relation_graph, node_index
+from hkbinomial.oracle import RelationGraph, build_relation_graph, node_index
 from tests.conftest import random_binomials
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
@@ -76,9 +77,17 @@ def test_permutation_equivariance():
 
 
 def test_acyclicity_assertion_never_fires(corpus_small):
-    # union() raises AssertionError on any inconsistent cycle weight
+    # union() raises ContractError on any inconsistent cycle weight
     for f, p, n in corpus_small:
         build_relation_graph(f, PrimePower(p, n))
+
+
+def test_inconsistent_cycle_weight_is_contract_error():
+    graph = RelationGraph(2, 5)
+    graph.union(0, 1, 2)
+    graph.union(0, 1, 2)  # the same weight again is consistent
+    with pytest.raises(ContractError):
+        graph.union(0, 1, 3)
 
 
 def test_dense_rank_agrees():
