@@ -54,7 +54,7 @@ from .multiplicity import (
     hk_1dim,
     hk_multiplicity_1dim,
 )
-from .oracle import dense_rank_length, hk_oracle, hk_oracle_report
+from .oracle import hk_oracle, hk_oracle_report
 
 __version__ = "0.1.0"
 
@@ -72,7 +72,6 @@ __all__ = [
     "classification_summary",
     "cross_check",
     "deglex_compare",
-    "dense_rank_length",
     "estimate_multiplicity",
     "g_chain",
     "hk",

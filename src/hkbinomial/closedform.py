@@ -11,7 +11,13 @@ Layout of the computation, all in the delta-sorted frame:
   divisibility); a single descending product chain.
 * hk_closed_form: assembles the total by enumerating each shrinking
   variable's exponent through its bracket table, folding levels from the
-  least negative variable outward with running suffix sums.
+  least negative variable outward.  A level is a function of the scan
+  offset j in [0, Vr), Vr ~ q/a, and is kept as a PiecewisePoly: phi is a
+  polynomial of degree <= t in the scan bound between at most 2t cuts
+  per growing variable, and each fold (a linear or capped factor times
+  the level, plus a bracket-weighted suffix sum of it, plus a constant)
+  raises the degree by one at cuts known in closed form.  A level costs
+  O(cuts * degree) evaluations, so the value takes time independent of q.
 * trail_complement_count: the length for the shapes the closed form
   excludes (`is_monomial_shape`), where the ideal is a monomial ideal.
 
@@ -21,12 +27,13 @@ Everything is exact integer arithmetic; no floating point.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .algebra import Binomial
 from .classify import Classification, classify
-from .errors import DomainError, FormulaDomainError, NotApplicableError
-from .mmax import MmaxParams, mmax_params
+from .errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
+from .mmax import MmaxParams, ceil_div, mmax_params
 
 
 # ---------------------------------------------------------------------------
@@ -138,28 +145,6 @@ def phi_tables(M: int, cls: Classification, p: int, n: int) -> PhiTables:
         S = S * (qq - z.zmin) + qq ** (t + j - 1) * z.zmin
         s_values.append(S)
     return PhiTables(M, minc, s_, d_, h_, tuple(chain), tuple(s_values), S)
-
-
-def _phi_product(M: int, cls: Classification, p: int, n: int) -> int:
-    """Independent product form of the block count (used to cross-check the
-    chains): escapees-by-small-exponent plus the window product minus the
-    all-windows-above-trail product, then the zero-variable fold."""
-    qq = p**n
-    t, s = cls.t, cls.s
-    prod_div = 1
-    prod_rest = 1
-    prod_h = 1
-    for P in cls.pos:
-        minc = _minc(M, P, qq)
-        rest = qq - P.pmin - minc
-        prod_div *= max(0, qq - P.pmin)
-        prod_rest *= rest
-        prod_h *= max(0, qq - minc - P.pmax)
-    S = (qq**t - prod_div) + (prod_rest - prod_h)
-    for j in range(1, s + 1):
-        z = cls.zero[j - 1]
-        S = S * (qq - z.zmin) + qq ** (t + j - 1) * z.zmin
-    return S
 
 
 def phi_closed_simple(M: int, cls: Classification, p: int, n: int) -> int:
@@ -274,23 +259,6 @@ def g_chain(cls: Classification, p: int, n: int) -> GChains:
     )
 
 
-def _g_complement(cls: Classification, p: int, n: int, i: int) -> int:
-    """Reference form of the chain value for N_i: all later-sorted tuples
-    minus those keeping every exponent at or above its trail power."""
-    qq = p**n
-    prod, cnt = 1, 0
-    for k in range(1, i):
-        prod *= max(0, qq - cls.neg[k - 1].nmin)
-        cnt += 1
-    for z in cls.zero:
-        prod *= max(0, qq - z.zmin)
-        cnt += 1
-    for P in cls.pos:
-        prod *= max(0, qq - P.pmax)
-        cnt += 1
-    return qq**cnt - prod
-
-
 # ---------------------------------------------------------------------------
 # degenerate shapes: the ideal is a monomial ideal
 
@@ -315,6 +283,71 @@ def trail_complement_count(qq: int, trail_exps) -> int:
 
 
 # ---------------------------------------------------------------------------
+# piecewise polynomials: the levels of the fold
+
+
+class PiecewisePoly:
+    """An integer function on [0, length) that is a polynomial of degree at
+    most `degree` between consecutive cuts.
+
+    Each piece keeps its forward differences D_k at its start (Newton
+    form): the value u steps into the piece is sum D_k * C(u, k), and the
+    sum of its first u values is sum D_k * C(u, k + 1).  Running totals of
+    whole pieces make `prefix` cost O(log pieces + degree).
+
+    A piece is built by evaluating `fn` at min(degree + 1, piece length)
+    points.  `breaks` may hold extra cuts (and cuts outside the range,
+    which are dropped); a missing one is caught on any piece longer than
+    degree + 1 by evaluating its last point as well, which raises
+    ContractError when it differs from the Newton form.
+    """
+
+    __slots__ = ("length", "starts", "diffs", "totals")
+
+    def __init__(self, fn, length: int, breaks, degree: int):
+        cuts = sorted({0, length}.union(b for b in breaks if 0 < b < length))
+        self.length = length
+        self.starts = cuts[:-1]
+        self.diffs = []
+        self.totals = [0]  # totals[i]: sum of the values before piece i
+        for lo, hi in zip(cuts, cuts[1:]):
+            row = [fn(x) for x in range(lo, min(lo + degree + 1, hi))]
+            diffs = []
+            while row:
+                diffs.append(row[0])
+                row = [b - a for a, b in zip(row, row[1:])]
+            if hi - lo > degree + 1 and _newton(diffs, hi - 1 - lo, 0) != fn(hi - 1):
+                raise ContractError(
+                    f"not a polynomial of degree <= {degree} on [{lo}, {hi}): a cut is missing"
+                )
+            self.diffs.append(diffs)
+            self.totals.append(self.totals[-1] + _newton(diffs, hi - lo, 1))
+
+    def _piece(self, x: int, hi: int) -> int:
+        if not 0 <= x <= hi:
+            raise ContractError(f"{x} is outside [0, {hi}]")
+        return bisect_right(self.starts, x) - 1
+
+    def __call__(self, x: int) -> int:
+        i = self._piece(x, self.length - 1)
+        return _newton(self.diffs[i], x - self.starts[i], 0)
+
+    def prefix(self, x: int) -> int:
+        """Sum of the values at 0, ..., x - 1."""
+        i = self._piece(x, self.length)
+        return self.totals[i] + _newton(self.diffs[i], x - self.starts[i], 1)
+
+
+def _newton(diffs, u: int, shift: int) -> int:
+    """sum_k diffs[k] * C(u, k + shift) for u >= 0 and shift 0 or 1."""
+    total, c = 0, (u if shift else 1)
+    for k, d in enumerate(diffs, shift):
+        total += d * c
+        c = c * (u - k) // (k + 1)
+    return total
+
+
+# ---------------------------------------------------------------------------
 # full assembly
 
 
@@ -325,17 +358,12 @@ class ClosedFormTables:
     g_n: tuple
     d_consts: tuple  # first-bracket-width constant per shrinking variable
     xtilde: tuple  # last offset contributed by each shrinking variable
-    ints_level_top: tuple  # integral vector at the outermost level
+    level_top: PiecewisePoly  # the outermost level, j -> value on [0, Vr)
 
-
-def _widths(prm: MmaxParams):
-    """Bracket widths [first, a, ..., a, last]; a zero-width last bracket is
-    dropped so the list length equals the number of populated brackets."""
-    w = [1 + prm.excess]
-    w.extend([prm.a] * (prm.ktilde_last - 1))
-    if prm.a_prime > 0:
-        w.append(prm.a_prime)
-    return w
+    @property
+    def ints_level_top(self) -> tuple:
+        """The outermost level as Vr values; O(Vr), read for verbose tables."""
+        return tuple(map(self.level_top, range(self.level_top.length)))
 
 
 def _setup(f: Binomial, p: int, n: int):
@@ -350,57 +378,81 @@ def _setup(f: Binomial, p: int, n: int):
     return cls, qq, params
 
 
-def _levels(cls, qq, params, p, n, naive=False):
-    """Integral vectors per shrinking level, outermost last."""
+def _bracket_sum(level: PiecewisePoly, prm: MmaxParams, delta: int, u: int) -> int:
+    """sum over brackets jp = u, ..., L-1 of width[jp] * level[jp + delta].
+
+    The widths are 1+E for jp = 0, a for 1 <= jp < ktilde_last and a' for
+    jp = ktilde_last (absent when a' = 0), so the sum is three range sums.
+    """
+    kt = prm.ktilde_last
+    total = 0
+    for lo, hi, width in ((0, 1, 1 + prm.excess), (1, kt, prm.a), (kt, kt + 1, prm.a_prime)):
+        lo = max(lo, u)
+        if lo < hi and width:  # a' = 0: no last bracket; kt + 1 + delta may pass Vr
+            total += width * (level.prefix(hi + delta) - level.prefix(lo + delta))
+    return total
+
+
+def _level_zero(cls: Classification, qq: int, Vr: int) -> PiecewisePoly:
+    """j -> phi(Vr - j).  Per growing variable, phi changes formula at the
+    least M where M*dp reaches q - pmin (minc caps, rest hits 0) and at the
+    least M where it passes q - pmax (h hits 0); j = Vr - M + 1 starts the
+    piece just below each such M."""
+    breaks = set()
+    for P in cls.pos:
+        for M in (ceil_div(qq - P.pmin, P.dp), (qq - P.pmax) // P.dp + 1):
+            breaks.add(Vr - M + 1)
+    return PiecewisePoly(lambda j: _phi_value(Vr - j, cls, qq), Vr, breaks, cls.t)
+
+
+def _fold(
+    level: PiecewisePoly, prm: MmaxParams, delta: int, K: int, const: int, degree: int
+) -> PiecewisePoly:
+    """One level out: new[j] = stay(j) * level[j] + tail(j) + const, where
+    x = j - delta, stay = min(1 + E + a*x, K) for x >= 0 (else 0), and
+    tail = the bracket sum from u = max(x + 1, lo).  stay is linear and the
+    tail a sum of `level`, so the degree grows by one.  The tail is one
+    polynomial in u on each closed span between the clamp lo, the width
+    changes 1, kt and L, and the old cuts shifted by -delta; a cut at
+    j = u + delta for each of those u, plus the old cuts and the two
+    places where stay starts and caps, covers every change."""
+    lo = max(0, -delta)
+    kt = prm.ktilde_last
+    L = kt + (prm.a_prime > 0)
+
+    def value(j):
+        x = j - delta
+        stay = 0 if x < 0 else min(1 + prm.excess + prm.a * x, K)
+        u = max(x + 1, lo)  # u >= L leaves an empty sum
+        return stay * level(j) + _bracket_sum(level, prm, delta, u) + const
+
+    breaks = set(level.starts)
+    breaks.update((delta, delta + ceil_div(K - 1 - prm.excess, prm.a)))
+    breaks.update(u + delta for u in (lo, 1, kt, L))
+    return PiecewisePoly(value, level.length, breaks, degree)
+
+
+def _assemble(f: Binomial, p: int, n: int):
+    """Fold the levels from the least negative shrinking variable outward,
+    each a piecewise polynomial in j on [0, Vr), then sum the outermost
+    over its brackets."""
+    cls, qq, params = _setup(f, p, n)
     r, s, t = cls.r, cls.s, cls.t
     V = [prm.top_value for prm in params]
     Vr = V[r - 1]
     if Vr < 1:
         raise FormulaDomainError("top scan bound below 1")
     gch = g_chain(cls, p, n)
-    level = [_phi_value(Vr - j, cls, qq) for j in range(Vr)]
+
+    def const(i):
+        rec = cls.neg[i - 1]
+        return (rec.nmax - rec.nmin) * gch.g_n[i - 1] + rec.nmin * qq ** (s + t + i - 1)
+
+    level = _level_zero(cls, qq, Vr)
     for i in range(2, r + 1):
         prm = params[i - 2]
-        rec = cls.neg[i - 2]
-        delta = Vr - V[i - 2]
-        widths = _widths(prm)
-        L = len(widths)
-        const = (rec.nmax - rec.nmin) * gch.g_n[i - 2] + rec.nmin * qq ** (s + t + i - 2)
-        if naive:
-            level = [
-                sum(
-                    widths[jp] * level[max(j, jp + delta)]
-                    for jp in range(L)
-                )
-                + const
-                for j in range(Vr)
-            ]
-            continue
-        K = qq - prm.nmax
-        lo = max(0, -delta)
-        suffix = [0] * (L + 1)
-        for jp in range(L - 1, lo - 1, -1):
-            suffix[jp] = suffix[jp + 1] + widths[jp] * level[jp + delta]
-        new = []
-        for j in range(Vr):
-            x = j - delta
-            stay = 0 if x < 0 else min(1 + prm.excess + prm.a * x, K)
-            tail_from = max(x + 1, lo)
-            tail = suffix[tail_from] if tail_from <= L else 0
-            new.append(stay * level[j] + tail + const)
-        level = new
-    return level, gch, V
-
-
-def _assemble(f: Binomial, p: int, n: int, naive=False):
-    cls, qq, params = _setup(f, p, n)
-    r, s, t = cls.r, cls.s, cls.t
-    level, gch, V = _levels(cls, qq, params, p, n, naive=naive)
-    prm = params[r - 1]
-    rec = cls.neg[r - 1]
-    widths = _widths(prm)
-    total = sum(w * level[jp] for jp, w in enumerate(widths))
-    total += (rec.nmax - rec.nmin) * gch.g_n[r - 1] + rec.nmin * qq ** (s + t + r - 1)
+        level = _fold(level, prm, Vr - V[i - 2], qq - prm.nmax, const(i - 1), t + i - 1)
+    total = _bracket_sum(level, params[r - 1], 0, 0) + const(r)
     return total, cls, params, gch, level, V
 
 
@@ -410,7 +462,7 @@ def hk_closed_form(f: Binomial, p: int, n: int) -> int:
     Applicable when there is at least one growing variable and every lead
     exponent is at most q-1; raises NotApplicableError otherwise.  Those
     excluded shapes are exactly `is_monomial_shape`, whose length is
-    `trail_complement_count`.
+    `trail_complement_count`.  The cost does not depend on q.
     """
     total, *_ = _assemble(f, p, n)
     return total
@@ -430,13 +482,6 @@ def hk_closed_form_tables(f: Binomial, p: int, n: int):
         g_n=gch.g_n,
         d_consts=d_consts,
         xtilde=xtilde,
-        ints_level_top=tuple(level),
+        level_top=level,
     )
     return total, tables, params
-
-
-def _hk_closed_form_reference(f: Binomial, p: int, n: int) -> int:
-    """Quadratic-time assembly without suffix sums; tests compare it with
-    the production path."""
-    total, *_ = _assemble(f, p, n, naive=True)
-    return total

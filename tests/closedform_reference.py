@@ -1,0 +1,117 @@
+"""Reference forms of the closed form's parts, for the tests only.
+
+`levels_linear` is the level fold with one list entry per scan offset:
+Vr ~ q/a big integers and Vr calls of the block count, so O(q) time and
+memory.  With `naive=True` it also drops the running suffix sums, for a
+quadratic-time version.  The library's piecewise-polynomial fold must
+give the same totals.  `phi_product` and `g_complement` are independent
+product forms of the block count and of the chain values.
+"""
+
+from hkbinomial.classify import Classification
+from hkbinomial.closedform import _minc, _phi_value, _setup, g_chain
+from hkbinomial.errors import FormulaDomainError
+from hkbinomial.mmax import MmaxParams
+
+
+def widths(prm: MmaxParams):
+    """Bracket widths [first, a, ..., a, last]; a zero-width last bracket is
+    dropped so the list length equals the number of populated brackets."""
+    w = [1 + prm.excess]
+    w.extend([prm.a] * (prm.ktilde_last - 1))
+    if prm.a_prime > 0:
+        w.append(prm.a_prime)
+    return w
+
+
+def levels_linear(cls, qq, params, p, n, naive=False):
+    """Integral vectors per shrinking level, outermost last."""
+    r, s, t = cls.r, cls.s, cls.t
+    V = [prm.top_value for prm in params]
+    Vr = V[r - 1]
+    if Vr < 1:
+        raise FormulaDomainError("top scan bound below 1")
+    gch = g_chain(cls, p, n)
+    level = [_phi_value(Vr - j, cls, qq) for j in range(Vr)]
+    for i in range(2, r + 1):
+        prm = params[i - 2]
+        rec = cls.neg[i - 2]
+        delta = Vr - V[i - 2]
+        w = widths(prm)
+        L = len(w)
+        const = (rec.nmax - rec.nmin) * gch.g_n[i - 2] + rec.nmin * qq ** (s + t + i - 2)
+        if naive:
+            level = [
+                sum(w[jp] * level[max(j, jp + delta)] for jp in range(L)) + const
+                for j in range(Vr)
+            ]
+            continue
+        K = qq - prm.nmax
+        lo = max(0, -delta)
+        suffix = [0] * (L + 1)
+        for jp in range(L - 1, lo - 1, -1):
+            suffix[jp] = suffix[jp + 1] + w[jp] * level[jp + delta]
+        new = []
+        for j in range(Vr):
+            x = j - delta
+            stay = 0 if x < 0 else min(1 + prm.excess + prm.a * x, K)
+            tail_from = max(x + 1, lo)
+            tail = suffix[tail_from] if tail_from <= L else 0
+            new.append(stay * level[j] + tail + const)
+        level = new
+    return level, gch, V
+
+
+def hk_closed_form_linear(f, p, n, naive=False):
+    """Closed-form total from the list fold; returns (total, outermost level)."""
+    cls, qq, params = _setup(f, p, n)
+    r, s, t = cls.r, cls.s, cls.t
+    level, gch, _ = levels_linear(cls, qq, params, p, n, naive=naive)
+    rec = cls.neg[r - 1]
+    total = sum(w * level[jp] for jp, w in enumerate(widths(params[r - 1])))
+    total += (rec.nmax - rec.nmin) * gch.g_n[r - 1] + rec.nmin * qq ** (s + t + r - 1)
+    return total, level
+
+
+def hk_closed_form_naive(f, p, n) -> int:
+    """Quadratic-time assembly without suffix sums."""
+    return hk_closed_form_linear(f, p, n, naive=True)[0]
+
+
+def phi_product(M: int, cls: Classification, p: int, n: int) -> int:
+    """Independent product form of the block count (used to cross-check the
+    chains): escapees-by-small-exponent plus the window product minus the
+    all-windows-above-trail product, then the zero-variable fold."""
+    qq = p**n
+    t, s = cls.t, cls.s
+    prod_div = 1
+    prod_rest = 1
+    prod_h = 1
+    for P in cls.pos:
+        minc = _minc(M, P, qq)
+        rest = qq - P.pmin - minc
+        prod_div *= max(0, qq - P.pmin)
+        prod_rest *= rest
+        prod_h *= max(0, qq - minc - P.pmax)
+    S = (qq**t - prod_div) + (prod_rest - prod_h)
+    for j in range(1, s + 1):
+        z = cls.zero[j - 1]
+        S = S * (qq - z.zmin) + qq ** (t + j - 1) * z.zmin
+    return S
+
+
+def g_complement(cls: Classification, p: int, n: int, i: int) -> int:
+    """Reference form of the chain value for N_i: all later-sorted tuples
+    minus those keeping every exponent at or above its trail power."""
+    qq = p**n
+    prod, cnt = 1, 0
+    for k in range(1, i):
+        prod *= max(0, qq - cls.neg[k - 1].nmin)
+        cnt += 1
+    for z in cls.zero:
+        prod *= max(0, qq - z.zmin)
+        cnt += 1
+    for P in cls.pos:
+        prod *= max(0, qq - P.pmax)
+        cnt += 1
+    return qq**cnt - prod

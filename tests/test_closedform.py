@@ -1,9 +1,14 @@
+import time
+
 import pytest
 
 from hkbinomial import (
+    ContractError,
     DomainError,
     NotApplicableError,
     PrimePower,
+    hk,
+    hk_1dim,
     hk_closed_form,
     hk_closed_form_tables,
     hk_direct_count,
@@ -14,13 +19,10 @@ from hkbinomial import (
     phi_recursive,
     phi_tables,
 )
+from hkbinomial import closedform
 from hkbinomial.classify import classify
-from hkbinomial.closedform import (
-    _g_complement,
-    _hk_closed_form_reference,
-    _phi_product,
-    g_chain,
-)
+from hkbinomial.closedform import PiecewisePoly, g_chain
+from tests.closedform_reference import g_complement, hk_closed_form_naive, phi_product
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 
@@ -50,7 +52,7 @@ def test_phi_saturated_branch():
     f = parse_binomial("x1^4 - x2", 3)  # delta_P = 1, pmin = 0, a = 4
     cls = classify(f)
     # at q=3, minc = min(3-0, M*1): M = 3 saturates
-    assert phi_recursive(3, cls, 3, 1) == _phi_product(3, cls, 3, 1)
+    assert phi_recursive(3, cls, 3, 1) == phi_product(3, cls, 3, 1)
 
 
 def test_phi_chain_equals_product(corpus_small):
@@ -64,7 +66,7 @@ def test_phi_chain_equals_product(corpus_small):
             continue
         top = min(prm.top_value for prm in params)
         for M in range(1, top + 1):
-            assert phi_recursive(M, cls, p, n) == _phi_product(M, cls, p, n)
+            assert phi_recursive(M, cls, p, n) == phi_product(M, cls, p, n)
 
 
 def test_phi_simple_guard_and_agreement(corpus_small):
@@ -116,7 +118,7 @@ def test_g_chain_two_growing_variables():
     p2max = cls.pos[1].pmax
     assert gch.g_p[0] == min(p2max, q)
     assert gch.g_n[0] == (q - p1max) * gch.g_p[0] + p1max * q
-    assert gch.g_n[0] == _g_complement(cls, 3, 1, 1)
+    assert gch.g_n[0] == g_complement(cls, 3, 1, 1)
 
 
 def test_g_chain_matches_complement(corpus_small):
@@ -126,7 +128,7 @@ def test_g_chain_matches_complement(corpus_small):
             continue
         gch = g_chain(cls, p, n)
         for i in range(1, cls.r + 1):
-            assert gch.g_n[i - 1] == _g_complement(cls, p, n, i)
+            assert gch.g_n[i - 1] == g_complement(cls, p, n, i)
 
 
 def test_hand_counted_zero_block_instance():
@@ -159,7 +161,7 @@ def test_prefix_assembly_equals_naive(corpus_small):
             a = hk_closed_form(f, p, n)
         except NotApplicableError:
             continue
-        assert a == _hk_closed_form_reference(f, p, n)
+        assert a == hk_closed_form_naive(f, p, n)
 
 
 def test_monotone_sanity(corpus_small):
@@ -203,3 +205,59 @@ def test_tables_shape():
     assert tables.xtilde == (1,)
     assert tables.ints_level_top == (2,)
     assert params[0].a_prime == 0
+
+
+def test_piecewise_poly_values_and_prefix_sums():
+    def fn(j):
+        return min(j, 7) ** 2
+
+    brute = [fn(j) for j in range(40)]
+    for breaks in ({7}, {7, 3, 20, 39, -5, 40, 99}):  # extra and out-of-range cuts
+        poly = PiecewisePoly(fn, 40, breaks, 2)
+        assert [poly(j) for j in range(40)] == brute
+        assert [poly.prefix(x) for x in range(41)] == [sum(brute[:x]) for x in range(41)]
+    with pytest.raises(ContractError):
+        poly(40)
+    with pytest.raises(ContractError):
+        poly.prefix(41)
+
+
+def test_piecewise_poly_missing_cut_is_contract_error():
+    with pytest.raises(ContractError):
+        PiecewisePoly(lambda j: min(j, 7) ** 2, 40, set(), 2)
+
+
+def test_two_variable_values_at_huge_q():
+    for poly, p, n in [("x1^3 - x2^2", 5, 50), ("x1^5*x2 - x1*x2^4", 5, 50),
+                       ("x1^3 - x2^2", 2, 100), ("x1^2*x2^3 - x1^7", 2, 100)]:
+        f = parse_binomial(poly, p)
+        assert hk_closed_form(f, p, n) == hk_1dim(f, p, n)[0], (poly, p, n)
+
+
+M3_SHAPE = parse_binomial("x1^2*x2^2 - x3^3", 5)  # level 0 has cuts inside [0, Vr)
+M4_SHAPE = parse_binomial("x1^3*x2^3*x3 - x3^2*x4^4", 5)
+
+
+@pytest.mark.parametrize("f", [M3_SHAPE, M4_SHAPE], ids=["m3", "m4"])
+def test_phi_evaluations_do_not_depend_on_q(f, monkeypatch):
+    calls = []
+
+    def counted(M, cls, qq):
+        calls.append(M)
+        return phi_value(M, cls, qq)
+
+    phi_value = closedform._phi_value
+    monkeypatch.setattr(closedform, "_phi_value", counted)
+    counts = []
+    for n in (6, 40):
+        calls.clear()
+        hk_closed_form(f, 5, n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_four_variable_value_at_5_14_is_fast():
+    started = time.perf_counter()
+    rep = hk(M4_SHAPE, 5, 14)
+    assert time.perf_counter() - started < 1.0
+    assert rep.engine == "closed" and 0 < rep.value < 5 ** (14 * 4)

@@ -1,11 +1,13 @@
-"""Seeded differential tests for the auto route.
+"""Seeded differential tests for the auto route and the closed form.
 
 Auto `hk` answers the degenerate shapes (no growing variable, or a lead
 exponent >= q) with the trail complement count and every other shape with
 the closed form.  These tests draw binomials over a fixed grid (m <= 5,
 exponents <= 8, p <= 7, q^m <= 3*10^4) and check that the count equals both
 enumerating engines, that the closed form never raises on the remaining
-shapes, and that auto mode never enumerates.
+shapes and equals both engines on a seeded subset of them, and that auto
+mode never enumerates.  The closed form's piecewise-polynomial fold is
+also checked against the O(q) list fold of `tests/closedform_reference.py`.
 """
 
 import random
@@ -24,13 +26,27 @@ from hkbinomial import (
     hk_direct_count,
     hk_oracle,
     normalize,
+    parse_binomial,
 )
-from hkbinomial.closedform import is_monomial_shape
+from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
+from tests.closedform_reference import hk_closed_form_linear
 
 SEED = 20261018
 QM_CAP = 3 * 10**4
 DEGENERATE_COUNT = 200  # each is enumerated twice, so this sets the test's time
 CLOSED_COUNT = 2000
+ENUMERATED_CLOSED_COUNT = 40  # closed shapes also enumerated twice
+LINEAR_MAX_N, LINEAR_MAX_Q = 8, 2 * 10**4
+# An inner level of these changes formula inside [0, Vr), so the fold's own
+# cuts (where stay starts and caps, and where the bracket sum's lower end
+# crosses a width change) are needed; about 1 random binomial in 1000 is so.
+FOLD_CUT_CASES = [
+    ("x1^4*x2*x3*x4^7 + x1^3*x2^2*x3^2*x4^6", 3, 2),
+    ("x1^5*x2^6*x3^12 + x1^2*x2^7*x3^9*x4", 11, 3),
+    ("x1^6*x2^6*x3^3*x4^12 + x1^9*x3^7*x4^6", 7, 2),
+    ("x1^8*x3^5*x4^11*x5^4 + x1^9*x3^3*x4^9*x5^5", 3, 7),
+    ("x1^4*x2^10*x3^10*x4^11 + x1*x2^12*x3^11*x4^8", 2, 8),
+]
 
 
 def _grid(seed, degenerate_count, closed_count):
@@ -90,6 +106,28 @@ def test_closed_form_total_on_other_shapes(grid, no_enumeration):
         value = hk_closed_form(f, p, n)  # raises nothing on these shapes
         rep = hk(f, p, n)
         assert (rep.engine, rep.value) == ("closed", value), (f, p, n)
+
+
+def test_closed_form_matches_both_enumerations(grid):
+    _, closed = grid
+    for f, p, n in random.Random(SEED).sample(closed, ENUMERATED_CLOSED_COUNT):
+        q = PrimePower(p, n)
+        assert hk_closed_form(f, p, n) == hk_direct_count(f, q) == hk_oracle(f, q), (f, p, n)
+
+
+def test_piecewise_fold_equals_linear_fold(corpus200):
+    cases = [
+        (f, f.p, n)
+        for f in dict.fromkeys(f for f, _, _ in corpus200)
+        for n in range(1, LINEAR_MAX_N + 1)
+        if f.p**n <= LINEAR_MAX_Q and not is_monomial_shape(classify(f), f.p**n)
+    ]
+    assert len(cases) > 500
+    cases += [(parse_binomial(poly, p), p, n) for poly, p, n in FOLD_CUT_CASES]
+    for f, p, n in cases:
+        total, tables, _ = hk_closed_form_tables(f, p, n)
+        ref_total, ref_level = hk_closed_form_linear(f, p, n)
+        assert (total, tables.ints_level_top) == (ref_total, tuple(ref_level)), (f, p, n)
 
 
 def test_auto_never_enumerates(corpus200, no_enumeration):

@@ -10,12 +10,12 @@ from hkbinomial import (
     Term,
     hk_oracle,
     hk_oracle_report,
-    dense_rank_length,
     normalize,
     parse_binomial,
 )
 from hkbinomial.oracle import RelationGraph, build_relation_graph, node_index
 from tests.conftest import random_binomials
+from tests.dense_rank import dense_rank_length
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 Q5 = PrimePower(5, 1)
