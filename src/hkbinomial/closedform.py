@@ -362,7 +362,7 @@ class ClosedFormTables:
 
     @property
     def ints_level_top(self) -> tuple:
-        """The outermost level as Vr values; O(Vr), read for verbose tables."""
+        """The outermost level as Vr values; O(Vr), for demos and tests."""
         return tuple(map(self.level_top, range(self.level_top.length)))
 
 

@@ -99,13 +99,20 @@ class HKReport:
 
 
 def _tables_dict(tables) -> dict:
+    """The closed form's tables; the outer level as its pieces (starts and
+    Newton differences), so the payload does not grow with q."""
+    level = tables.level_top
     return {
         "g_p": [jsonable_int(v) for v in tables.g_p],
         "g_z": [jsonable_int(v) for v in tables.g_z],
         "g_n": [jsonable_int(v) for v in tables.g_n],
         "d_consts": [jsonable_int(v) for v in tables.d_consts],
-        "xtilde": list(tables.xtilde),
-        "ints_level_top": [str(v) for v in tables.ints_level_top],
+        "xtilde": [jsonable_int(v) for v in tables.xtilde],
+        "level_top": {
+            "length": jsonable_int(level.length),
+            "starts": [jsonable_int(v) for v in level.starts],
+            "diffs": [[jsonable_int(v) for v in row] for row in level.diffs],
+        },
     }
 
 

@@ -207,18 +207,38 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
             budget=enum_cap,
         )
     e2, e1 = f.lead.exps, f.trail.exps
-    neg = [(i, e2[i] - e1[i]) for i in range(m) if e1[i] < e2[i]]  # (index, -delta)
-    pos = [(i, e1[i] - e2[i]) for i in range(m) if e1[i] > e2[i]]
+    last = m - 1
+    # (index, -delta) and (index, delta) of the first m - 1 coordinates
+    neg = [(i, e2[i] - e1[i]) for i in range(last) if e1[i] < e2[i]]
+    pos = [(i, e1[i] - e2[i]) for i in range(last) if e1[i] > e2[i]]
+    t2, t1 = e2[last], e1[last]
+    shrink, grow = t2 - t1, t1 - t2  # the last coordinate's -delta and delta
+    # Sentinels for an empty min: no shrinking coordinate leaves the scan
+    # unbounded (mm = qq + 1 > any mw), no growing one never escapes
+    # (mw = qq + 2 > any mm).  Every finite mm and mw is at most qq.
+    no_mm, no_mw = qq + 1, qq + 2
     count = 0
-    for A in itertools.product(range(qq), repeat=m):
-        if all(a >= e for a, e in zip(A, e1)):
-            continue  # trail divides: member
-        if any(a < e for a, e in zip(A, e2)):
-            count += 1  # neither term divides: never a member
+    for head in itertools.product(range(qq), repeat=last):
+        trail_head = all(a >= e for a, e in zip(head, e1))
+        if not all(a >= e for a, e in zip(head, e2)):
+            # the lead term never divides: a member only when the trail does
+            for a in range(qq):
+                if not (trail_head and a >= t1):
+                    count += 1
             continue
-        mm = min(1 + (A[i] - e2[i]) // d for i, d in neg) if neg else None
-        mw = min(-((A[i] - qq) // d) for i, d in pos) if pos else None
-        if mw is not None and (mm is None or mw <= mm):
-            continue  # scan converges: member
-        count += 1
+        mm_head = min((1 + (head[i] - e2[i]) // d for i, d in neg), default=no_mm)
+        mw_head = min((-((head[i] - qq) // d) for i, d in pos), default=no_mw)
+        for a in range(qq):
+            if trail_head and a >= t1:
+                continue  # trail divides: member
+            if a < t2:
+                count += 1  # neither term divides: never a member
+                continue
+            mm, mw = mm_head, mw_head
+            if shrink > 0:
+                mm = min(mm, 1 + (a - t2) // shrink)
+            elif grow > 0:
+                mw = min(mw, -((a - qq) // grow))
+            if mw > mm:
+                count += 1  # the scan runs out of lead divisibility first
     return count

@@ -15,6 +15,7 @@ consistency, turning that claim into a runtime check.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebra import Binomial, PrimePower
@@ -25,16 +26,22 @@ class RelationGraph:
     """Union-find over standard monomials with multiplicative edge weights.
 
     weight[v] is the scalar lam with class(v) = lam * class(parent(v));
-    weights compose along compressed paths.  dead marks classes forced to
-    zero and only ever propagates, never clears.  A single run mutates its
-    graph and is single threaded; distinct runs are independent.
+    weights compose along compressed paths.  Union is by size: size[r]
+    counts the members of the class rooted at r.  dead marks classes
+    forced to zero and only ever propagates, never clears; size and dead
+    are read at roots only.  A single run mutates its graph and is single
+    threaded; distinct runs are independent.
+
+    Production builds a graph with `union_run` and `kill_run` and reads it
+    root by root (`hk_oracle_report`); `union` and `classes`, which lists
+    every class's members, serve the tests.
     """
 
     def __init__(self, n_nodes: int, p: int):
         self.p = p
         self.parent = list(range(n_nodes))
         self.weight = [1] * n_nodes
-        self.rank = [0] * n_nodes
+        self.size = [1] * n_nodes
         self.dead = [False] * n_nodes
         self.unions = 0
 
@@ -57,32 +64,61 @@ class RelationGraph:
                 parent[nd] = root
         return root, (weight[x] if chain else 1)
 
-    def kill(self, x: int):
-        root, _ = self.find_weighted(x)
-        self.dead[root] = True
+    def kill_run(self, x0: int, count: int):
+        """Force the classes of x0, ..., x0 + count - 1 to zero."""
+        parent = self.parent
+        dead = self.dead
+        for x in range(x0, x0 + count):
+            root = parent[x]
+            if parent[root] != root:
+                root, _ = self.find_weighted(x)
+            dead[root] = True
 
     def union(self, x: int, y: int, lam: int):
         """Record class(x) = lam * class(y), lam nonzero mod p."""
+        self.union_run(x, y, 1, lam)
+
+    def union_run(self, x0: int, y0: int, count: int, lam: int):
+        """Record class(x0 + k) = lam * class(y0 + k) for k < count."""
         p = self.p
-        rx, wx = self.find_weighted(x)
-        ry, wy = self.find_weighted(y)
-        if rx == ry:
-            if wx != lam * wy % p:
-                raise ContractError("inconsistent cycle weight; impossible for a binomial")
-            return
-        w_rx = pow(wx, -1, p) * lam % p * wy % p  # class(rx) = w_rx * class(ry)
-        if self.rank[rx] < self.rank[ry]:
-            self.parent[rx] = ry
-            self.weight[rx] = w_rx
-            new_root = ry
-        else:
-            self.parent[ry] = rx
-            self.weight[ry] = pow(w_rx, -1, p)
-            if self.rank[rx] == self.rank[ry]:
-                self.rank[rx] += 1
-            new_root = rx
-        self.dead[new_root] = self.dead[rx] or self.dead[ry]
-        self.unions += 1
+        parent, weight, size, dead = self.parent, self.weight, self.size, self.dead
+        find = self.find_weighted
+        inv_lam = pow(lam, -1, p)
+        merged = 0
+        for x, y in zip(range(x0, x0 + count), range(y0, y0 + count)):
+            rx = parent[x]  # roots and weights: a depth <= 1 lookup, else find
+            if rx == x:
+                wx = 1
+            elif parent[rx] == rx:
+                wx = weight[x]
+            else:
+                rx, wx = find(x)
+            ry = parent[y]
+            if ry == y:
+                wy = 1
+            elif parent[ry] == ry:
+                wy = weight[y]
+            else:
+                ry, wy = find(y)
+            if rx == ry:
+                if wx != lam * wy % p:
+                    raise ContractError("inconsistent cycle weight; impossible for a binomial")
+                continue
+            # wx * class(rx) = lam * wy * class(ry); hang the smaller class
+            # under the larger, reading the relation backwards if needed
+            back = inv_lam
+            if size[rx] < size[ry]:
+                rx, ry, wx, wy, back = ry, rx, wy, wx, lam
+            w = wx * back % p  # class(ry) = wx * back / wy * class(rx)
+            if wy != 1:
+                w = w * pow(wy, -1, p) % p
+            parent[ry] = rx
+            weight[ry] = w
+            size[rx] += size[ry]
+            if dead[ry]:
+                dead[rx] = True
+            merged += 1
+        self.unions += merged
 
     def classes(self):
         """List of (member node lists, dead flag), deterministic order."""
@@ -91,14 +127,6 @@ class RelationGraph:
             root, _ = self.find_weighted(v)
             groups.setdefault(root, []).append(v)
         return [(members, self.dead[root]) for root, members in sorted(groups.items())]
-
-    def live_count(self) -> int:
-        roots = set()
-        for v in range(len(self.parent)):
-            root, _ = self.find_weighted(v)
-            if not self.dead[root]:
-                roots.add(root)
-        return len(roots)
 
 
 @dataclass(frozen=True)
@@ -114,7 +142,10 @@ def build_relation_graph(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> R
     """Run all shifted relations through a fresh graph, row-major order.
 
     Multipliers range over {0..q-1}^m; any relation with a surviving
-    endpoint has its multiplier in that box.
+    endpoint has its multiplier in that box.  Both endpoints sit at fixed
+    flat offsets from the multiplier, so for each choice of the first m - 1
+    coordinates the last one runs over plain ranges: first where both
+    endpoints survive (unions), then where only one does (kills).
     """
     if q.p != f.p:
         raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
@@ -131,45 +162,46 @@ def build_relation_graph(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> R
     c2, c1 = f.lead.coeff, f.trail.coeff
     lam = (-c1) * pow(c2, -1, f.p) % f.p  # class(lead shift) = lam * class(trail shift)
     graph = RelationGraph(n_nodes, f.p)
-    strides = [qq ** (m - 1 - i) for i in range(m)]
-    for a in itertools.product(range(qq), repeat=m):
-        v_ok = True
-        w_ok = True
-        vidx = 0
-        widx = 0
-        for i in range(m):
-            ve = a[i] + e2[i]
-            we = a[i] + e1[i]
-            if ve >= qq:
-                v_ok = False
-            else:
-                vidx += ve * strides[i]
-            if we >= qq:
-                w_ok = False
-            else:
-                widx += we * strides[i]
+    off2, off1 = node_index(e2, qq), node_index(e1, qq)
+    # last coordinates of the multiplier that keep each endpoint in the box
+    end2, end1 = max(0, qq - e2[-1]), max(0, qq - e1[-1])
+    both = min(end2, end1)
+    for row, head in enumerate(itertools.product(range(qq), repeat=m - 1)):
+        base = row * qq
+        v_ok = all(a + e < qq for a, e in zip(head, e2))
+        w_ok = all(a + e < qq for a, e in zip(head, e1))
         if v_ok and w_ok:
-            graph.union(vidx, widx, lam)
+            graph.union_run(base + off2, base + off1, both, lam)
+            graph.kill_run(base + both + off2, end2 - both)
+            graph.kill_run(base + both + off1, end1 - both)
         elif v_ok:
-            graph.kill(vidx)
+            graph.kill_run(base + off2, end2)
         elif w_ok:
-            graph.kill(widx)
+            graph.kill_run(base + off1, end1)
     return graph
 
 
 def hk_oracle(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> int:
     """Exact length by explicit relation propagation."""
-    return build_relation_graph(f, q, node_cap).live_count()
+    return hk_oracle_report(f, q, node_cap).length
 
 
 def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> OracleReport:
+    """Build the relation graph and count its classes in one pass over the roots."""
     graph = build_relation_graph(f, q, node_cap)
-    classes = graph.classes()
-    dead_nodes = sum(len(members) for members, dead in classes if dead)
-    live_merged = sum(1 for members, dead in classes if not dead and len(members) > 1)
+    nodes = len(graph.parent)
+    size, dead = graph.size, graph.dead
+    length = dead_nodes = live_merged = 0
+    for root in itertools.compress(range(nodes), map(operator.eq, graph.parent, range(nodes))):
+        if dead[root]:
+            dead_nodes += size[root]
+        else:
+            length += 1
+            if size[root] > 1:
+                live_merged += 1
     return OracleReport(
-        length=sum(1 for _, dead in classes if not dead),
-        nodes=len(graph.parent),
+        length=length,
+        nodes=nodes,
         dead_nodes=dead_nodes,
         merges=graph.unions,
         live_merged_classes=live_merged,

@@ -1,6 +1,9 @@
 import json
+import math
+import time
 
-from hkbinomial import cli, engines
+from hkbinomial import cli, engines, parse_binomial
+from hkbinomial.closedform import hk_closed_form_tables
 
 
 def run_cli(capsys, argv):
@@ -35,6 +38,33 @@ def test_hk_json_deterministic(capsys):
     a.pop("timing")
     b.pop("timing")
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def test_hk_verbose_level_top_is_piecewise(capsys):
+    argv = ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--verbose", "--format", "json"]
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, argv + ["--n", "40"])
+    assert code == 0
+    assert time.perf_counter() - started < 1.0
+    assert len(out.encode()) < 10_000
+    tables = json.loads(out)["data"]["tables"]
+    assert isinstance(tables["level_top"]["length"], str)  # Vr > 2^53 stays exact
+    assert isinstance(tables["xtilde"][0], str)
+    # the pieces' Newton forms give back every value of an outer level of four pieces
+    poly = "2*x1*x2^2*x3 + x2*x3^2"
+    _, ref, _ = hk_closed_form_tables(parse_binomial(poly, 3), 3, 3)
+    code, out, _ = run_cli(
+        capsys, ["hk", "--poly", poly, "--p", "3", "--n", "3", "--verbose", "--format", "json"]
+    )
+    level = json.loads(out)["data"]["tables"]["level_top"]
+    cuts = level["starts"] + [level["length"]]
+    values = [
+        sum(d * math.comb(u, k) for k, d in enumerate(diffs))
+        for lo, hi, diffs in zip(cuts, cuts[1:], level["diffs"])
+        for u in range(hi - lo)
+    ]
+    assert len(level["starts"]) == 4
+    assert code == 0 and tuple(values) == ref.ints_level_top
 
 
 def test_degenerate_is_usage_error(capsys):

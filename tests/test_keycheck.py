@@ -155,3 +155,34 @@ def test_direct_count_matches_oracle_on_corpus(corpus_small):
     for f, p, n in corpus_small:
         q = PrimePower(p, n)
         assert hk_direct_count(f, q) == hk_oracle(f, q)
+
+
+# Shapes at the edges of the direct count's hoisted prefix and the oracle's
+# flat-offset runs: one variable, lead or trail exponents >= q in the first
+# or last variable, and a last variable absent from both terms.
+EDGE_SHAPES = [
+    ("x1^3 - x1", 3, 1, None),
+    ("x1^3 - x1", 3, 2, None),
+    ("x1^5*x2 - x2^2", 2, 2, None),  # lead exponent >= q in the first variable
+    ("x1*x2^5 - x1^2", 2, 2, None),  # lead exponent >= q in the last variable
+    ("x1^3*x2^3 - x1*x2^4", 2, 2, None),  # trail exponent >= q in the last variable
+    ("x1^3*x2^3 - x1*x2^4", 3, 1, None),
+    ("x1^2*x2 - x2^2", 3, 2, 3),  # x3 in neither term
+    ("x1^3 - x2^2", 5, 1, 3),
+]
+
+
+@pytest.mark.parametrize("poly,p,n,num_vars", EDGE_SHAPES)
+def test_edge_shapes_direct_equals_membership_and_oracle(poly, p, n, num_vars):
+    f = parse_binomial(poly, p, num_vars)
+    q = PrimePower(p, n)
+    size = q.q**f.m
+    by_member = sum(
+        1 for A in itertools.product(range(q.q), repeat=f.m) if not is_member(A, f, q).member
+    )
+    assert hk_direct_count(f, q, enum_cap=size) == by_member == hk_oracle(f, q, node_cap=size)
+    with pytest.raises(ResourceError) as direct_err:
+        hk_direct_count(f, q, enum_cap=size - 1)
+    with pytest.raises(ResourceError) as oracle_err:
+        hk_oracle(f, q, node_cap=size - 1)
+    assert direct_err.value.required == oracle_err.value.required == size

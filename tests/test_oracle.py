@@ -107,3 +107,36 @@ def test_dense_rank_agrees():
 def test_dense_rank_budget_flag():
     with pytest.raises(ResourceError):
         dense_rank_length(F1, PrimePower(5, 3), size_cap=4096)
+
+
+def test_report_census_matches_classes(corpus200):
+    for f, p, n in corpus200:
+        q = PrimePower(p, n)
+        rep = hk_oracle_report(f, q)
+        classes = build_relation_graph(f, q).classes()
+        assert rep.length == sum(1 for _, dead in classes if not dead), (f, p, n)
+        assert rep.nodes == sum(len(members) for members, _ in classes)
+        assert rep.dead_nodes == sum(len(members) for members, dead in classes if dead)
+        assert rep.merges == rep.nodes - len(classes)
+        assert rep.live_merged_classes == sum(
+            1 for members, dead in classes if not dead and len(members) > 1
+        )
+
+
+def test_report_makes_no_finds_beyond_the_build(corpus_small, monkeypatch):
+    calls = [0]
+    find = RelationGraph.find_weighted
+
+    def counted(self, x):
+        calls[0] += 1
+        return find(self, x)
+
+    monkeypatch.setattr(RelationGraph, "find_weighted", counted)
+    for f, p, n in corpus_small:
+        q = PrimePower(p, n)
+        calls[0] = 0
+        build_relation_graph(f, q)
+        in_build = calls[0]
+        calls[0] = 0
+        hk_oracle_report(f, q)
+        assert calls[0] == in_build, (f, p, n)
