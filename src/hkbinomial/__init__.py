@@ -22,7 +22,6 @@ from .closedform import (
     hk_closed_form_tables,
     phi_closed_simple,
     phi_recursive,
-    phi_tables,
     g_chain,
 )
 from .engines import Config, HKReport, cross_check, hk, load_corpus
@@ -94,7 +93,6 @@ __all__ = [
     "parse_monomial",
     "phi_closed_simple",
     "phi_recursive",
-    "phi_tables",
     "render",
     # errors
     "HKError",

@@ -1,132 +1,31 @@
-"""Ground-truth length computation via a scalar-weighted union-find.
+"""Ground-truth length computation by counting relation-graph components.
 
-Nodes are the standard monomials of the ambient quotient, indexed
-row-major over {0..q-1}^m.  Every shift of the binomial by a monomial
-multiplier yields a relation touching at most two nodes: two surviving
-endpoints get identified with a nonzero scalar ratio, a single survivor
-is forced to zero.  The length is the number of live classes.
+Nodes are the standard monomials of the ambient quotient: the bits of one
+integer, indexed row-major over {0..q-1}^m.  Every shift of the binomial
+by a monomial multiplier u yields a relation touching at most two nodes:
+two surviving endpoints u + e2 and u + e1 are identified with a nonzero
+scalar ratio, a single survivor is forced to zero.  The length is the
+number of classes with no member forced to zero.
 
-For a single binomial the relation edges all translate by the fixed
-difference vector, so the relation graph is a disjoint union of paths and
-scalar weights can never conflict; the union step still asserts weight
-consistency, turning that claim into a runtime check.
+Every edge joins u + e1 to u + e2, a translation by the same flat offset
+D = index(e2) - index(e1) != 0.  So each node has at most one edge on
+either side, and the relation graph is a disjoint union of paths along D.
+It has no cycle, so the scalars can never conflict and the count needs no
+weights: a class is a path, dead when any node on it is forced to zero.
+
+The edges and both kinds of kill are products of intervals, each built as
+a box mask with O(log q) shifts per coordinate.  Dead spreads along the
+paths by doubling, forward and then backward, in O(log q) whole-mask
+steps each way, and the report is read with popcounts.  A weighted
+union-find over the same relations serves the tests as a reference.
 """
 
 from __future__ import annotations
 
-import itertools
-import operator
 from dataclasses import dataclass
 
 from .algebra import Binomial, PrimePower
-from .errors import ContractError, DomainError, ResourceError
-
-
-class RelationGraph:
-    """Union-find over standard monomials with multiplicative edge weights.
-
-    weight[v] is the scalar lam with class(v) = lam * class(parent(v));
-    weights compose along compressed paths.  Union is by size: size[r]
-    counts the members of the class rooted at r.  dead marks classes
-    forced to zero and only ever propagates, never clears; size and dead
-    are read at roots only.  A single run mutates its graph and is single
-    threaded; distinct runs are independent.
-
-    Production builds a graph with `union_run` and `kill_run` and reads it
-    root by root (`hk_oracle_report`); `union` and `classes`, which lists
-    every class's members, serve the tests.
-    """
-
-    def __init__(self, n_nodes: int, p: int):
-        self.p = p
-        self.parent = list(range(n_nodes))
-        self.weight = [1] * n_nodes
-        self.size = [1] * n_nodes
-        self.dead = [False] * n_nodes
-        self.unions = 0
-
-    def find_weighted(self, x: int):
-        """(root, w) with class(x) = w * class(root); compresses the path."""
-        p = self.p
-        parent = self.parent
-        weight = self.weight
-        chain = []
-        node = x
-        while parent[node] != node:
-            chain.append(node)
-            node = parent[node]
-        root = node
-        for idx in range(len(chain) - 1, -1, -1):
-            nd = chain[idx]
-            par = parent[nd]
-            if par != root:
-                weight[nd] = weight[nd] * weight[par] % p
-                parent[nd] = root
-        return root, (weight[x] if chain else 1)
-
-    def kill_run(self, x0: int, count: int):
-        """Force the classes of x0, ..., x0 + count - 1 to zero."""
-        parent = self.parent
-        dead = self.dead
-        for x in range(x0, x0 + count):
-            root = parent[x]
-            if parent[root] != root:
-                root, _ = self.find_weighted(x)
-            dead[root] = True
-
-    def union(self, x: int, y: int, lam: int):
-        """Record class(x) = lam * class(y), lam nonzero mod p."""
-        self.union_run(x, y, 1, lam)
-
-    def union_run(self, x0: int, y0: int, count: int, lam: int):
-        """Record class(x0 + k) = lam * class(y0 + k) for k < count."""
-        p = self.p
-        parent, weight, size, dead = self.parent, self.weight, self.size, self.dead
-        find = self.find_weighted
-        inv_lam = pow(lam, -1, p)
-        merged = 0
-        for x, y in zip(range(x0, x0 + count), range(y0, y0 + count)):
-            rx = parent[x]  # roots and weights: a depth <= 1 lookup, else find
-            if rx == x:
-                wx = 1
-            elif parent[rx] == rx:
-                wx = weight[x]
-            else:
-                rx, wx = find(x)
-            ry = parent[y]
-            if ry == y:
-                wy = 1
-            elif parent[ry] == ry:
-                wy = weight[y]
-            else:
-                ry, wy = find(y)
-            if rx == ry:
-                if wx != lam * wy % p:
-                    raise ContractError("inconsistent cycle weight; impossible for a binomial")
-                continue
-            # wx * class(rx) = lam * wy * class(ry); hang the smaller class
-            # under the larger, reading the relation backwards if needed
-            back = inv_lam
-            if size[rx] < size[ry]:
-                rx, ry, wx, wy, back = ry, rx, wy, wx, lam
-            w = wx * back % p  # class(ry) = wx * back / wy * class(rx)
-            if wy != 1:
-                w = w * pow(wy, -1, p) % p
-            parent[ry] = rx
-            weight[ry] = w
-            size[rx] += size[ry]
-            if dead[ry]:
-                dead[rx] = True
-            merged += 1
-        self.unions += merged
-
-    def classes(self):
-        """List of (member node lists, dead flag), deterministic order."""
-        groups = {}
-        for v in range(len(self.parent)):
-            root, _ = self.find_weighted(v)
-            groups.setdefault(root, []).append(v)
-        return [(members, self.dead[root]) for root, members in sorted(groups.items())]
+from .errors import DomainError, ResourceError
 
 
 @dataclass(frozen=True)
@@ -134,51 +33,8 @@ class OracleReport:
     length: int
     nodes: int
     dead_nodes: int
-    merges: int  # union operations that joined two distinct classes
+    merges: int  # relations that joined two distinct classes
     live_merged_classes: int
-
-
-def build_relation_graph(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> RelationGraph:
-    """Run all shifted relations through a fresh graph, row-major order.
-
-    Multipliers range over {0..q-1}^m; any relation with a surviving
-    endpoint has its multiplier in that box.  Both endpoints sit at fixed
-    flat offsets from the multiplier, so for each choice of the first m - 1
-    coordinates the last one runs over plain ranges: first where both
-    endpoints survive (unions), then where only one does (kills).
-    """
-    if q.p != f.p:
-        raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
-    qq = q.q
-    m = f.m
-    n_nodes = qq**m
-    if n_nodes > node_cap:
-        raise ResourceError(
-            f"oracle needs {n_nodes} nodes, budget is {node_cap}",
-            required=n_nodes,
-            budget=node_cap,
-        )
-    e2, e1 = f.lead.exps, f.trail.exps
-    c2, c1 = f.lead.coeff, f.trail.coeff
-    lam = (-c1) * pow(c2, -1, f.p) % f.p  # class(lead shift) = lam * class(trail shift)
-    graph = RelationGraph(n_nodes, f.p)
-    off2, off1 = node_index(e2, qq), node_index(e1, qq)
-    # last coordinates of the multiplier that keep each endpoint in the box
-    end2, end1 = max(0, qq - e2[-1]), max(0, qq - e1[-1])
-    both = min(end2, end1)
-    for row, head in enumerate(itertools.product(range(qq), repeat=m - 1)):
-        base = row * qq
-        v_ok = all(a + e < qq for a, e in zip(head, e2))
-        w_ok = all(a + e < qq for a, e in zip(head, e1))
-        if v_ok and w_ok:
-            graph.union_run(base + off2, base + off1, both, lam)
-            graph.kill_run(base + both + off2, end2 - both)
-            graph.kill_run(base + both + off1, end1 - both)
-        elif v_ok:
-            graph.kill_run(base + off2, end2)
-        elif w_ok:
-            graph.kill_run(base + off1, end1)
-    return graph
 
 
 def hk_oracle(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> int:
@@ -187,25 +43,71 @@ def hk_oracle(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> int:
 
 
 def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> OracleReport:
-    """Build the relation graph and count its classes in one pass over the roots."""
-    graph = build_relation_graph(f, q, node_cap)
-    nodes = len(graph.parent)
-    size, dead = graph.size, graph.dead
-    length = dead_nodes = live_merged = 0
-    for root in itertools.compress(range(nodes), map(operator.eq, graph.parent, range(nodes))):
-        if dead[root]:
-            dead_nodes += size[root]
-        else:
-            length += 1
-            if size[root] > 1:
-                live_merged += 1
+    """Count the relation graph's live paths with whole-mask bit operations."""
+    if q.p != f.p:
+        raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
+    qq = q.q
+    nodes = qq**f.m
+    if nodes > node_cap:
+        raise ResourceError(
+            f"oracle needs {nodes} nodes, budget is {node_cap}",
+            required=nodes,
+            budget=node_cap,
+        )
+    e2, e1 = f.lead.exps, f.trail.exps
+    top = (qq,) * f.m
+    # edges by their trail end y = u + e1: the lead end y + e2 - e1 survives too
+    starts = _box(e1, [min(qq, qq - a + b) for a, b in zip(e2, e1)], qq)
+    dead = _box(e1, top, qq) & ~starts  # only the trail end survives
+    dead |= _box(e2, top, qq) & ~_box(e2, [min(qq, qq - b + a) for a, b in zip(e2, e1)], qq)
+    step = node_index(e2, qq) - node_index(e1, qq)
+    if step < 0:  # orient every edge toward the higher index
+        step = -step
+        starts >>= step
+    # spans[k]: (the nodes with 2^k edges ahead on their path, 2^k * step);
+    # no path has q edges, so there are at most ceil(log2 q) + 1 rounds
+    spans = []
+    span, reach = starts, step
+    while span:
+        spans.append((span, reach))
+        dead |= (dead & span) << reach
+        span &= span >> reach
+        reach *= 2
+    for span, reach in spans:
+        dead |= span & (dead >> reach)
+    heads = ((1 << nodes) - 1) & ~(dead | starts << step)  # live, no incoming edge
     return OracleReport(
-        length=length,
+        length=heads.bit_count(),
         nodes=nodes,
-        dead_nodes=dead_nodes,
-        merges=graph.unions,
-        live_merged_classes=live_merged,
+        dead_nodes=dead.bit_count(),
+        merges=starts.bit_count(),
+        live_merged_classes=(heads & starts).bit_count(),
     )
+
+
+def _box(lo, hi, qq: int) -> int:
+    """Mask of the nodes A with lo[i] <= A[i] < hi[i] for every i."""
+    mask, width = 1, 1
+    for a, b in zip(reversed(lo), reversed(hi)):
+        if a >= b:
+            return 0
+        mask = _repeat(mask, width, b - a) << (a * width)
+        width *= qq
+    return mask
+
+
+def _repeat(block: int, width: int, count: int) -> int:
+    """`count` copies of `block` at stride `width`, by binary doubling."""
+    out = shift = 0
+    while True:
+        if count & 1:
+            out |= block << shift
+            shift += width
+        count >>= 1
+        if not count:
+            return out
+        block |= block << width
+        width *= 2
 
 
 def node_index(A, qq: int) -> int:

@@ -5,12 +5,16 @@ Vr ~ q/a big integers and Vr calls of the block count, so O(q) time and
 memory.  With `naive=True` it also drops the running suffix sums, for a
 quadratic-time version.  The library's piecewise-polynomial fold must
 give the same totals.  `phi_product` and `g_complement` are independent
-product forms of the block count and of the chain values.
+product forms of the block count and of the chain values, and
+`phi_tables` runs the block count's chain recurrence keeping every
+intermediate value, for auditing.
 """
+
+from dataclasses import dataclass
 
 from hkbinomial.classify import Classification
 from hkbinomial.closedform import _minc, _phi_value, _setup, g_chain
-from hkbinomial.errors import FormulaDomainError
+from hkbinomial.errors import DomainError, FormulaDomainError, NotApplicableError
 from hkbinomial.mmax import MmaxParams
 
 
@@ -115,3 +119,55 @@ def g_complement(cls: Classification, p: int, n: int, i: int) -> int:
         prod *= max(0, qq - P.pmax)
         cnt += 1
     return qq**cnt - prod
+
+
+@dataclass(frozen=True)
+class PhiTables:
+    """Intermediate chain values, kept for auditing."""
+
+    m_bound: int
+    minc: tuple
+    s_: tuple
+    d_: tuple
+    h_: tuple
+    chain: tuple  # rows (q, A_q, C_q, D_q, Dt_q) for q = t+1 down to 2
+    s_values: tuple  # folded values for j = 0..s
+    phi: int
+
+
+def phi_tables(M: int, cls: Classification, p: int, n: int) -> PhiTables:
+    if cls.t == 0:
+        raise NotApplicableError("no growing variable")
+    if M < 1:
+        raise DomainError(f"scan bound must be >= 1, got {M}")
+    qq = p**n
+    t, s = cls.t, cls.s
+    minc = tuple(_minc(M, P, qq) for P in cls.pos)
+    s_ = tuple(min(P.pmax - 1, qq - minc[k] - 1) for k, P in enumerate(cls.pos))
+    d_ = tuple(s_[k] - P.pmin + 1 for k, P in enumerate(cls.pos))
+    h_ = tuple(max(0, (qq - minc[k]) - P.pmax) for k, P in enumerate(cls.pos))
+    A, C, D, Dt = 0, 1, 1, 0
+    chain = [(t + 1, A, C, D, Dt)]
+    for qi in range(t, 1, -1):
+        P = cls.pos[qi - 1]
+        k = qi - 1
+        if minc[k] < qq - P.pmin:
+            Dt_new = minc[k] * A + h_[k] * Dt + d_[k] * D + P.pmin * C
+        else:
+            Dt_new = minc[k] * A + P.pmin * C
+        A, C, D, Dt = (
+            (qq - P.pmin) * A + P.pmin * C,
+            qq ** (t - qi + 1),
+            minc[k] * A + (qq - P.pmin - minc[k]) * D + P.pmin * C,
+            Dt_new,
+        )
+        chain.append((qi, A, C, D, Dt))
+    P = cls.pos[0]
+    B = (h_[0] * Dt + d_[0] * D) if minc[0] < qq - P.pmin else 0
+    S = A * minc[0] + B + C * P.pmin
+    s_values = [S]
+    for j in range(1, s + 1):
+        z = cls.zero[j - 1]
+        S = S * (qq - z.zmin) + qq ** (t + j - 1) * z.zmin
+        s_values.append(S)
+    return PhiTables(M, minc, s_, d_, h_, tuple(chain), tuple(s_values), S)

@@ -34,7 +34,7 @@ from hkbinomial import (
     estimate_multiplicity,
 )
 from hkbinomial.classify import classify
-from hkbinomial.oracle import build_relation_graph
+from tests.oracle_reference import build_relation_graph
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 

@@ -17,12 +17,11 @@ from hkbinomial import (
     parse_binomial,
     phi_closed_simple,
     phi_recursive,
-    phi_tables,
 )
 from hkbinomial import closedform
 from hkbinomial.classify import classify
 from hkbinomial.closedform import PiecewisePoly, g_chain
-from tests.closedform_reference import g_complement, hk_closed_form_naive, phi_product
+from tests.closedform_reference import g_complement, hk_closed_form_naive, phi_product, phi_tables
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 

@@ -5,9 +5,11 @@ exponent >= q) with the trail complement count and every other shape with
 the closed form.  These tests draw binomials over a fixed grid (m <= 5,
 exponents <= 8, p <= 7, q^m <= 3*10^4) and check that the count equals both
 enumerating engines, that the closed form never raises on the remaining
-shapes and equals both engines on a seeded subset of them, and that auto
-mode never enumerates.  The closed form's piecewise-polynomial fold is
-also checked against the O(q) list fold of `tests/closedform_reference.py`.
+shapes and equals both engines on a seeded subset of them, that permuting
+the variables or scaling the coefficients leaves every engine's value
+unchanged, and that auto mode never enumerates.  The closed form's
+piecewise-polynomial fold is also checked against the O(q) list fold of
+`tests/closedform_reference.py`.
 """
 
 import random
@@ -35,7 +37,8 @@ SEED = 20261018
 QM_CAP = 3 * 10**4
 DEGENERATE_COUNT = 200  # each is enumerated twice, so this sets the test's time
 CLOSED_COUNT = 2000
-ENUMERATED_CLOSED_COUNT = 40  # closed shapes also enumerated twice
+ENUMERATED_CLOSED_COUNT = 120  # closed shapes also enumerated twice
+INVARIANCE_COUNT = 40  # of each shape; three forms, each enumerated twice
 LINEAR_MAX_N, LINEAR_MAX_Q = 8, 2 * 10**4
 # An inner level of these changes formula inside [0, Vr), so the fold's own
 # cuts (where stay starts and caps, and where the bracket sum's lower end
@@ -113,6 +116,24 @@ def test_closed_form_matches_both_enumerations(grid):
     for f, p, n in random.Random(SEED).sample(closed, ENUMERATED_CLOSED_COUNT):
         q = PrimePower(p, n)
         assert hk_closed_form(f, p, n) == hk_direct_count(f, q) == hk_oracle(f, q), (f, p, n)
+
+
+def _relabelled(f, rng):
+    """f with its variables permuted, and f with each coefficient scaled."""
+    perm = rng.sample(range(f.m), f.m)
+    permuted = [Term(t.coeff, tuple(t.exps[i] for i in perm)) for t in (f.lead, f.trail)]
+    scaled = [Term(t.coeff * rng.randint(1, f.p - 1), t.exps) for t in (f.lead, f.trail)]
+    return normalize(f.p, *permuted), normalize(f.p, *scaled)
+
+
+def test_values_invariant_under_permutation_and_scaling(grid):
+    degenerate, closed = grid
+    rng = random.Random(SEED + 1)
+    for f, p, n in rng.sample(degenerate, INVARIANCE_COUNT) + rng.sample(closed, INVARIANCE_COUNT):
+        q = PrimePower(p, n)
+        value = hk(f, p, n).value
+        for g in (f, *_relabelled(f, rng)):
+            assert hk(g, p, n).value == hk_direct_count(g, q) == hk_oracle(g, q) == value, (f, g)
 
 
 def test_piecewise_fold_equals_linear_fold(corpus200):

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -8,17 +9,23 @@ from hkbinomial import (
     PrimePower,
     ResourceError,
     Term,
+    hk_direct_count,
     hk_oracle,
     hk_oracle_report,
     normalize,
     parse_binomial,
 )
-from hkbinomial.oracle import RelationGraph, build_relation_graph, node_index
+from hkbinomial.oracle import node_index
 from tests.conftest import random_binomials
 from tests.dense_rank import dense_rank_length
+from tests.oracle_reference import RelationGraph, build_relation_graph, reference_report
+from tests.test_keycheck import EDGE_SHAPES
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 Q5 = PrimePower(5, 1)
+GRID_SEED = 20261018
+GRID_COUNT = 400
+GRID_QM_CAP = 5000
 
 
 def test_worked_instance_value_and_structure():
@@ -112,7 +119,7 @@ def test_dense_rank_budget_flag():
 def test_report_census_matches_classes(corpus200):
     for f, p, n in corpus200:
         q = PrimePower(p, n)
-        rep = hk_oracle_report(f, q)
+        rep = reference_report(f, q)
         classes = build_relation_graph(f, q).classes()
         assert rep.length == sum(1 for _, dead in classes if not dead), (f, p, n)
         assert rep.nodes == sum(len(members) for members, _ in classes)
@@ -138,5 +145,66 @@ def test_report_makes_no_finds_beyond_the_build(corpus_small, monkeypatch):
         build_relation_graph(f, q)
         in_build = calls[0]
         calls[0] = 0
-        hk_oracle_report(f, q)
+        reference_report(f, q)
         assert calls[0] == in_build, (f, p, n)
+
+
+def _exponent_grid(seed, count):
+    """Seeded (binomial, p, n) draws: m = 1..5, p <= 7, q^m <= GRID_QM_CAP,
+    exponents 0..q + 2.  About a third copy the lead's first m - 1
+    exponents into the trail, so that their paths run inside one row."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = rng.randint(1, 5)
+        p = rng.choice((2, 3, 5, 7))
+        ns = [n for n in range(1, 13) if (p**n) ** m <= GRID_QM_CAP]
+        if not ns:
+            continue
+        n = rng.choice(ns)
+        e2 = [rng.randint(0, p**n + 2) for _ in range(m)]
+        e1 = [rng.randint(0, p**n + 2) for _ in range(m)]
+        if rng.random() < 0.3:
+            e1[:-1] = e2[:-1]
+        try:
+            f = normalize(p, Term(rng.randint(1, p - 1), tuple(e2)), Term(1, tuple(e1)))
+        except HKError:
+            continue
+        out.append((f, p, n))
+    return out
+
+
+def test_report_equals_reference(corpus200, corpus_small):
+    grid = _exponent_grid(GRID_SEED, GRID_COUNT)
+    edge = [(parse_binomial(poly, p, num_vars), p, n) for poly, p, n, num_vars in EDGE_SHAPES]
+    steps, row_paths = [], 0
+    for k, (f, p, n) in enumerate(grid + corpus200 + corpus_small + edge):
+        q = PrimePower(p, n)
+        ref = reference_report(f, q)
+        assert hk_oracle_report(f, q) == ref, (f, p, n)
+        if ref.merges and k < len(grid):
+            steps.append(node_index(f.lead.exps, q.q) > node_index(f.trail.exps, q.q))
+            row_paths += f.m > 1 and f.lead.exps[:-1] == f.trail.exps[:-1]
+    # the grid takes both path directions, paths inside one row, and an
+    # exponent >= q in every position
+    assert min(steps.count(True), steps.count(False), row_paths) >= 10, (steps, row_paths)
+    for position in range(5):
+        assert any(
+            max(f.lead.exps[position], f.trail.exps[position]) >= p**n
+            for f, p, n in grid
+            if f.m > position
+        ), position
+
+
+@pytest.mark.parametrize("poly,p,n", [("x1^5 - x2^3", 31, 2), ("x1*x2^2*x3 - x4^3", 31, 1)])
+def test_report_at_923521_nodes_is_fast(poly, p, n):
+    f = parse_binomial(poly, p)
+    q = PrimePower(p, n)
+    assert q.q**f.m == 923521
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        rep = hk_oracle_report(f, q)
+        elapsed.append(time.perf_counter() - start)
+    assert min(elapsed) < 0.1, elapsed
+    assert rep.length == hk_direct_count(f, q)
