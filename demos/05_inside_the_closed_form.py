@@ -38,5 +38,6 @@ for M in (1, 2):
 
 value, tables, _ = hk_closed_form_tables(f, 3, 1)
 print(f"\nchain values per shrinking variable: {tables.g_n}")
-print(f"integral vector at the outer level  : {tables.ints_level_top}")
+outer = tuple(tables.level_top(j) for j in range(tables.level_top.length))
+print(f"integral vector at the outer level  : {outer}")
 print(f"assembled value                     : {value}")

@@ -2,8 +2,9 @@
 
 The length l(S / (x_1^q, ..., x_m^q, f)) for a two-term polynomial f over
 F_p is computed by three independent engines (iterative closed form,
-per-monomial membership counting, relation-graph oracle) that are
-cross-checked against each other, all in exact integer arithmetic.
+per-monomial membership counting, bit-parallel relation-graph oracle)
+that are cross-checked against each other, all in exact integer
+arithmetic.
 """
 
 from .algebra import (
@@ -20,7 +21,6 @@ from .classify import Classification, classify, classification_summary
 from .closedform import (
     hk_closed_form,
     hk_closed_form_tables,
-    phi_closed_simple,
     phi_recursive,
     g_chain,
 )
@@ -43,10 +43,9 @@ from .keycheck import (
     hk_direct_count,
     is_convergent,
     is_member,
-    key_ideal_generators,
     member_scan,
 )
-from .mmax import MmaxParams, mmax_closed, mmax_params
+from .mmax import MmaxParams, mmax_params
 from .multiplicity import (
     MultiplicityReport,
     estimate_multiplicity,
@@ -83,15 +82,12 @@ __all__ = [
     "hk_oracle_report",
     "is_convergent",
     "is_member",
-    "key_ideal_generators",
     "load_corpus",
     "member_scan",
-    "mmax_closed",
     "mmax_params",
     "normalize",
     "parse_binomial",
     "parse_monomial",
-    "phi_closed_simple",
     "phi_recursive",
     "render",
     # errors

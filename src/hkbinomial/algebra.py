@@ -39,10 +39,6 @@ def is_prime(p: int) -> bool:
     return True
 
 
-def total_degree(u) -> int:
-    return sum(u)
-
-
 def deglex_compare(u, v) -> int:
     """Compare exponent vectors by total degree, ties broken lexicographically
     with the last variable most significant.  Returns -1, 0 or 1.

@@ -2,7 +2,8 @@
 
 Subcommands: hk (single value), table (values over a range of n), mult,
 classify, trace, check.  Exit codes: 0 success, 1 computational mismatch
-from check, 2 usage error, 3 resource budget exceeded.
+from check, 2 usage error, 3 resource budget exceeded (including a value
+too long for the interpreter to write in decimal).
 
 Identical invocations produce byte-identical JSON payloads: ordering is
 sorted, large integers are decimal strings, and wall-clock timings live
@@ -20,8 +21,8 @@ from fractions import Fraction
 
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
-from .engines import Config, cross_check, hk, load_corpus, jsonable_int
-from .errors import DomainError, HKError, NotApplicableError, ResourceError
+from .engines import ENGINES, Config, cross_check, decimal_str, hk, jsonable_int, load_corpus
+from .errors import DomainError, HKError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import estimate_multiplicity
 
@@ -51,15 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_hk = sub.add_parser("hk", parents=[common, poly], help="single length value")
     p_hk.add_argument("--n", required=True, type=int)
-    p_hk.add_argument("--engine", choices=("auto", "closed", "direct", "oracle"), default="auto")
+    p_hk.add_argument("--engine", choices=ENGINES, default="auto")
 
     p_table = sub.add_parser("table", parents=[common, poly], help="values over a range of n")
     p_table.add_argument("--n-range", required=True, help="a..b inclusive")
-    p_table.add_argument("--engine", choices=("auto", "closed", "direct", "oracle"), default="auto")
+    p_table.add_argument("--engine", choices=ENGINES, default="auto")
 
     p_mult = sub.add_parser("mult", parents=[common, poly], help="multiplicity estimates")
     p_mult.add_argument("--n-range", required=True, help="a..b inclusive")
-    p_mult.add_argument("--exact-1dim", action="store_true", help="print the m=2 closed form")
 
     sub.add_parser("classify", parents=[common, poly], help="variable classification")
 
@@ -111,11 +111,11 @@ def _parse_range(text: str):
 
 def _cmd_hk(args, cfg: Config) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
-    rep = hk(f, args.p, args.n, engine=args.engine, config=cfg, verbose=cfg.verbose)
+    rep = hk(f, args.p, args.n, engine=args.engine, config=cfg)
     if cfg.format == "json":
         _dump_json(rep.json_dict())
     else:
-        print(rep.value)
+        print(decimal_str(rep.value))
         if cfg.verbose:
             print(f"engine: {rep.engine}", file=sys.stderr)
     return EXIT_OK
@@ -124,52 +124,56 @@ def _cmd_hk(args, cfg: Config) -> int:
 def _cmd_table(args, cfg: Config) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
     d = f.m - 1
-    rows = []
+    rows = []  # every integer as text before anything is printed
     for n in _parse_range(args.n_range):
         rep = hk(f, args.p, n, engine=args.engine, config=cfg)
         est = Fraction(rep.value, rep.q**d)
-        rows.append((n, rep.q, rep.value, rep.engine, est))
+        num, den = decimal_str(est.numerator), decimal_str(est.denominator)
+        rows.append((n, jsonable_int(rep.q), decimal_str(rep.value), rep.engine, num, den))
     if cfg.format == "json":
         payload = [
-            {
-                "n": n,
-                "q": jsonable_int(q),
-                "hk": str(v),
-                "engine": eng,
-                "estimate": {"num": str(est.numerator), "den": str(est.denominator)},
-            }
-            for n, q, v, eng, est in rows
+            {"n": n, "q": q, "hk": v, "engine": eng, "estimate": {"num": num, "den": den}}
+            for n, q, v, eng, num, den in rows
         ]
         _dump_json({"data": payload})
     elif cfg.format == "csv":
         print("n,q,hk,engine,estimate_num,estimate_den")
-        for n, q, v, eng, est in rows:
-            print(f"{n},{q},{v},{eng},{est.numerator},{est.denominator}")
+        for row in rows:
+            print(",".join(map(str, row)))
     else:
-        for n, q, v, eng, _ in rows:
+        for n, q, v, eng, _, _ in rows:
             print(f"n={n} q={q} hk={v} engine={eng}")
     return EXIT_OK
 
 
 def _cmd_mult(args, cfg: Config) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
-    rep = estimate_multiplicity(f, args.p, _parse_range(args.n_range), config=cfg)
+    rep = estimate_multiplicity(f, args.p, _parse_range(args.n_range))
+    data = rep.json_dict()  # every integer as text before anything is printed
     if cfg.format == "json":
-        _dump_json({"data": rep.json_dict()})
+        _dump_json({"data": data})
         return EXIT_OK
     if cfg.format == "csv":
+        qs = [decimal_str(args.p ** n) for n, _, _ in rep.samples]
         print("n,q,hk,estimate_num,estimate_den")
-        for n, v, est in rep.samples:
-            print(f"{n},{args.p ** n},{v},{est.numerator},{est.denominator}")
+        for q, row in zip(qs, data["samples"]):
+            est = row["estimate"]
+            print(f"{row['n']},{q},{row['hk']},{est['num']},{est['den']}")
         return EXIT_OK
-    for n, v, est in rep.samples:
-        print(f"n={n} hk={v} estimate={est} (~{float(est):.6g})")
-    print(f"converged: {rep.converged}" + ("" if rep.complete else " (partial: budget hit)"))
-    if rep.limit is not None:
-        print(f"difference-quotient limit: {rep.limit}")
-    if rep.exact is not None and (args.exact_1dim or cfg.verbose):
+    for (_, _, est), row in zip(rep.samples, data["samples"]):
+        text = _fraction_text(row["estimate"])
+        print(f"n={row['n']} hk={row['hk']} estimate={text} (~{float(est):.6g})")
+    print(f"converged: {rep.converged}")
+    if data["limit"] is not None:
+        print(f"difference-quotient limit: {_fraction_text(data['limit'])}")
+    if rep.exact is not None:
         print(f"exact (m=2, case {rep.exact[1]}): {rep.exact[0]}")
     return EXIT_OK
+
+
+def _fraction_text(frac: dict) -> str:
+    """str(Fraction) from its {"num", "den"} payload."""
+    return frac["num"] if frac["den"] == "1" else f"{frac['num']}/{frac['den']}"
 
 
 def _cmd_classify(args, cfg: Config) -> int:
@@ -221,7 +225,7 @@ def _cmd_check(args, cfg: Config) -> int:
     instances = load_corpus(args.corpus)
     report = cross_check(instances, cfg)
     if cfg.format == "json":
-        _dump_json({"data": report.json_list(), "all_agree": report.all_agree})
+        _dump_json({"data": report.entries, "all_agree": report.all_agree})
     else:
         for entry in report.entries:
             status = "ok" if entry["agree"] else "MISMATCH"
@@ -258,13 +262,7 @@ def run(argv=None) -> int:
     except ResourceError as exc:
         _emit_error(exc, cfg.format)
         return EXIT_RESOURCE
-    except NotApplicableError as exc:
-        _emit_error(exc, cfg.format)
-        return EXIT_USAGE
-    except HKError as exc:
-        _emit_error(exc, cfg.format)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (HKError, OSError) as exc:
         _emit_error(exc, cfg.format)
         return EXIT_USAGE
 

@@ -26,7 +26,6 @@ Everything is exact integer arithmetic; no floating point.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -93,62 +92,6 @@ def phi_recursive(M: int, cls: Classification, p: int, n: int) -> int:
     if M < 1:
         raise DomainError(f"scan bound must be >= 1, got {M}")
     return _phi_value(M, cls, p**n)
-
-
-def phi_closed_simple(M: int, cls: Classification, p: int, n: int) -> int:
-    """Single-formula block count, valid only in the simple case where
-    every escape threshold sits strictly between the two trivial regimes:
-    q - pmax <= minc_q < q - pmin for every growing variable.
-    """
-    if cls.t == 0:
-        raise NotApplicableError("no growing variable")
-    if M < 1:
-        raise DomainError(f"scan bound must be >= 1, got {M}")
-    qq = p**n
-    t, s = cls.t, cls.s
-    mincs = []
-    for P in cls.pos:
-        minc = _minc(M, P, qq)
-        if not (qq - P.pmax <= minc < qq - P.pmin):
-            raise NotApplicableError(
-                f"simple-case guard fails for x{P.var}: "
-                f"need {qq - P.pmax} <= {minc} < {qq - P.pmin}"
-            )
-        mincs.append(minc)
-    base = 1
-    for P in cls.pos:
-        base *= qq - M * P.dp
-    acc = base
-    pmins = [P.pmin for P in cls.pos]
-    for l in range(2, t + 1):
-        e_l = 0
-        for subset in itertools.combinations(range(t), l):
-            for picks in itertools.product((0, 1), repeat=l):
-                if all(picks) or not any(picks):
-                    continue  # need a mix of both item types
-                prod = 1
-                for pos_idx, pick in zip(subset, picks):
-                    prod *= mincs[pos_idx] if pick else pmins[pos_idx]
-                e_l += prod
-        acc += (-1) ** l * e_l * qq ** (t - l)
-    zmins = [z.zmin for z in cls.zero]
-    phi = acc
-    for z in zmins:
-        phi *= qq - z
-    for k in range(1, s + 1):
-        e_k = sum(
-            _prod(zmins[i] for i in subset)
-            for subset in itertools.combinations(range(s), k)
-        )
-        phi += (-1) ** (k + 1) * qq ** (t + s - k) * e_k
-    return phi
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out *= x
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -307,11 +250,6 @@ class ClosedFormTables:
     d_consts: tuple  # first-bracket-width constant per shrinking variable
     xtilde: tuple  # last offset contributed by each shrinking variable
     level_top: PiecewisePoly  # the outermost level, j -> value on [0, Vr)
-
-    @property
-    def ints_level_top(self) -> tuple:
-        """The outermost level as Vr values; O(Vr), for demos and tests."""
-        return tuple(map(self.level_top, range(self.level_top.length)))
 
 
 def _setup(f: Binomial, p: int, n: int):

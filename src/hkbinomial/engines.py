@@ -4,7 +4,8 @@ Three routes compute the same exact length:
 
 * closed: the iterative closed form (fast, guarded by applicability)
 * direct: per-monomial membership enumeration (budgeted by q^m)
-* oracle: relation-graph union-find (budgeted by node count)
+* oracle: a bit-parallel count of the relation graph's live paths
+  (budgeted by node count)
 
 `hk` with engine="auto" answers every binomial without enumeration: the
 shapes the closed form excludes (no growing variable, or a lead exponent
@@ -18,13 +19,16 @@ conventions are only trusted because this gate exists.
 from __future__ import annotations
 
 import json
+import math
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .algebra import Binomial, PrimePower, parse_binomial, render
 from .classify import classify, classification_summary
-from .closedform import hk_closed_form_tables, is_monomial_shape, trail_complement_count
+from .closedform import ClosedFormTables, hk_closed_form_tables
+from .closedform import is_monomial_shape, trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ResourceError
 from .keycheck import hk_direct_count
 from .mmax import params_summary
@@ -54,9 +58,26 @@ class Config:
             raise DomainError(f"verbose must be true or false, got {self.verbose!r}")
 
 
+def decimal_str(x: int) -> str:
+    """str(x), or a ResourceError when x has more decimal digits than the
+    interpreter converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(x)
+    except ValueError:  # int -> str raises it only for the digit limit
+        x = abs(x)
+        digits = int(math.log10(x)) + 1
+        digits += (x >= 10**digits) - (x < 10 ** (digits - 1))
+        limit = sys.get_int_max_str_digits()
+        raise ResourceError(
+            f"an integer of {digits} decimal digits is over the interpreter's limit of {limit}",
+            required=digits,
+            budget=limit,
+        ) from None
+
+
 def jsonable_int(x: int):
     """Ints that may not survive a double round-trip become decimal strings."""
-    return x if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else str(x)
+    return x if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else decimal_str(x)
 
 
 @dataclass
@@ -69,29 +90,33 @@ class HKReport:
     engine: str  # "monomial", "closed", "direct" or "oracle"
     guard_notes: list = field(default_factory=list)  # no route adds notes; a payload key
     classification: dict = field(default_factory=dict)
-    mmax_params: list | None = None
+    mmax_params: tuple | None = None  # MmaxParams per shrinking variable
     oracle_stats: dict | None = None
-    tables: dict | None = None
+    tables: ClosedFormTables | None = None
     timing_ms: float = 0.0
 
     def data_dict(self) -> dict:
-        """Deterministic payload; timing deliberately excluded."""
+        """Deterministic payload; timing deliberately excluded.  Raises
+        ResourceError when an integer is too long to write in decimal."""
         out = {
             "p": self.p,
             "n": self.n,
             "q": jsonable_int(self.q),
             "m": self.m,
-            "value": str(self.value),
+            "value": decimal_str(self.value),
             "engine": self.engine,
             "guard_notes": list(self.guard_notes),
             "classification": self.classification,
         }
         if self.mmax_params is not None:
-            out["mmax_params"] = self.mmax_params
+            out["mmax_params"] = [
+                {k: jsonable_int(v) if isinstance(v, int) else v for k, v in row.items()}
+                for row in params_summary(self.mmax_params)
+            ]
         if self.oracle_stats is not None:
             out["oracle"] = self.oracle_stats
         if self.tables is not None:
-            out["tables"] = self.tables
+            out["tables"] = _tables_dict(self.tables)
         return out
 
     def json_dict(self) -> dict:
@@ -122,7 +147,6 @@ def hk(
     n: int = 1,
     engine: str = "auto",
     config: Config | None = None,
-    verbose: bool = False,
 ) -> HKReport:
     """Evaluate the length for q = p^n with the requested engine.
 
@@ -130,6 +154,7 @@ def hk(
     when `is_monomial_shape` holds and the closed form otherwise; it never
     enumerates.  A named engine runs alone and raises NotApplicableError
     or ResourceError (budgets from `config`) instead of switching routes.
+    The closed form's tables are kept when `config.verbose` is set.
     """
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
@@ -162,33 +187,11 @@ def hk(
 
     if engine in ("auto", "closed"):
         value, tables, params = hk_closed_form_tables(f, p, n)
-        mmax = [
-            {k: jsonable_int(v) if isinstance(v, int) else v for k, v in row.items()}
-            for row in params_summary(params)
-        ]
-        return report(
-            value,
-            "closed",
-            mmax=mmax,
-            tables=_tables_dict(tables) if (verbose or cfg.verbose) else None,
-        )
+        return report(value, "closed", mmax=params, tables=tables if cfg.verbose else None)
 
-    size = q.q**f.m
     if engine == "direct":
-        if size > cfg.enum_cap:
-            raise ResourceError(
-                f"direct count needs {size} membership tests, budget is {cfg.enum_cap}",
-                required=size,
-                budget=cfg.enum_cap,
-            )
         return report(hk_direct_count(f, q, enum_cap=cfg.enum_cap), "direct")
 
-    if size > cfg.oracle_cap:
-        raise ResourceError(
-            f"oracle needs {size} nodes, budget is {cfg.oracle_cap}",
-            required=size,
-            budget=cfg.oracle_cap,
-        )
     rep = hk_oracle_report(f, q, node_cap=cfg.oracle_cap)
     stats = {
         "nodes": jsonable_int(rep.nodes),
@@ -203,9 +206,6 @@ def hk(
 class CheckReport:
     entries: list
     all_agree: bool
-
-    def json_list(self) -> list:
-        return self.entries
 
 
 def _check_instance(item, cfg: Config):
@@ -229,7 +229,7 @@ def _check_instance(item, cfg: Config):
         "poly": render(f),
         "p": p,
         "n": n,
-        "values": {k: str(v) for k, v in sorted(values.items())},
+        "values": {k: decimal_str(v) for k, v in sorted(values.items())},
         "skipped": dict(sorted(skipped.items())),
         "agree": agree,
     }

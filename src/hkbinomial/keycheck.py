@@ -33,34 +33,14 @@ def _check_standard(A, q: PrimePower, what="monomial"):
         raise DomainError(f"{what} {A} has a negative exponent")
 
 
-def key_ideal_generators(A, q: PrimePower) -> set:
-    """Generators of the key ideal of A: the step monomials B_i plus x_i^q.
-
-    B_1 = x_1^(a_1+1) when a_1 < q-1; B_i = x_1^a_1 ... x_{i-1}^a_{i-1} x_i^(a_i+1)
-    when a_i < q-1; B_i is dropped when a_i = q-1.
-    """
-    _check_standard(A, q)
-    m = len(A)
-    gens = set()
-    for i in range(m):
-        if A[i] < q.q - 1:
-            gens.add(tuple(A[:i]) + (A[i] + 1,) + (0,) * (m - i - 1))
-    for i in range(m):
-        gens.add(tuple(q.q if j == i else 0 for j in range(m)))
-    return gens
-
-
-def monomial_divides(g, c) -> bool:
-    return all(gi <= ci for gi, ci in zip(g, c))
-
-
 def is_convergent(C, A, q: PrimePower) -> bool:
     """True iff the monomial C lies in the key ideal of A.
 
     Fast path: some exponent of C is >= q, or C is strictly greater than A
     in pure lex order with x_1 most significant.  Equivalent to divisibility
-    by one of `key_ideal_generators(A, q)`; the equivalence is exercised
-    exhaustively in the tests.
+    by one of the key ideal's generators: x_i^q, and the step monomials
+    x_1^a_1 ... x_{i-1}^a_{i-1} x_i^(a_i+1) for a_i < q-1; the tests check
+    the equivalence exhaustively.
     """
     _check_standard(A, q, "key monomial")
     if len(C) != len(A):

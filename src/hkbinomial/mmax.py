@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .classify import Classification
-from .errors import ContractError, NotApplicableError
+from .errors import NotApplicableError
 
 
 def ceil_div(x: int, d: int) -> int:
@@ -92,30 +92,6 @@ def mmax_params(cls: Classification, p: int, n: int) -> tuple:
             )
         )
     return tuple(out)
-
-
-def bracket_index(prm: MmaxParams, k: int) -> int:
-    """Bracket number of distance k: 0 for k <= 1+E, then one per width a."""
-    if k <= 1 + prm.excess:
-        return 0
-    return ceil_div(k - 1 - prm.excess, prm.a)
-
-
-def mmax_closed(A, cls: Classification, params, q) -> int:
-    """Largest valid scan step count for A, as the minimum of per-variable
-    bracket-table values.  Requires the lead term to divide A."""
-    qq = q.q if hasattr(q, "q") else int(q)
-    if any(a < e for a, e in zip(A, cls.lead_exps)):
-        raise ContractError("the lead term does not divide the monomial")
-    if any(a >= qq for a in A):
-        raise ContractError("monomial is not standard")
-    best = None
-    for prm in params:
-        k = qq - A[prm.var - 1]
-        val = prm.top_value - bracket_index(prm, k)
-        if best is None or val < best:
-            best = val
-    return best
 
 
 def params_summary(params) -> list:

@@ -18,9 +18,10 @@ from fractions import Fraction
 from .algebra import Binomial
 from .classify import classify
 from .closedform import is_monomial_shape, trail_complement_count
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .mmax import ceil_div, mmax_params
 from . import engines as _engines
+from .engines import decimal_str
 
 
 def hk_1dim(f: Binomial, p: int, n: int):
@@ -94,17 +95,21 @@ class MultiplicityReport:
     converged: bool
     gap: Fraction | None  # last consecutive-estimate gap
     limit: Fraction | None  # difference-quotient value, d = 1 only
-    complete: bool
 
     def json_dict(self) -> dict:
+        """Integers as decimal strings; ResourceError when one is too long."""
+
         def frac(x):
-            return None if x is None else {"num": str(x.numerator), "den": str(x.denominator)}
+            if x is None:
+                return None
+            return {"num": decimal_str(x.numerator), "den": decimal_str(x.denominator)}
 
         return {
             "d": self.d,
             "p": self.p,
             "samples": [
-                {"n": n, "hk": str(v), "estimate": frac(e)} for n, v, e in self.samples
+                {"n": n, "hk": decimal_str(v), "estimate": frac(e)}
+                for n, v, e in self.samples
             ],
             "exact": None
             if self.exact is None
@@ -112,35 +117,10 @@ class MultiplicityReport:
             "converged": self.converged,
             "gap": frac(self.gap),
             "limit": frac(self.limit),
-            "complete": self.complete,
         }
 
 
-def report_from_json_dict(obj: dict) -> MultiplicityReport:
-    def frac(d):
-        return None if d is None else Fraction(int(d["num"]), int(d["den"]))
-
-    return MultiplicityReport(
-        d=obj["d"],
-        p=obj["p"],
-        samples=[(s["n"], int(s["hk"]), frac(s["estimate"])) for s in obj["samples"]],
-        exact=None
-        if obj["exact"] is None
-        else (int(obj["exact"]["value"]), obj["exact"]["case"]),
-        converged=obj["converged"],
-        gap=frac(obj["gap"]),
-        limit=frac(obj["limit"]),
-        complete=obj["complete"],
-    )
-
-
-def estimate_multiplicity(
-    f: Binomial,
-    p: int,
-    n_range,
-    config=None,
-    engine: str = "auto",
-) -> MultiplicityReport:
+def estimate_multiplicity(f: Binomial, p: int, n_range) -> MultiplicityReport:
     """Exact-rational multiplicity estimates over a range of exponents.
 
     Ratios length / q^d are exact fractions.  Convergence is flagged when
@@ -148,16 +128,12 @@ def estimate_multiplicity(
     first gap.  In two variables the report also carries the difference
     quotient of the last two samples, which is exact once the length has
     entered its eventually-affine regime, plus the closed-form integer.
+    Each sample is auto `hk`, which never enumerates.
     """
     d = f.m - 1
     samples = []
-    complete = True
     for n in sorted(set(n_range)):
-        try:
-            rep = _engines.hk(f, p, n, engine=engine, config=config)
-        except ResourceError:
-            complete = False
-            break
+        rep = _engines.hk(f, p, n)
         samples.append((n, rep.value, Fraction(rep.value, p ** (n * d))))
     exact = None
     if f.m == 2:
@@ -183,5 +159,4 @@ def estimate_multiplicity(
         converged=converged,
         gap=gap,
         limit=limit,
-        complete=complete,
     )

@@ -7,15 +7,18 @@ quadratic-time version.  The library's piecewise-polynomial fold must
 give the same totals.  `phi_product` and `g_complement` are independent
 product forms of the block count and of the chain values, and
 `phi_tables` runs the block count's chain recurrence keeping every
-intermediate value, for auditing.
+intermediate value, for auditing.  `phi_closed_simple` is the block
+count's single formula in the simple case, and `mmax_closed` the scan
+bound of one monomial read off the bracket tables.
 """
 
+import itertools
 from dataclasses import dataclass
 
 from hkbinomial.classify import Classification
 from hkbinomial.closedform import _minc, _phi_value, _setup, g_chain
-from hkbinomial.errors import DomainError, FormulaDomainError, NotApplicableError
-from hkbinomial.mmax import MmaxParams
+from hkbinomial.errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
+from hkbinomial.mmax import MmaxParams, ceil_div
 
 
 def widths(prm: MmaxParams):
@@ -171,3 +174,83 @@ def phi_tables(M: int, cls: Classification, p: int, n: int) -> PhiTables:
         S = S * (qq - z.zmin) + qq ** (t + j - 1) * z.zmin
         s_values.append(S)
     return PhiTables(M, minc, s_, d_, h_, tuple(chain), tuple(s_values), S)
+
+
+def phi_closed_simple(M: int, cls: Classification, p: int, n: int) -> int:
+    """Single-formula block count, valid only in the simple case where
+    every escape threshold sits strictly between the two trivial regimes:
+    q - pmax <= minc_q < q - pmin for every growing variable.
+    """
+    if cls.t == 0:
+        raise NotApplicableError("no growing variable")
+    if M < 1:
+        raise DomainError(f"scan bound must be >= 1, got {M}")
+    qq = p**n
+    t, s = cls.t, cls.s
+    mincs = []
+    for P in cls.pos:
+        minc = _minc(M, P, qq)
+        if not (qq - P.pmax <= minc < qq - P.pmin):
+            raise NotApplicableError(
+                f"simple-case guard fails for x{P.var}: "
+                f"need {qq - P.pmax} <= {minc} < {qq - P.pmin}"
+            )
+        mincs.append(minc)
+    base = 1
+    for P in cls.pos:
+        base *= qq - M * P.dp
+    acc = base
+    pmins = [P.pmin for P in cls.pos]
+    for l in range(2, t + 1):
+        e_l = 0
+        for subset in itertools.combinations(range(t), l):
+            for picks in itertools.product((0, 1), repeat=l):
+                if all(picks) or not any(picks):
+                    continue  # need a mix of both item types
+                prod = 1
+                for pos_idx, pick in zip(subset, picks):
+                    prod *= mincs[pos_idx] if pick else pmins[pos_idx]
+                e_l += prod
+        acc += (-1) ** l * e_l * qq ** (t - l)
+    zmins = [z.zmin for z in cls.zero]
+    phi = acc
+    for z in zmins:
+        phi *= qq - z
+    for k in range(1, s + 1):
+        e_k = sum(
+            _prod(zmins[i] for i in subset)
+            for subset in itertools.combinations(range(s), k)
+        )
+        phi += (-1) ** (k + 1) * qq ** (t + s - k) * e_k
+    return phi
+
+
+def _prod(it):
+    out = 1
+    for x in it:
+        out *= x
+    return out
+
+
+def bracket_index(prm: MmaxParams, k: int) -> int:
+    """Bracket number of distance k: 0 for k <= 1+E, then one per width a."""
+    if k <= 1 + prm.excess:
+        return 0
+    return ceil_div(k - 1 - prm.excess, prm.a)
+
+
+def mmax_closed(A, cls: Classification, params, q) -> int:
+    """Largest valid scan step count for A, as the minimum of per-variable
+    bracket-table values.  Requires the lead term to divide A."""
+    qq = q.q if hasattr(q, "q") else int(q)
+    if any(a < e for a, e in zip(A, cls.lead_exps)):
+        raise ContractError("the lead term does not divide the monomial")
+    if any(a >= qq for a in A):
+        raise ContractError("monomial is not standard")
+    best = None
+    for prm in params:
+        k = qq - A[prm.var - 1]
+        val = prm.top_value - bracket_index(prm, k)
+        if best is None or val < best:
+            best = val
+    return best

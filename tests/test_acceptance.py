@@ -25,15 +25,14 @@ from hkbinomial import (
     hk_multiplicity_1dim,
     hk_oracle,
     is_member,
-    mmax_closed,
     mmax_params,
     normalize,
     parse_binomial,
-    phi_closed_simple,
     phi_recursive,
     estimate_multiplicity,
 )
 from hkbinomial.classify import classify
+from tests.closedform_reference import mmax_closed, phi_closed_simple
 from tests.oracle_reference import build_relation_graph
 
 F1 = parse_binomial("x1^3 - x2^2", 5)

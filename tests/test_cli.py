@@ -2,6 +2,8 @@ import json
 import math
 import time
 
+import pytest
+
 from hkbinomial import cli, engines, parse_binomial
 from hkbinomial.closedform import hk_closed_form_tables
 
@@ -64,7 +66,7 @@ def test_hk_verbose_level_top_is_piecewise(capsys):
         for u in range(hi - lo)
     ]
     assert len(level["starts"]) == 4
-    assert code == 0 and tuple(values) == ref.ints_level_top
+    assert code == 0 and values == [ref.level_top(j) for j in range(ref.level_top.length)]
 
 
 def test_degenerate_is_usage_error(capsys):
@@ -150,13 +152,31 @@ def test_trace_json_steps(capsys):
 
 def test_mult_plain(capsys):
     code, out, _ = run_cli(
-        capsys,
-        ["mult", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..3",
-         "--exact-1dim"],
+        capsys, ["mult", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..3"]
     )
     assert code == 0
     assert "estimate=2" in out
     assert "exact (m=2, case I(ii)): 2" in out
+    code, out, _ = run_cli(
+        capsys, ["mult", "--poly", "x1^2*x2 - x2*x3", "--p", "3", "--n-range", "1..3"]
+    )
+    assert code == 0
+    assert "n=3 hk=" in out and "converged:" in out
+    assert "exact" not in out
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+@pytest.mark.parametrize("command", ["hk", "table", "mult"])
+def test_value_over_digit_limit_exits_3(capsys, command, fmt):
+    # HK(5^6200) has more decimal digits than the interpreter writes (4300 by default)
+    argv = [command, "--poly", "x1^3*x2 - x2^2*x3^2", "--p", "5", "--format", fmt]
+    argv += ["--n", "6200"] if command == "hk" else ["--n-range", "6200..6200"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    if fmt == "json":
+        assert json.loads(err)["error"]["type"] == "ResourceError"
+    else:
+        assert err.startswith("error: an integer of ") and len(err.splitlines()) == 1
 
 
 def test_check_roundtrip(tmp_path, capsys):

@@ -15,13 +15,18 @@ from hkbinomial import (
     hk_oracle,
     mmax_params,
     parse_binomial,
-    phi_closed_simple,
     phi_recursive,
 )
 from hkbinomial import closedform
 from hkbinomial.classify import classify
 from hkbinomial.closedform import PiecewisePoly, g_chain
-from tests.closedform_reference import g_complement, hk_closed_form_naive, phi_product, phi_tables
+from tests.closedform_reference import (
+    g_complement,
+    hk_closed_form_naive,
+    phi_closed_simple,
+    phi_product,
+    phi_tables,
+)
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 
@@ -202,7 +207,7 @@ def test_tables_shape():
     assert tables.g_n == (2,)
     assert tables.d_consts == (2,)
     assert tables.xtilde == (1,)
-    assert tables.ints_level_top == (2,)
+    assert tables.level_top.length == 1 and tables.level_top(0) == 2
     assert params[0].a_prime == 0
 
 

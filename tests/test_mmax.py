@@ -7,12 +7,11 @@ from hkbinomial import (
     NotApplicableError,
     PrimePower,
     is_member,
-    mmax_closed,
     mmax_params,
     parse_binomial,
 )
 from hkbinomial.classify import classify
-from hkbinomial.mmax import bracket_index
+from tests.closedform_reference import bracket_index, mmax_closed
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 

@@ -12,10 +12,27 @@ from hkbinomial import (
     hk_oracle,
     parse_binomial,
 )
-from hkbinomial.multiplicity import report_from_json_dict
+from hkbinomial.multiplicity import MultiplicityReport
 from tests.conftest import random_binomials
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
+
+
+def report_from_json_dict(obj: dict) -> MultiplicityReport:
+    def frac(d):
+        return None if d is None else Fraction(int(d["num"]), int(d["den"]))
+
+    return MultiplicityReport(
+        d=obj["d"],
+        p=obj["p"],
+        samples=[(s["n"], int(s["hk"]), frac(s["estimate"])) for s in obj["samples"]],
+        exact=None
+        if obj["exact"] is None
+        else (int(obj["exact"]["value"]), obj["exact"]["case"]),
+        converged=obj["converged"],
+        gap=frac(obj["gap"]),
+        limit=frac(obj["limit"]),
+    )
 
 
 def test_1dim_examples():
@@ -84,19 +101,13 @@ def test_estimate_three_variables_no_exact_claim():
 
 
 def test_estimate_partial_on_budget():
-    from hkbinomial import Config
-
+    # auto hk never enumerates, so no budget cuts the samples short
     f = parse_binomial("x1^3*x2 - x1*x2", 3)  # no growing variable: monomial route
-    cfg = Config(enum_cap=30, oracle_cap=30)
-    rep = estimate_multiplicity(f, 3, range(1, 4), config=cfg)
-    assert rep.complete and [n for n, _, _ in rep.samples] == [1, 2, 3]
+    rep = estimate_multiplicity(f, 3, range(1, 4))
+    assert [n for n, _, _ in rep.samples] == [1, 2, 3]
     for n, value, _ in rep.samples:
         assert hk(f, 3, n).engine == "monomial"
         assert value == hk(f, 3, n, engine="direct").value == hk(f, 3, n, engine="oracle").value
-    for engine in ("direct", "oracle"):  # the budget binds the named engine: q^m = 81 > 30
-        rep = estimate_multiplicity(f, 3, range(1, 4), config=cfg, engine=engine)
-        assert not rep.complete
-        assert len(rep.samples) == 1
 
 
 def test_report_serialization_round_trip():

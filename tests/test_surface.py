@@ -1,0 +1,65 @@
+"""Every name the library defines has a caller outside the tests.
+
+A top-level function or class, or a public method or property, defined in
+`src/hkbinomial/*.py` must be referenced somewhere in `src/`, `bench/`,
+`demos/` or `pyproject.toml`.  Its own definition does not count, and
+neither does its re-export from `__init__.py`: a name only the tests reach
+belongs in `tests/`.  References are read from the syntax tree (names,
+attributes, imported names, and string constants equal to a name, as in
+`getattr`-style lookups) and matched by name alone, so a mention in a
+comment or docstring does not count.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "hkbinomial"
+
+
+def defined_names():
+    """(module, name) for each top-level def/class and public method."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                out.append((path.stem, node.name))
+            if isinstance(node, ast.ClassDef):
+                out.extend(
+                    (path.stem, f"{node.name}.{item.name}")
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+                )
+    return out
+
+
+def referenced_names():
+    """Identifiers used by the code outside `tests/`."""
+    used = set()
+    sources = [p for d in ("src", "bench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
+    for path in sources:
+        if path == PACKAGE / "__init__.py":  # only re-exports: imports and __all__
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.isidentifier():
+                    used.add(node.value)
+    used.update(re.findall(r"[A-Za-z_]\w*", (ROOT / "pyproject.toml").read_text(encoding="utf-8")))
+    return used
+
+
+def test_every_library_name_has_a_caller_outside_tests():
+    used = referenced_names()
+    unused = [
+        f"{module}.{name}"
+        for module, name in defined_names()
+        if name.rsplit(".", 1)[-1] not in used
+    ]
+    assert unused == [], f"defined in src/ but reached only from tests/: {unused}"
