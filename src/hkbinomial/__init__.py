@@ -42,7 +42,6 @@ from .keycheck import (
     MembershipResult,
     hk_direct_count,
     is_convergent,
-    is_member,
     member_scan,
 )
 from .mmax import MmaxParams, mmax_params
@@ -81,7 +80,6 @@ __all__ = [
     "hk_oracle",
     "hk_oracle_report",
     "is_convergent",
-    "is_member",
     "load_corpus",
     "member_scan",
     "mmax_params",

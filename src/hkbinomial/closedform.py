@@ -47,41 +47,27 @@ def _minc(M, P, qq):
 
 
 def _phi_value(M: int, cls: Classification, qq: int) -> int:
-    """Chain evaluation of the block count at scan bound M (t >= 1)."""
-    pos = cls.pos
-    t, s = cls.t, cls.s
+    """Chain evaluation of the block count at scan bound M (t >= 1).
+
+    One step per growing variable, P_t down to P_1; Dt after P_1 is the
+    count over the growing block.  A capped minc leaves rest = 0 and so
+    h = 0 (pmin < pmax), which drops the rest and h terms.
+    """
     A, C, D, Dt = 0, 1, 1, 0
-    for qi in range(t, 1, -1):
-        P = pos[qi - 1]
+    for P in reversed(cls.pos):
         minc = _minc(M, P, qq)
         rest = qq - P.pmin - minc
-        if rest > 0:
-            h = qq - minc - P.pmax
-            if h < 0:
-                h = 0
-            Dt_new = minc * A + h * Dt + (rest - h) * D + P.pmin * C
-        else:
-            Dt_new = minc * A + P.pmin * C
+        h = max(0, qq - minc - P.pmax)
+        base = minc * A + P.pmin * C
         A, C, D, Dt = (
             (qq - P.pmin) * A + P.pmin * C,
             C * qq,
-            minc * A + rest * D + P.pmin * C,
-            Dt_new,
+            base + rest * D,
+            base + h * Dt + (rest - h) * D,
         )
-    P = pos[0]
-    minc = _minc(M, P, qq)
-    rest = qq - P.pmin - minc
-    if rest > 0:
-        h = qq - minc - P.pmax
-        if h < 0:
-            h = 0
-        B = h * Dt + (rest - h) * D
-    else:
-        B = 0
-    S = A * minc + B + C * P.pmin
-    for j in range(1, s + 1):
-        z = cls.zero[j - 1]
-        S = S * (qq - z.zmin) + qq ** (t + j - 1) * z.zmin
+    S = Dt
+    for j, z in enumerate(cls.zero):
+        S = S * (qq - z.zmin) + qq ** (cls.t + j) * z.zmin
     return S
 
 
@@ -110,43 +96,24 @@ def g_chain(cls: Classification, p: int, n: int) -> GChains:
 
     The value attached to a variable counts the tuples of later-sorted
     exponents that break trail divisibility; each step consumes the
-    variable immediately above.  Chain segments for absent variable
-    kinds simply pass the running value through.
+    variable immediately above.  The chain runs P_t, ..., P_1, Z_1, ...,
+    Z_s, N_1, ..., N_r, so a variable's position in it is the number of
+    variables above it, and each weight is the variable's trail exponent.
     """
     if cls.r == 0 or cls.t == 0:
         raise NotApplicableError("chain needs a shrinking and a growing variable")
     qq = p**n
-    t, s, r = cls.t, cls.s, cls.r
-    seq = [("P", qi) for qi in range(t - 1, 0, -1)]
-    seq += [("Z", l) for l in range(1, s + 1)]
-    seq += [("N", i) for i in range(1, r + 1)]
-
-    def consumed(kind, idx):
-        # weight = trail-term exponent of the variable, count of variables above it
-        if kind == "P":
-            P = cls.pos[idx - 1]
-            return P.pmax, t - idx
-        if kind == "Z":
-            Z = cls.zero[idx - 1]
-            return Z.zmin, t + idx - 1
-        N = cls.neg[idx - 1]
-        return N.nmin, s + t + idx - 1
-
-    g_p, g_z, g_n = {}, {}, {}
-    prev = ("P", t)
-    cur = None
-    for kind, idx in seq:
-        if cur is None:
-            cur = min(cls.pos[t - 1].pmax, qq)  # seed consumes P_t
-        else:
-            w, above = consumed(*prev)
-            cur = max(0, qq - w) * cur + min(w, qq) * qq**above
-        {"P": g_p, "Z": g_z, "N": g_n}[kind][idx] = cur
-        prev = (kind, idx)
+    t, s = cls.t, cls.s
+    weights = [P.pmax for P in reversed(cls.pos)]
+    weights += [z.zmin for z in cls.zero] + [N.nmin for N in cls.neg]
+    values, cur = [], 0  # values[k]: the value attached to chain entry k + 1
+    for above, w in enumerate(weights[:-1]):
+        cur = max(0, qq - w) * cur + min(w, qq) * qq**above
+        values.append(cur)
     return GChains(
-        g_p=tuple(g_p[qi] for qi in range(1, t)),
-        g_z=tuple(g_z[l] for l in range(1, s + 1)),
-        g_n=tuple(g_n[i] for i in range(1, r + 1)),
+        g_p=tuple(reversed(values[: t - 1])),
+        g_z=tuple(values[t - 1 : t - 1 + s]),
+        g_n=tuple(values[t - 1 + s :]),
     )
 
 

@@ -85,44 +85,6 @@ def _lead_scan_bound(A, e2, delta):
     return best
 
 
-def _first_escape(A, delta, qq):
-    """Least M >= 1 at which some growing exponent of A + M*delta reaches q."""
-    best = None
-    for a, d in zip(A, delta):
-        if d > 0:
-            need = -((a - qq) // d)  # ceil((qq - a) / d)
-            if best is None or need < best:
-                best = need
-    return best
-
-
-def is_member(A, f: Binomial, q: PrimePower) -> MembershipResult:
-    """Decide whether A lies in its key ideal plus (f).
-
-    Membership holds iff the trail term divides A, or the lead term does
-    and the exchange scan reaches a convergent monomial within the bound
-    where intermediate exponents stay nonnegative.  Both conditions are
-    evaluated in closed form; `member_scan` performs the literal scan and
-    the tests check they agree.
-    """
-    if q.p != f.p:
-        raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
-    _check_standard(A, q)
-    if len(A) != f.m:
-        raise DomainError(f"monomial has {len(A)} exponents, expected {f.m}")
-    e2, e1 = f.lead.exps, f.trail.exps
-    delta = tuple(b - a for a, b in zip(e2, e1))
-    mm = _lead_scan_bound(A, e2, delta)
-    if all(a >= e for a, e in zip(A, e1)):
-        return MembershipResult(True, "trail", None, mm if mm is not None else 0)
-    if mm == 0:
-        return MembershipResult(False, None, None, 0)
-    mw = _first_escape(A, delta, q.q)
-    if mw is not None and (mm is None or mw <= mm):
-        return MembershipResult(True, "mutation", mw, mm if mm is not None else mw)
-    return MembershipResult(False, None, None, mm)
-
-
 def member_scan(A, f: Binomial, q: PrimePower):
     """Literal scan: returns (MembershipResult, steps).
 
@@ -137,8 +99,7 @@ def member_scan(A, f: Binomial, q: PrimePower):
     a_sorted = cls.sorted_vector(A)
     steps = []
     if all(a >= e for a, e in zip(A, e1)):
-        res = is_member(A, f, q)
-        return MembershipResult(True, "trail", None, res.mmax_scanned), steps
+        return MembershipResult(True, "trail", None, _full_scan_bound(A, f)), steps
     mvec = list(A)
     mmax = 0
     member = None
@@ -182,7 +143,7 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
     total = qq**m
     if total > enum_cap:
         raise ResourceError(
-            f"direct count needs {total} membership tests, budget is {enum_cap}",
+            f"direct count needs {q.p}^{q.n * m} membership tests, budget is {enum_cap}",
             required=total,
             budget=enum_cap,
         )

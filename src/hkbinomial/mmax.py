@@ -1,12 +1,13 @@
 """Closed-form scan bounds per shrinking variable.
 
 For a shrinking variable with drop a and minimum power b, and q = p^n,
-write q - 1 = a*M + rem.  The largest step count at which the variable's
-exponent stays nonnegative depends on its distance k from the top
-exponent q-1 through a bracket table: the first bracket (width 1+E) gives
-the top value M - shift, and each further bracket of width a lowers the
-value by one.  The table is exact for all k in [1, q - nmax]; the final
-bracket may be short (width a_prime, possibly zero).
+the largest step count at which the variable's exponent stays
+nonnegative depends on its distance k from the top exponent q-1 through
+a bracket table.  With top_value, E = divmod(q - 1 - b, a), the first
+bracket (k = 1, ..., 1+E) has the value top_value, and each further
+bracket of width a lowers the value by one, so distance k has the value
+floor((q - k - b)/a).  The table is exact for all k in [1, q - nmax];
+the final bracket may be short (width a_prime, possibly zero).
 """
 
 from __future__ import annotations
@@ -29,19 +30,10 @@ class MmaxParams:
     a: int
     b: int
     nmax: int
-    m_div: int  # quotient of q-1 by a
-    rem: int  # remainder, 0 <= rem < a
-    y: int | None  # least positive multiple of a that is >= b - rem (b >= a only)
-    q_y: int | None  # y // a
-    shift: int  # the 0 / 1 / q_y branch value
-    excess: int  # E: width of the first bracket minus one
+    top_value: int  # scan bound at distance k = 1 (first bracket)
+    excess: int  # E: width of the first bracket minus one, 0 <= E < a
     ktilde_last: int  # index of the last bracket (>= 1 by convention)
     a_prime: int  # width of the last bracket, 0 <= a_prime <= a
-
-    @property
-    def top_value(self) -> int:
-        """Scan bound at distance k = 1 (first bracket)."""
-        return self.m_div - self.shift
 
 
 def mmax_params(cls: Classification, p: int, n: int) -> tuple:
@@ -62,17 +54,7 @@ def mmax_params(cls: Classification, p: int, n: int) -> tuple:
             raise NotApplicableError(
                 f"q = {qq} does not exceed the max power {rec.nmax} of x{rec.var}"
             )
-        m_div, rem = divmod(qq - 1, a)
-        y = q_y = None
-        if b < a and rem >= b:
-            shift, excess = 0, rem - b
-        elif b < a:
-            shift, excess = 1, rem - b + a
-        else:
-            d = b - rem  # positive: rem < a <= b
-            y = a * ceil_div(d, a)
-            q_y = y // a
-            shift, excess = q_y, y - d
+        top_value, excess = divmod(qq - 1 - b, a)
         kt = max(1, ceil_div(K - 1 - excess, a))
         a_prime = K - (1 + excess + a * (kt - 1))
         out.append(
@@ -81,11 +63,7 @@ def mmax_params(cls: Classification, p: int, n: int) -> tuple:
                 a=a,
                 b=b,
                 nmax=rec.nmax,
-                m_div=m_div,
-                rem=rem,
-                y=y,
-                q_y=q_y,
-                shift=shift,
+                top_value=top_value,
                 excess=excess,
                 ktilde_last=kt,
                 a_prime=a_prime,
@@ -100,11 +78,7 @@ def params_summary(params) -> list:
             "var": f"x{prm.var}",
             "a": prm.a,
             "b": prm.b,
-            "m_div": prm.m_div,
-            "rem": prm.rem,
-            "y": prm.y,
-            "q_y": prm.q_y,
-            "shift": prm.shift,
+            "top_value": prm.top_value,
             "excess": prm.excess,
             "ktilde_last": prm.ktilde_last,
             "a_prime": prm.a_prime,

@@ -24,27 +24,33 @@ from . import engines as _engines
 from .engines import decimal_str
 
 
-def hk_1dim(f: Binomial, p: int, n: int):
-    """Exact two-variable length with its case label.
-
-    Returns (value, label) where label is "II/III" when no variable grows
-    (membership is trail divisibility alone) or "I(i)" / "I(ii)" / "I(iii)"
-    comparing the shrink rate against the growth rate.  Exact for every n;
-    the classical displays are recovered once p^n clears the exponents.
-    """
+def _two_variable_case(f: Binomial):
+    """The classification of f for m = 2 and its case label: "II/III"
+    when no variable grows (membership is trail divisibility alone), else
+    "I(ii)" or "I(iii)" as the shrink rate a exceeds or equals the growth
+    rate dp.  The lead term has the higher degree, so dp - a = deg(trail)
+    - deg(lead) <= 0 and the case a < dp never occurs."""
     if f.m != 2:
         raise DomainError(f"two-variable closed form called with m = {f.m}")
     cls = classify(f)
-    qq = p**n
     if cls.t == 0:
-        label = "II/III"
-    else:
-        # t = 1 forces r = 1, s = 0 for a normalized binomial
-        neg, pos = cls.neg[0], cls.pos[0]
-        a, dp = neg.a, pos.dp
-        label = "I(i)" if a < dp else ("I(ii)" if a > dp else "I(iii)")
+        return cls, "II/III"
+    # t = 1 forces r = 1, s = 0 for a normalized binomial
+    return cls, "I(ii)" if cls.neg[0].a > cls.pos[0].dp else "I(iii)"
+
+
+def hk_1dim(f: Binomial, p: int, n: int):
+    """Exact two-variable length with its case label (see `_two_variable_case`).
+
+    Returns (value, label).  Exact for every n; the classical displays are
+    recovered once p^n clears the exponents.
+    """
+    cls, label = _two_variable_case(f)
+    qq = p**n
     if is_monomial_shape(cls, qq):
         return trail_complement_count(qq, f.trail.exps), label
+    neg, pos = cls.neg[0], cls.pos[0]
+    a, dp = neg.a, pos.dp
     prm = mmax_params(cls, p, n)[0]
     V = prm.top_value
     K = qq - neg.nmax
@@ -58,7 +64,7 @@ def hk_1dim(f: Binomial, p: int, n: int):
     cmin = ceil_div(qq - pos.pmin, dp)  # scan bound at or above: block count = pmin
     c_top = (qq - pos.pmax) // dp  # scan bound at or below: block count = pmax
     total = 0
-    hi = min(cmin - 1 if cmin - 1 < V else V, V)
+    hi = min(cmin - 1, V)
     lo_mid = max(1, c_top + 1)
     if V >= cmin:
         total += pos.pmin * widths_upto(V - cmin)
@@ -74,16 +80,10 @@ def hk_1dim(f: Binomial, p: int, n: int):
 
 def hk_multiplicity_1dim(f: Binomial):
     """The integer multiplicity in two variables, with its case label."""
-    if f.m != 2:
-        raise DomainError(f"two-variable closed form called with m = {f.m}")
-    cls = classify(f)
+    cls, label = _two_variable_case(f)
     if cls.t == 0:
-        return f.trail.exps[0] + f.trail.exps[1], "II/III"
-    neg, pos = cls.neg[0], cls.pos[0]
-    if neg.a < pos.dp:
-        return pos.pmin + neg.a + neg.nmin, "I(i)"
-    label = "I(ii)" if neg.a > pos.dp else "I(iii)"
-    return pos.pmax + neg.nmin, label
+        return f.trail.exps[0] + f.trail.exps[1], label
+    return cls.pos[0].pmax + cls.neg[0].nmin, label
 
 
 @dataclass

@@ -50,7 +50,7 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> Oracl
     nodes = qq**f.m
     if nodes > node_cap:
         raise ResourceError(
-            f"oracle needs {nodes} nodes, budget is {node_cap}",
+            f"oracle needs {q.p}^{q.n * f.m} nodes, budget is {node_cap}",
             required=nodes,
             budget=node_cap,
         )

@@ -8,8 +8,9 @@ give the same totals.  `phi_product` and `g_complement` are independent
 product forms of the block count and of the chain values, and
 `phi_tables` runs the block count's chain recurrence keeping every
 intermediate value, for auditing.  `phi_closed_simple` is the block
-count's single formula in the simple case, and `mmax_closed` the scan
-bound of one monomial read off the bracket tables.
+count's single formula in the simple case, `mmax_three_branch` the
+first bracket of a scan-bound table in its three-branch form, and
+`mmax_closed` the scan bound of one monomial read off the bracket tables.
 """
 
 import itertools
@@ -107,21 +108,24 @@ def phi_product(M: int, cls: Classification, p: int, n: int) -> int:
     return S
 
 
-def g_complement(cls: Classification, p: int, n: int, i: int) -> int:
-    """Reference form of the chain value for N_i: all later-sorted tuples
-    minus those keeping every exponent at or above its trail power."""
+def g_complement(cls: Classification, p: int, n: int, kind: str, i: int) -> int:
+    """Reference form of the chain value for P_i, Z_i or N_i (`kind` "P",
+    "Z" or "N"): all tuples of the exponents above it in the chain minus
+    those keeping every exponent at or above its trail power.  Above P_i
+    are P_{i+1}, ..., P_t; above Z_i every P and Z_1, ..., Z_{i-1}; above
+    N_i every P, every Z and N_1, ..., N_{i-1}."""
     qq = p**n
-    prod, cnt = 1, 0
-    for k in range(1, i):
-        prod *= max(0, qq - cls.neg[k - 1].nmin)
-        cnt += 1
-    for z in cls.zero:
-        prod *= max(0, qq - z.zmin)
-        cnt += 1
-    for P in cls.pos:
-        prod *= max(0, qq - P.pmax)
-        cnt += 1
-    return qq**cnt - prod
+    pos = [P.pmax for P in cls.pos]
+    zero = [z.zmin for z in cls.zero]
+    trail = {
+        "P": pos[i:],
+        "Z": pos + zero[: i - 1],
+        "N": pos + zero + [N.nmin for N in cls.neg[: i - 1]],
+    }[kind]
+    prod = 1
+    for e in trail:
+        prod *= max(0, qq - e)
+    return qq ** len(trail) - prod
 
 
 @dataclass(frozen=True)
@@ -230,6 +234,21 @@ def _prod(it):
     for x in it:
         out *= x
     return out
+
+
+def mmax_three_branch(a: int, b: int, qq: int):
+    """(top_value, excess) of a scan-bound table in the three-branch form:
+    with q - 1 = a*m_div + rem, the top value is m_div - shift for a shift
+    of 0 (b < a, rem >= b), 1 (b < a, rem < b) or ceil((b - rem)/a)
+    (b >= a), and the excess follows from the same case."""
+    m_div, rem = divmod(qq - 1, a)
+    if b < a and rem >= b:
+        return m_div, rem - b
+    if b < a:
+        return m_div - 1, rem - b + a
+    d = b - rem  # positive: rem < a <= b
+    y = a * ceil_div(d, a)  # least multiple of a that is >= d
+    return m_div - y // a, y - d
 
 
 def bracket_index(prm: MmaxParams, k: int) -> int:

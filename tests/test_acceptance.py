@@ -24,7 +24,6 @@ from hkbinomial import (
     hk_direct_count,
     hk_multiplicity_1dim,
     hk_oracle,
-    is_member,
     mmax_params,
     normalize,
     parse_binomial,
@@ -33,6 +32,7 @@ from hkbinomial import (
 )
 from hkbinomial.classify import classify
 from tests.closedform_reference import mmax_closed, phi_closed_simple
+from tests.keycheck_reference import is_member
 from tests.oracle_reference import build_relation_graph
 
 F1 = parse_binomial("x1^3 - x2^2", 5)

@@ -179,6 +179,78 @@ def test_value_over_digit_limit_exits_3(capsys, command, fmt):
         assert err.startswith("error: an integer of ") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["hk", "--engine", "direct"], ["hk", "--engine", "oracle"], ["check"]]
+)
+def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
+    # q^m = 5^18600 is over every budget and has more digits than the interpreter writes
+    poly, p, n = "x1^3*x2 - x2^2*x3^2", 5, 6200
+    if argv == ["check"]:
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"poly": poly, "p": p, "n": n}) + "\n")
+        argv = argv + ["--corpus", str(corpus)]
+    else:
+        argv = argv + ["--poly", poly, "--p", str(p), "--n", str(n)]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def _key_paths(obj, path=""):
+    """Every key path of a JSON value; the items of a list share `path[]`."""
+    if isinstance(obj, dict):
+        items = [(f"{path}.{k}" if path else k, v) for k, v in obj.items()]
+        return set().union(*({key} | _key_paths(v, key) for key, v in items))
+    if isinstance(obj, list):
+        return set().union(*(_key_paths(v, path + "[]") for v in obj))
+    return set()
+
+
+_CLASSIFICATION_KEYS = [
+    "delta", "m", "neg", "neg[].a", "neg[].b", "neg[].nmax", "neg[].nmin", "neg[].var",
+    "perm", "pos", "pos[].dp", "pos[].pmax", "pos[].pmin", "pos[].var", "r", "s", "t",
+    "zero", "zero[].var", "zero[].zmax", "zero[].zmin",
+]
+_REPORT_KEYS = [
+    "data", "data.engine", "data.guard_notes", "data.m", "data.n", "data.p", "data.q",
+    "data.value", "timing", "timing.ms", "data.classification",
+] + [f"data.classification.{key}" for key in _CLASSIFICATION_KEYS]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (
+            ["hk", "--n", "2", "--verbose"],
+            _REPORT_KEYS + [
+                "data.mmax_params", "data.mmax_params[].var", "data.mmax_params[].a",
+                "data.mmax_params[].b", "data.mmax_params[].top_value",
+                "data.mmax_params[].excess", "data.mmax_params[].ktilde_last",
+                "data.mmax_params[].a_prime", "data.tables", "data.tables.d_consts",
+                "data.tables.g_n", "data.tables.g_p", "data.tables.g_z", "data.tables.xtilde",
+                "data.tables.level_top", "data.tables.level_top.diffs",
+                "data.tables.level_top.length", "data.tables.level_top.starts",
+            ],
+        ),
+        (
+            ["hk", "--n", "1", "--engine", "oracle"],
+            _REPORT_KEYS + [
+                "data.oracle", "data.oracle.dead", "data.oracle.live_merged_classes",
+                "data.oracle.merges", "data.oracle.nodes",
+            ],
+        ),
+        (["classify"], ["data"] + [f"data.{key}" for key in _CLASSIFICATION_KEYS]),
+    ],
+)
+def test_json_payload_key_sets(capsys, argv, keys):
+    # pinned so that a change to a payload's fields is deliberate; the binomial
+    # has a shrinking, a fixed and a growing variable, so every row kind is present
+    argv = argv + ["--poly", "x1^2*x2 - x2*x3", "--p", "3", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert sorted(_key_paths(json.loads(out))) == sorted(keys)
+
+
 def test_check_roundtrip(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(

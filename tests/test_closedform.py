@@ -122,17 +122,23 @@ def test_g_chain_two_growing_variables():
     p2max = cls.pos[1].pmax
     assert gch.g_p[0] == min(p2max, q)
     assert gch.g_n[0] == (q - p1max) * gch.g_p[0] + p1max * q
-    assert gch.g_n[0] == g_complement(cls, 3, 1, 1)
+    assert gch.g_n[0] == g_complement(cls, 3, 1, "N", 1)
 
 
 def test_g_chain_matches_complement(corpus_small):
+    kinds = set()
     for f, p, n in corpus_small:
         cls = classify(f)
         if cls.t == 0 or cls.r == 0:
             continue
         gch = g_chain(cls, p, n)
-        for i in range(1, cls.r + 1):
-            assert gch.g_n[i - 1] == g_complement(cls, p, n, i)
+        for kind, values in (("P", gch.g_p), ("Z", gch.g_z), ("N", gch.g_n)):
+            assert len(values) == {"P": cls.t - 1, "Z": cls.s, "N": cls.r}[kind]
+            expected = [g_complement(cls, p, n, kind, i) for i in range(1, len(values) + 1)]
+            assert list(values) == expected
+            if values:
+                kinds.add(kind)
+    assert kinds == {"P", "Z", "N"}
 
 
 def test_hand_counted_zero_block_instance():

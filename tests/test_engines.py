@@ -70,11 +70,11 @@ def test_all_engines_exhausted():
     with pytest.raises(ResourceError) as direct:
         hk(F_T0, 3, 1, engine="direct", config=cfg)
     assert (direct.value.required, direct.value.budget) == (9, 5)
-    assert str(direct.value) == "direct count needs 9 membership tests, budget is 5"
+    assert str(direct.value) == "direct count needs 3^2 membership tests, budget is 5"
     with pytest.raises(ResourceError) as oracle:
         hk(F_T0, 3, 1, engine="oracle", config=cfg)
     assert (oracle.value.required, oracle.value.budget) == (9, 6)
-    assert str(oracle.value) == "oracle needs 9 nodes, budget is 6"
+    assert str(oracle.value) == "oracle needs 3^2 nodes, budget is 6"
     rep = hk(F_T0, 3, 1, config=cfg)
     assert (rep.value, rep.engine) == (5, "monomial")
     assert rep.value == hk(F_T0, 3, 1, engine="direct").value == hk(F_T0, 3, 1, engine="oracle").value

@@ -15,13 +15,13 @@ from hkbinomial import (
     hk_direct_count,
     hk_oracle,
     is_convergent,
-    is_member,
     member_scan,
     normalize,
     parse_binomial,
 )
 from hkbinomial.classify import classify
 from hkbinomial.keycheck import _check_standard
+from tests.keycheck_reference import is_member
 
 Q5 = PrimePower(5, 1)
 F1 = parse_binomial("x1^3 - x2^2", 5)

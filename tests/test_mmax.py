@@ -6,12 +6,12 @@ from hkbinomial import (
     ContractError,
     NotApplicableError,
     PrimePower,
-    is_member,
     mmax_params,
     parse_binomial,
 )
 from hkbinomial.classify import classify
-from tests.closedform_reference import bracket_index, mmax_closed
+from tests.closedform_reference import bracket_index, mmax_closed, mmax_three_branch
+from tests.keycheck_reference import is_member
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 
@@ -19,8 +19,7 @@ F1 = parse_binomial("x1^3 - x2^2", 5)
 def test_params_worked_instance():
     prm = mmax_params(classify(F1), 5, 1)[0]
     assert (prm.a, prm.b) == (3, 0)
-    assert (prm.m_div, prm.rem) == (1, 1)
-    assert (prm.shift, prm.excess) == (0, 1)
+    assert (prm.top_value, prm.excess) == (1, 1)  # 4 = 3*1 + 1
     assert prm.ktilde_last == 1
     assert prm.a_prime == 0
 
@@ -31,7 +30,7 @@ def test_params_exact_division_branch():
     cls = classify(f)
     assert (cls.neg[0].a, cls.neg[0].b) == (2, 0)
     prm = mmax_params(cls, 3, 2)[0]
-    assert (prm.m_div, prm.rem, prm.shift, prm.excess) == (4, 0, 0, 0)
+    assert (prm.top_value, prm.excess) == (4, 0)
 
 
 def test_params_large_b_branch():
@@ -41,8 +40,28 @@ def test_params_large_b_branch():
     assert (cls.neg[0].a, cls.neg[0].b) == (2, 3)
     with pytest.raises(NotApplicableError):
         mmax_params(cls, 3, 1)  # q = 3 <= nmax = 5
-    prm = mmax_params(cls, 3, 2)[0]  # q = 9, rem(8, 2) = 0, y = 4
-    assert (prm.y, prm.q_y, prm.shift, prm.excess) == (4, 2, 2, 1)
+    prm = mmax_params(cls, 3, 2)[0]  # q = 9, rem(8, 2) = 0, y = 4: 8 - 3 = 2*(4 - 2) + 1
+    assert (prm.top_value, prm.excess) == (2, 1)
+
+
+def test_params_small_remainder_branch():
+    # a=3, b=2, q=25: rem(24, 3) = 0 < b, so the top value is m_div - 1
+    f = parse_binomial("x1^5*x2 - x1^2*x2^3", 5)  # lead (5,1): x1 shrinks by 3, min 2
+    cls = classify(f)
+    assert (cls.neg[0].a, cls.neg[0].b) == (3, 2)
+    prm = mmax_params(cls, 5, 2)[0]
+    assert (prm.top_value, prm.excess) == (7, 1)  # 22 = 3*7 + 1
+
+
+def test_three_branch_form_is_divmod():
+    branches = [0, 0, 0]
+    for a in range(1, 7):
+        for b in range(0, 13):
+            for qq in range(a + b + 1, 60):
+                rem = (qq - 1) % a
+                branches[0 if b < a and rem >= b else 1 if b < a else 2] += 1
+                assert mmax_three_branch(a, b, qq) == divmod(qq - 1 - b, a)
+    assert min(branches) >= 10
 
 
 def test_closed_examples():
@@ -72,7 +91,7 @@ def test_bracket_partition_exact(corpus_small):
             continue
         qq = p**n
         for prm in params:
-            assert 0 <= prm.rem < prm.a
+            assert 0 <= prm.excess < prm.a
             assert 0 <= prm.a_prime <= prm.a
             K = qq - prm.nmax
             # brackets tile [1, K] with the predicted widths

@@ -12,6 +12,7 @@ from hkbinomial import (
     hk_oracle,
     parse_binomial,
 )
+from hkbinomial.classify import classify
 from hkbinomial.multiplicity import MultiplicityReport
 from tests.conftest import random_binomials
 
@@ -57,6 +58,17 @@ def test_multiplicity_integers():
     assert hk_multiplicity_1dim(f)[1] == "I(ii)"
     rep = estimate_multiplicity(f, 5, range(1, 4))
     assert rep.limit == Fraction(hk_multiplicity_1dim(f)[0])
+
+
+def test_1dim_growth_never_exceeds_shrink(corpus200, corpus_small):
+    # dp - a = deg(trail) - deg(lead) <= 0, so no m = 2 binomial has a < dp
+    seen = 0
+    for f, _, _ in corpus200 + corpus_small:
+        cls = classify(f)
+        if f.m == 2 and cls.t == 1:
+            assert cls.pos[0].dp <= cls.neg[0].a
+            seen += 1
+    assert seen >= 10
 
 
 def test_1dim_matches_engines_everywhere():
