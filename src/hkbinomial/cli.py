@@ -269,9 +269,21 @@ def run(argv=None) -> int:
 
 def _emit_error(exc, fmt: str):
     if fmt == "json":
-        _dump_json({"error": {"type": type(exc).__name__, "message": str(exc)}}, sys.stderr)
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ResourceError):
+            error["required"] = _int_or_null(exc.required)
+            error["budget"] = _int_or_null(exc.budget)
+        _dump_json({"error": error}, sys.stderr)
     else:
         print(f"error: {exc}", file=sys.stderr)
+
+
+def _int_or_null(x: int):
+    """jsonable_int(x), or None when x is too long to write in decimal."""
+    try:
+        return jsonable_int(x)
+    except ResourceError:
+        return None
 
 
 def main():  # console entry point

@@ -3,7 +3,8 @@
 Three routes compute the same exact length:
 
 * closed: the iterative closed form (fast, guarded by applicability)
-* direct: per-monomial membership enumeration (budgeted by q^m)
+* direct: the membership criterion over all q^m standard monomials,
+  counted a row of x_m exponents at a time (budgeted by q^m)
 * oracle: a bit-parallel count of the relation graph's live paths
   (budgeted by node count)
 

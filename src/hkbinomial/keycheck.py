@@ -1,12 +1,12 @@
 """Key ideals, the membership criterion, and the direct-count engine.
 
-Every standard monomial A (all exponents <= q-1) gets a monomial key
-ideal A_c; the length of the quotient equals the number of standard
-monomials NOT lying in A_c + (f).  For a binomial f the membership test
-reduces to divisibility by the trail term, or a finite scan that trades
-one lead factor for one trail factor per step until the running monomial
-either leaves the standard range (some exponent reaches q) or runs out
-of lead divisibility.
+Every standard monomial A (all exponents <= q-1) gets a monomial key ideal
+A_c; the length of the quotient equals the number of standard monomials NOT
+lying in A_c + (f), which `hk_direct_count` counts a row of x_m exponents at
+a time.  For a binomial f the membership test reduces to divisibility by the
+trail term, or a finite scan that trades one lead factor for one trail factor
+per step until the running monomial either leaves the standard range (some
+exponent reaches q) or runs out of lead divisibility.
 
 The scan's convergence test compares monomials in the delta-sorted frame
 of `classify`; in that frame the scan can only converge by an exponent
@@ -18,7 +18,6 @@ instance that exercises this).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .algebra import Binomial, PrimePower
@@ -133,13 +132,12 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
 
     This equals the length of the quotient by the Frobenius power plus (f):
     the filtration over standard monomials has a one-dimensional slice
-    exactly at each non-member.  Enumeration is row-major; the count is
-    order independent.
+    exactly at each non-member.  The heads (first m - 1 exponents) are walked
+    depth first; each head, and the row of x_m exponents above it, costs O(1).
     """
     if q.p != f.p:
         raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
-    qq = q.q
-    m = f.m
+    qq, m = q.q, f.m
     total = qq**m
     if total > enum_cap:
         raise ResourceError(
@@ -148,38 +146,40 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
             budget=enum_cap,
         )
     e2, e1 = f.lead.exps, f.trail.exps
-    last = m - 1
-    # (index, -delta) and (index, delta) of the first m - 1 coordinates
-    neg = [(i, e2[i] - e1[i]) for i in range(last) if e1[i] < e2[i]]
-    pos = [(i, e1[i] - e2[i]) for i in range(last) if e1[i] > e2[i]]
-    t2, t1 = e2[last], e1[last]
-    shrink, grow = t2 - t1, t1 - t2  # the last coordinate's -delta and delta
-    # Sentinels for an empty min: no shrinking coordinate leaves the scan
-    # unbounded (mm = qq + 1 > any mw), no growing one never escapes
-    # (mw = qq + 2 > any mm).  Every finite mm and mw is at most qq.
+    # mm: the trades the lead allows; mw: the trades until an exponent reaches
+    # q.  An empty min takes a sentinel: no_mm (scan unbounded) > any mw, and
+    # no_mw (never escapes) > any mm, as finite mm and mw are at most qq.
     no_mm, no_mw = qq + 1, qq + 2
-    count = 0
-    for head in itertools.product(range(qq), repeat=last):
-        trail_head = all(a >= e for a, e in zip(head, e1))
-        if not all(a >= e for a, e in zip(head, e2)):
-            # the lead term never divides: a member only when the trail does
-            for a in range(qq):
-                if not (trail_head and a >= t1):
-                    count += 1
-            continue
-        mm_head = min((1 + (head[i] - e2[i]) // d for i, d in neg), default=no_mm)
-        mw_head = min((-((head[i] - qq) // d) for i, d in pos), default=no_mw)
-        for a in range(qq):
-            if trail_head and a >= t1:
-                continue  # trail divides: member
-            if a < t2:
-                count += 1  # neither term divides: never a member
-                continue
-            mm, mw = mm_head, mw_head
-            if shrink > 0:
-                mm = min(mm, 1 + (a - t2) // shrink)
-            elif grow > 0:
-                mw = min(mw, -((a - qq) // grow))
-            if mw > mm:
-                count += 1  # the scan runs out of lead divisibility first
-    return count
+    # tables[i][a]: whether x_i^a admits the trail and the lead factor, and
+    # x_i's terms of mm and mw.  m = 1 has no head: one row, the empty state.
+    tables = [
+        [(a >= lo1, a >= lo2, 1 + (a - lo2) // (lo2 - lo1) if lo2 > lo1 else no_mm,
+          -((a - qq) // (lo1 - lo2)) if lo1 > lo2 else no_mw) for a in range(qq)]
+        for lo1, lo2 in zip(e1[:-1], e2[:-1])
+    ] or [[(True, True, no_mm, no_mw)]]
+    inner, t2, t1 = len(tables) - 1, e2[-1], e1[-1]
+    shrink, grow, trail_end = max(t2 - t1, 0), max(t1 - t2, 0), min(t1, qq)
+    # Above a head with state (trail, lead, mm, mw), x_m^a is a member iff trail
+    # and a >= t1, or lead and a >= t2 and mw(a) <= mm(a), with mm(a) = min(mm,
+    # 1 + (a - t2) // shrink) and mw(a) = min(mw, ceil((qq - a) / grow)), a term
+    # only at a nonzero rate.  So the non-members are the a < end (trail_end if
+    # trail, else qq) if lead fails, else those of them below t2 or below stop:
+    # - mw > mm: if grow = 0, every a (mw(a) = mw > mm >= mm(a)); else mm(a) = mm,
+    #   and ceil((qq - a) / grow) > mm iff a < qq - grow*mm = stop.
+    # - mw <= mm: if shrink = 0, no a (mw(a) <= mw <= mm = mm(a)); else mw(a) = mw,
+    #   and 1 + (a - t2) // shrink < mw iff a < t2 + shrink*(mw - 1) = stop.
+    def walk(i, trail, lead, mm, mw):
+        if i < inner:
+            return sum(walk(i + 1, trail and tr, lead and ld, min(mm, mm_i), min(mw, mw_i))
+                       for tr, ld, mm_i, mw_i in tables[i])
+        count = 0
+        for tr, ld, mm_i, mw_i in tables[i]:
+            end = trail_end if trail and tr else qq
+            if lead and ld:
+                mm_h, mw_h = min(mm, mm_i), min(mw, mw_i)
+                stop = qq - grow * mm_h if mw_h > mm_h else t2 + shrink * (mw_h - 1)
+                count += min(t2, end) + max(0, min(stop, end) - t2)
+            else:
+                count += end
+        return count
+    return walk(0, True, True, no_mm, no_mw)

@@ -1,10 +1,19 @@
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from hkbinomial import HKError, Term, normalize
 
 CORPUS_SEED = 20260811
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants it reads from source files even with no
+    # example database; keep that cache out of the working tree.
+    set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "hkbinomial-hypothesis")
 
 
 def random_binomials(seed, count, ms=(2, 3), ps=(2, 3, 5), ns=(1, 2), max_exp=4, qm_cap=6561):

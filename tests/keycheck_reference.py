@@ -1,14 +1,19 @@
-"""Reference form of the membership criterion, for the tests only.
+"""Reference forms of the membership criterion and the direct count,
+for the tests only.
 
 `is_member` decides membership in closed form: the trail term divides
 A, or the lead term does and some growing exponent reaches q within the
-scan bound.  The library's `member_scan` performs the literal scan and
-`hk_direct_count` inlines the same test row by row; the tests check
-that all three agree.
+scan bound.  `direct_count_per_monomial` applies that test to each of
+the q^m standard monomials in turn, with what depends only on the first
+m - 1 exponents worked out once per row.  The library's `member_scan`
+performs the literal scan, and `hk_direct_count` counts each row's
+non-members in closed form; the tests check that all of them agree.
 """
 
+import itertools
+
 from hkbinomial.algebra import Binomial, PrimePower
-from hkbinomial.errors import DomainError
+from hkbinomial.errors import DomainError, ResourceError
 from hkbinomial.keycheck import MembershipResult, _check_standard, _lead_scan_bound
 
 
@@ -46,3 +51,60 @@ def is_member(A, f: Binomial, q: PrimePower) -> MembershipResult:
     if mw is not None and (mm is None or mw <= mm):
         return MembershipResult(True, "mutation", mw, mm if mm is not None else mw)
     return MembershipResult(False, None, None, mm)
+
+
+def direct_count_per_monomial(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
+    """Count standard monomials outside their key ideal plus (f).
+
+    This equals the length of the quotient by the Frobenius power plus (f):
+    the filtration over standard monomials has a one-dimensional slice
+    exactly at each non-member.  Enumeration is row-major; the count is
+    order independent.
+    """
+    if q.p != f.p:
+        raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
+    qq = q.q
+    m = f.m
+    total = qq**m
+    if total > enum_cap:
+        raise ResourceError(
+            f"direct count needs {q.p}^{q.n * m} membership tests, budget is {enum_cap}",
+            required=total,
+            budget=enum_cap,
+        )
+    e2, e1 = f.lead.exps, f.trail.exps
+    last = m - 1
+    # (index, -delta) and (index, delta) of the first m - 1 coordinates
+    neg = [(i, e2[i] - e1[i]) for i in range(last) if e1[i] < e2[i]]
+    pos = [(i, e1[i] - e2[i]) for i in range(last) if e1[i] > e2[i]]
+    t2, t1 = e2[last], e1[last]
+    shrink, grow = t2 - t1, t1 - t2  # the last coordinate's -delta and delta
+    # Sentinels for an empty min: no shrinking coordinate leaves the scan
+    # unbounded (mm = qq + 1 > any mw), no growing one never escapes
+    # (mw = qq + 2 > any mm).  Every finite mm and mw is at most qq.
+    no_mm, no_mw = qq + 1, qq + 2
+    count = 0
+    for head in itertools.product(range(qq), repeat=last):
+        trail_head = all(a >= e for a, e in zip(head, e1))
+        if not all(a >= e for a, e in zip(head, e2)):
+            # the lead term never divides: a member only when the trail does
+            for a in range(qq):
+                if not (trail_head and a >= t1):
+                    count += 1
+            continue
+        mm_head = min((1 + (head[i] - e2[i]) // d for i, d in neg), default=no_mm)
+        mw_head = min((-((head[i] - qq) // d) for i, d in pos), default=no_mw)
+        for a in range(qq):
+            if trail_head and a >= t1:
+                continue  # trail divides: member
+            if a < t2:
+                count += 1  # neither term divides: never a member
+                continue
+            mm, mw = mm_head, mw_head
+            if shrink > 0:
+                mm = min(mm, 1 + (a - t2) // shrink)
+            elif grow > 0:
+                mw = min(mw, -((a - qq) // grow))
+            if mw > mm:
+                count += 1  # the scan runs out of lead divisibility first
+    return count

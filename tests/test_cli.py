@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import pytest
@@ -194,6 +195,26 @@ def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv,required,budget",
+    [
+        (["--engine", "direct", "--enum-cap", "5", "--n", "1"], 5**3, 5),
+        (["--n", "6200"], "digits of q", sys.get_int_max_str_digits()),
+        (["--engine", "direct", "--n", "6200"], None, 10**7),  # 5^18600: too long to write
+    ],
+)
+def test_json_resource_error_has_required_and_budget(capsys, argv, required, budget):
+    poly = "x1^3*x2 - x2^2*x3^2"
+    code, out, err = run_cli(capsys, ["hk", "--poly", poly, "--p", "5", "--format", "json"] + argv)
+    assert (code, out) == (3, "")
+    error = json.loads(err)["error"]
+    assert (error["type"], error["budget"]) == ("ResourceError", budget)
+    if required == "digits of q":  # q = 5^6200 is the payload's first integer over the limit
+        assert 10 ** (error["required"] - 1) <= 5**6200 < 10 ** error["required"]
+    else:
+        assert error["required"] == required
 
 
 def _key_paths(obj, path=""):

@@ -7,7 +7,9 @@ exponents <= 8, p <= 7, q^m <= 3*10^4) and check that the count equals both
 enumerating engines, that the closed form never raises on the remaining
 shapes and equals both engines on a seeded subset of them, that permuting
 the variables or scaling the coefficients leaves every engine's value
-unchanged, and that auto mode never enumerates.  The closed form's
+unchanged, and that auto mode never enumerates.  A seeded set of 12
+larger binomials (q^m from 2*10^5 to 2*10^6, m = 2..5) checks that the
+closed form, where it applies, equals both engines.  The closed form's
 piecewise-polynomial fold is also checked against the O(q) list fold of
 `tests/closedform_reference.py`.
 """
@@ -40,6 +42,7 @@ CLOSED_COUNT = 2000
 ENUMERATED_CLOSED_COUNT = 120  # closed shapes also enumerated twice
 INVARIANCE_COUNT = 40  # of each shape; three forms, each enumerated twice
 LINEAR_MAX_N, LINEAR_MAX_Q = 8, 2 * 10**4
+LARGE_QM, LARGE_COUNT = (2 * 10**5, 2 * 10**6), 12  # q^m range and instance count
 # An inner level of these changes formula inside [0, Vr), so the fold's own
 # cuts (where stay starts and caps, and where the bracket sum's lower end
 # crosses a width change) are needed; about 1 random binomial in 1000 is so.
@@ -134,6 +137,38 @@ def test_values_invariant_under_permutation_and_scaling(grid):
         value = hk(f, p, n).value
         for g in (f, *_relabelled(f, rng)):
             assert hk(g, p, n).value == hk_direct_count(g, q) == hk_oracle(g, q) == value, (f, g)
+
+
+def _large_instances(seed, count):
+    """count distinct (binomial, p, n) with 2*10^5 <= q^m <= 2*10^6, m cycling 2..5."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        m = 2 + len(out) % 4
+        sizes = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 20)
+                 if LARGE_QM[0] <= (p**n) ** m <= LARGE_QM[1]]
+        p, n = rng.choice(sizes)
+        e2 = tuple(rng.randint(0, 6) for _ in range(m))
+        e1 = tuple(rng.randint(0, 6) for _ in range(m))
+        try:
+            f = normalize(p, Term(rng.randint(1, p - 1), e2), Term(rng.randint(1, p - 1), e1))
+        except HKError:
+            continue
+        if (f, p, n) not in out:
+            out.append((f, p, n))
+    return out
+
+
+def test_three_engines_agree_up_to_two_million_monomials():
+    cases = _large_instances(SEED + 2, LARGE_COUNT)
+    assert all(sum(f.m == m for f, _, _ in cases) >= 2 for m in (2, 3, 4, 5))
+    routes = []
+    for f, p, n in cases:
+        q = PrimePower(p, n)
+        rep = hk(f, p, n)  # the closed form wherever it applies
+        routes.append(rep.engine)
+        assert rep.value == hk_direct_count(f, q) == hk_oracle(f, q, node_cap=q.q**f.m), (f, p, n)
+    assert routes.count("closed") >= LARGE_COUNT // 2
 
 
 def test_piecewise_fold_equals_linear_fold(corpus200):

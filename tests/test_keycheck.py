@@ -1,13 +1,17 @@
 import itertools
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hkbinomial import (
     ContractError,
     DomainError,
+    HKError,
     MembershipResult,
     PrimePower,
     ResourceError,
@@ -21,7 +25,7 @@ from hkbinomial import (
 )
 from hkbinomial.classify import classify
 from hkbinomial.keycheck import _check_standard
-from tests.keycheck_reference import is_member
+from tests.keycheck_reference import direct_count_per_monomial, is_member
 
 Q5 = PrimePower(5, 1)
 F1 = parse_binomial("x1^3 - x2^2", 5)
@@ -206,3 +210,51 @@ def test_edge_shapes_direct_equals_membership_and_oracle(poly, p, n, num_vars):
     with pytest.raises(ResourceError) as oracle_err:
         hk_oracle(f, q, node_cap=size - 1)
     assert direct_err.value.required == oracle_err.value.required == size
+
+
+@st.composite
+def direct_cases(draw):
+    """(f, q, permuted f, scaled f) with m = 1..5, p <= 7 and q^m <= 5000.
+
+    Exponents are 0..6.  Three shapes are drawn: one the closed form
+    takes (a growing and a shrinking variable, every exponent < q), the
+    trail dividing the lead (t = 0), and a lead exponent raised to q..q + 2.
+    """
+    shape = draw(st.sampled_from(("closed", "t = 0", "lead >= q")))
+    m = draw(st.integers(2 if shape == "closed" else 1, 5))
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    q = PrimePower(p, draw(st.integers(1, max(1, int(math.log(5000, p) / m)))))
+    assume(q.q**m <= 5000)
+    top = min(6, q.q - 1) if shape == "closed" else 6
+    e2 = draw(st.lists(st.integers(0, top), min_size=m, max_size=m))
+    if shape == "t = 0":
+        e1 = [draw(st.integers(0, e)) for e in e2]
+    else:
+        e1 = draw(st.lists(st.integers(0, top), min_size=m, max_size=m))
+        j = draw(st.integers(0, m - 1))
+        if shape == "closed":  # x_j grows and x_k shrinks
+            k = (j + draw(st.integers(1, m - 1))) % m
+            pair = st.lists(st.integers(0, top), min_size=2, max_size=2, unique=True)
+            (e2[j], e1[j]), (e1[k], e2[k]) = sorted(draw(pair)), sorted(draw(pair))
+        else:
+            e2[j] = q.q + draw(st.integers(0, 2))
+    c2, c1, s2, s1 = (draw(st.integers(1, p - 1)) for _ in range(4))
+    try:
+        f = normalize(p, Term(c2, tuple(e2)), Term(c1, tuple(e1)))
+    except HKError:
+        assume(False)
+    assume(shape != "lead >= q" or max(f.lead.exps) >= q.q)
+    perm = draw(st.permutations(range(m)))
+    terms = (f.lead, f.trail)
+    permuted = normalize(p, *(Term(t.coeff, tuple(t.exps[i] for i in perm)) for t in terms))
+    scaled = normalize(p, *(Term(t.coeff * s, t.exps) for t, s in zip(terms, (s2, s1))))
+    return f, q, permuted, scaled
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(direct_cases())
+def test_row_count_equals_per_monomial_count(case):
+    f, q, permuted, scaled = case
+    value = hk_direct_count(f, q)
+    assert value == direct_count_per_monomial(f, q)
+    assert hk_direct_count(permuted, q) == hk_direct_count(scaled, q) == value
