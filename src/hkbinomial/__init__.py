@@ -41,7 +41,6 @@ from .errors import (
 from .keycheck import (
     MembershipResult,
     hk_direct_count,
-    is_convergent,
     member_scan,
 )
 from .mmax import MmaxParams, mmax_params
@@ -79,7 +78,6 @@ __all__ = [
     "hk_multiplicity_1dim",
     "hk_oracle",
     "hk_oracle_report",
-    "is_convergent",
     "load_corpus",
     "member_scan",
     "mmax_params",

@@ -62,10 +62,6 @@ class Classification:
     lead_exps: tuple  # original-frame exponents of the lead term
     trail_exps: tuple
 
-    def sorted_vector(self, vec) -> tuple:
-        """Map an original-frame exponent vector into the sorted frame."""
-        return tuple(vec[i] for i in self.perm)
-
 
 @lru_cache(maxsize=4096)
 def classify(f: Binomial) -> Classification:

@@ -5,6 +5,11 @@ classify, trace, check.  Exit codes: 0 success, 1 computational mismatch
 from check, 2 usage error, 3 resource budget exceeded (including a value
 too long for the interpreter to write in decimal).
 
+Each subcommand takes only the flags it reads: all take --format (csv
+for table and mult only); hk, table and check the budgets --enum-cap and
+--oracle-cap; hk --verbose; check --workers.  Any other flag is a usage
+error.  Defaults other than --format plain are `Config`'s.
+
 Identical invocations produce byte-identical JSON payloads: ordering is
 sorted, large integers are decimal strings, and wall-clock timings live
 in a separate "timing" object.
@@ -14,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -22,7 +26,7 @@ from fractions import Fraction
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
 from .engines import ENGINES, Config, cross_check, decimal_str, hk, jsonable_int, load_corpus
-from .errors import DomainError, HKError, ResourceError
+from .errors import HKError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import estimate_multiplicity
 
@@ -33,13 +37,6 @@ EXIT_RESOURCE = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("plain", "json", "csv"), default=None)
-    common.add_argument("--enum-cap", type=int, default=None)
-    common.add_argument("--oracle-cap", type=int, default=None)
-    common.add_argument("--workers", type=int, default=None)
-    common.add_argument("--verbose", action="store_true", default=None)
-
     poly = argparse.ArgumentParser(add_help=False)
     poly.add_argument("--poly", required=True, help='e.g. "x1^3 - x2^2"')
     poly.add_argument("--vars", type=int, default=None, help="variable count override")
@@ -50,48 +47,43 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p_hk = sub.add_parser("hk", parents=[common, poly], help="single length value")
+    def command(name, summary, formats=("plain", "json"), parents=(poly,), caps=False):
+        """A subcommand with --format; caps adds the enumerating engines' budgets."""
+        cmd = sub.add_parser(name, parents=list(parents), help=summary)
+        cmd.add_argument("--format", choices=formats, default="plain")
+        if caps:
+            cmd.add_argument("--enum-cap", type=int, default=Config.enum_cap)
+            cmd.add_argument("--oracle-cap", type=int, default=Config.oracle_cap)
+        return cmd
+
+    p_hk = command("hk", "single length value", caps=True)
     p_hk.add_argument("--n", required=True, type=int)
     p_hk.add_argument("--engine", choices=ENGINES, default="auto")
+    p_hk.add_argument("--verbose", action="store_true", default=Config.verbose)
 
-    p_table = sub.add_parser("table", parents=[common, poly], help="values over a range of n")
+    p_table = command("table", "values over a range of n", ("plain", "json", "csv"), caps=True)
     p_table.add_argument("--n-range", required=True, help="a..b inclusive")
     p_table.add_argument("--engine", choices=ENGINES, default="auto")
 
-    p_mult = sub.add_parser("mult", parents=[common, poly], help="multiplicity estimates")
+    p_mult = command("mult", "multiplicity estimates", ("plain", "json", "csv"))
     p_mult.add_argument("--n-range", required=True, help="a..b inclusive")
 
-    sub.add_parser("classify", parents=[common, poly], help="variable classification")
+    command("classify", "variable classification")
 
-    p_trace = sub.add_parser("trace", parents=[common, poly], help="membership scan for one monomial")
+    p_trace = command("trace", "membership scan for one monomial")
     p_trace.add_argument("--n", required=True, type=int)
     p_trace.add_argument("--monomial", required=True, help='e.g. "x1^4*x2" or "4,1"')
 
-    p_check = sub.add_parser("check", parents=[common], help="corpus cross-check")
+    p_check = command("check", "corpus cross-check", parents=(), caps=True)
     p_check.add_argument("--corpus", required=True, help="JSONL file with poly/p/n objects")
+    p_check.add_argument("--workers", type=int, default=Config.workers)
     return ap
 
 
-def _load_config(args) -> Config:
-    merged = {}
-    path = os.environ.get("HKB_CONFIG")
-    if path:
-        with open(path, "r", encoding="utf-8") as fh:
-            merged = json.load(fh)
-        if not isinstance(merged, dict):
-            raise DomainError(f"HKB_CONFIG {path}: expected a JSON object")
-        known = [fld.name for fld in fields(Config)]
-        unknown = sorted(set(merged) - set(known))
-        if unknown:
-            raise DomainError(
-                f"HKB_CONFIG {path}: unknown key {unknown[0]!r} (known: {', '.join(known)})"
-            )
-    for key in ("enum_cap", "oracle_cap", "workers", "format"):
-        if getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
-    if getattr(args, "verbose", None):
-        merged["verbose"] = True
-    return Config(**merged)
+def _config(args) -> Config:
+    """Config from the flags this subcommand takes; its defaults for the rest."""
+    return Config(**{fld.name: getattr(args, fld.name) for fld in fields(Config)
+                     if hasattr(args, fld.name)})
 
 
 def _dump_json(payload, stream=None):
@@ -109,34 +101,37 @@ def _parse_range(text: str):
     return range(lo, hi + 1)
 
 
-def _cmd_hk(args, cfg: Config) -> int:
+def _cmd_hk(args) -> int:
+    cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
     rep = hk(f, args.p, args.n, engine=args.engine, config=cfg)
-    if cfg.format == "json":
+    if args.format == "json":
         _dump_json(rep.json_dict())
     else:
         print(decimal_str(rep.value))
-        if cfg.verbose:
+        if args.verbose:
             print(f"engine: {rep.engine}", file=sys.stderr)
     return EXIT_OK
 
 
-def _cmd_table(args, cfg: Config) -> int:
+def _cmd_table(args) -> int:
+    cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
     d = f.m - 1
     rows = []  # every integer as text before anything is printed
     for n in _parse_range(args.n_range):
         rep = hk(f, args.p, n, engine=args.engine, config=cfg)
+        value = decimal_str(rep.value)  # first, so a refusal names the value's digits, as hk's
         est = Fraction(rep.value, rep.q**d)
         num, den = decimal_str(est.numerator), decimal_str(est.denominator)
-        rows.append((n, jsonable_int(rep.q), decimal_str(rep.value), rep.engine, num, den))
-    if cfg.format == "json":
+        rows.append((n, jsonable_int(rep.q), value, rep.engine, num, den))
+    if args.format == "json":
         payload = [
             {"n": n, "q": q, "hk": v, "engine": eng, "estimate": {"num": num, "den": den}}
             for n, q, v, eng, num, den in rows
         ]
         _dump_json({"data": payload})
-    elif cfg.format == "csv":
+    elif args.format == "csv":
         print("n,q,hk,engine,estimate_num,estimate_den")
         for row in rows:
             print(",".join(map(str, row)))
@@ -146,14 +141,14 @@ def _cmd_table(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _cmd_mult(args, cfg: Config) -> int:
+def _cmd_mult(args) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
     rep = estimate_multiplicity(f, args.p, _parse_range(args.n_range))
     data = rep.json_dict()  # every integer as text before anything is printed
-    if cfg.format == "json":
+    if args.format == "json":
         _dump_json({"data": data})
         return EXIT_OK
-    if cfg.format == "csv":
+    if args.format == "csv":
         qs = [decimal_str(args.p ** n) for n, _, _ in rep.samples]
         print("n,q,hk,estimate_num,estimate_den")
         for q, row in zip(qs, data["samples"]):
@@ -176,10 +171,10 @@ def _fraction_text(frac: dict) -> str:
     return frac["num"] if frac["den"] == "1" else f"{frac['num']}/{frac['den']}"
 
 
-def _cmd_classify(args, cfg: Config) -> int:
+def _cmd_classify(args) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
     summary = classification_summary(classify(f))
-    if cfg.format == "json":
+    if args.format == "json":
         _dump_json({"data": summary})
         return EXIT_OK
     print(f"poly: {render(f)}  (p = {args.p}, m = {f.m})")
@@ -194,12 +189,12 @@ def _cmd_classify(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _cmd_trace(args, cfg: Config) -> int:
+def _cmd_trace(args) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
     A = parse_monomial(args.monomial, f.m)
     q = PrimePower(args.p, args.n)
     result, steps = member_scan(A, f, q)
-    if cfg.format == "json":
+    if args.format == "json":
         payload = {
             "monomial": list(A),
             "member": result.member,
@@ -221,10 +216,10 @@ def _cmd_trace(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, cfg: Config) -> int:
-    instances = load_corpus(args.corpus)
-    report = cross_check(instances, cfg)
-    if cfg.format == "json":
+def _cmd_check(args) -> int:
+    cfg = _config(args)
+    report = cross_check(load_corpus(args.corpus), cfg)
+    if args.format == "json":
         _dump_json({"data": report.entries, "all_agree": report.all_agree})
     else:
         for entry in report.entries:
@@ -253,17 +248,12 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
     try:
-        cfg = _load_config(args)
-    except (OSError, ValueError, HKError) as exc:
-        _emit_error(exc, "plain")
-        return EXIT_USAGE
-    try:
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except ResourceError as exc:
-        _emit_error(exc, cfg.format)
+        _emit_error(exc, args.format)
         return EXIT_RESOURCE
     except (HKError, OSError) as exc:
-        _emit_error(exc, cfg.format)
+        _emit_error(exc, args.format)
         return EXIT_USAGE
 
 

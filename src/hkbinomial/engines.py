@@ -42,10 +42,11 @@ ENGINES = ("auto", "closed", "direct", "oracle")
 
 @dataclass
 class Config:
+    """Budgets of direct (q^m) and oracle (nodes), cross_check's threads, hk keeping tables."""
+
     enum_cap: int = 10**7
     oracle_cap: int = 10**6
     workers: int = 1
-    format: str = "plain"  # plain | json | csv
     verbose: bool = False
 
     def __post_init__(self):
@@ -53,8 +54,6 @@ class Config:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
-        if self.format not in ("plain", "json", "csv"):
-            raise DomainError(f"unknown output format {self.format!r}")
         if type(self.verbose) is not bool:
             raise DomainError(f"verbose must be true or false, got {self.verbose!r}")
 
@@ -99,12 +98,13 @@ class HKReport:
     def data_dict(self) -> dict:
         """Deterministic payload; timing deliberately excluded.  Raises
         ResourceError when an integer is too long to write in decimal."""
+        value = decimal_str(self.value)  # first, so a refusal names the value's digits
         out = {
             "p": self.p,
             "n": self.n,
             "q": jsonable_int(self.q),
             "m": self.m,
-            "value": decimal_str(self.value),
+            "value": value,
             "engine": self.engine,
             "guard_notes": list(self.guard_notes),
             "classification": self.classification,

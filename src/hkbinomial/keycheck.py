@@ -6,14 +6,10 @@ lying in A_c + (f), which `hk_direct_count` counts a row of x_m exponents at
 a time.  For a binomial f the membership test reduces to divisibility by the
 trail term, or a finite scan that trades one lead factor for one trail factor
 per step until the running monomial either leaves the standard range (some
-exponent reaches q) or runs out of lead divisibility.
-
-The scan's convergence test compares monomials in the delta-sorted frame
-of `classify`; in that frame the scan can only converge by an exponent
-reaching q, never by the lexicographic route, which keeps the per-class
-bookkeeping consistent with the filtration.  Evaluating the criterion in
-an unsorted frame gives wrong counts (see tests for a two-variable
-instance that exercises this).
+exponent reaches q) or runs out of lead divisibility.  A step lies in A's
+key ideal only by that escape: the lead is deglex-greater, so some variable
+shrinks, and the first coordinate of the delta-sorted frame strictly
+decreases at every step, which rules out the lexicographic route.
 """
 
 from __future__ import annotations
@@ -21,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Binomial, PrimePower
-from .classify import classify
 from .errors import ContractError, DomainError, ResourceError
 
 
@@ -30,28 +25,6 @@ def _check_standard(A, q: PrimePower, what="monomial"):
         raise DomainError(f"{what} {A} has an exponent >= q = {q.q}")
     if any(e < 0 for e in A):
         raise DomainError(f"{what} {A} has a negative exponent")
-
-
-def is_convergent(C, A, q: PrimePower) -> bool:
-    """True iff the monomial C lies in the key ideal of A.
-
-    Fast path: some exponent of C is >= q, or C is strictly greater than A
-    in pure lex order with x_1 most significant.  Equivalent to divisibility
-    by one of the key ideal's generators: x_i^q, and the step monomials
-    x_1^a_1 ... x_{i-1}^a_{i-1} x_i^(a_i+1) for a_i < q-1; the tests check
-    the equivalence exhaustively.
-    """
-    _check_standard(A, q, "key monomial")
-    if len(C) != len(A):
-        raise DomainError("exponent vectors of different lengths")
-    if any(c >= q.q for c in C):
-        return True
-    if C == tuple(A):
-        raise ContractError("the key monomial itself never lies in its key ideal")
-    for c, a in zip(C, A):
-        if c != a:
-            return c > a
-    return False
 
 
 @dataclass(frozen=True)
@@ -67,35 +40,24 @@ class MembershipResult:
 
 
 def _lead_scan_bound(A, e2, delta):
-    """Largest M >= 1 with A - M*e2 + (M-1)*e1 componentwise >= 0.
-
-    Returns 0 when the lead term does not divide A, and None when no
-    exponent shrinks (impossible for a normalized binomial, kept for
-    robustness).
-    """
-    best = None
-    for a, e, d in zip(A, e2, delta):
-        if a < e:
-            return 0
-        if d < 0:
-            cap = 1 + (a - e) // (-d)
-            if best is None or cap < best:
-                best = cap
-    return best
+    """Largest M >= 1 with A - M*e2 + (M-1)*e1 componentwise >= 0, or 0 when
+    the lead term does not divide A.  Some exponent shrinks (delta < 0) in a
+    normalized binomial, so the min is never empty."""
+    if any(a < e for a, e in zip(A, e2)):
+        return 0
+    return min(1 + (a - e) // -d for a, e, d in zip(A, e2, delta) if d < 0)
 
 
 def member_scan(A, f: Binomial, q: PrimePower):
     """Literal scan: returns (MembershipResult, steps).
 
     Each step is (M, intermediate, candidate, convergent) with exponent
-    vectors in the original variable frame; the convergence test runs in
-    the sorted frame.  Used by the trace front end and as the reference
+    vectors in the original variable frame; a candidate is convergent when
+    an exponent reaches q.  Used by the trace front end and as the reference
     implementation in tests.
     """
     _check_standard(A, q)
     e2, e1 = f.lead.exps, f.trail.exps
-    cls = classify(f)
-    a_sorted = cls.sorted_vector(A)
     steps = []
     if all(a >= e for a, e in zip(A, e1)):
         return MembershipResult(True, "trail", None, _full_scan_bound(A, f)), steps
@@ -109,7 +71,7 @@ def member_scan(A, f: Binomial, q: PrimePower):
             break
         mmax = M
         cand = tuple(v + e for v, e in zip(inter, e1))
-        conv = is_convergent(cls.sorted_vector(cand), a_sorted, q)
+        conv = any(c >= q.q for c in cand)
         steps.append((M, inter, cand, conv))
         if conv:
             member = MembershipResult(True, "mutation", M, _full_scan_bound(A, f))
@@ -122,9 +84,7 @@ def member_scan(A, f: Binomial, q: PrimePower):
 
 def _full_scan_bound(A, f):
     e2, e1 = f.lead.exps, f.trail.exps
-    delta = tuple(b - a for a, b in zip(e2, e1))
-    mm = _lead_scan_bound(A, e2, delta)
-    return 0 if mm is None else mm
+    return _lead_scan_bound(A, e2, tuple(b - a for a, b in zip(e2, e1)))
 
 
 def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:

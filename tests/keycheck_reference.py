@@ -1,6 +1,9 @@
 """Reference forms of the membership criterion and the direct count,
 for the tests only.
 
+`is_convergent` is the key ideal's lex shortcut, taken in the delta-sorted
+frame of `sorted_vector`; the tests check it against the ideal's
+generators and each step of `member_scan` against it.
 `is_member` decides membership in closed form: the trail term divides
 A, or the lead term does and some growing exponent reaches q within the
 scan bound.  `direct_count_per_monomial` applies that test to each of
@@ -13,8 +16,36 @@ non-members in closed form; the tests check that all of them agree.
 import itertools
 
 from hkbinomial.algebra import Binomial, PrimePower
-from hkbinomial.errors import DomainError, ResourceError
+from hkbinomial.classify import Classification
+from hkbinomial.errors import ContractError, DomainError, ResourceError
 from hkbinomial.keycheck import MembershipResult, _check_standard, _lead_scan_bound
+
+
+def sorted_vector(cls: Classification, vec) -> tuple:
+    """Map an original-frame exponent vector into the sorted frame."""
+    return tuple(vec[i] for i in cls.perm)
+
+
+def is_convergent(C, A, q: PrimePower) -> bool:
+    """True iff the monomial C lies in the key ideal of A.
+
+    Fast path: some exponent of C is >= q, or C is strictly greater than A
+    in pure lex order with x_1 most significant.  Equivalent to divisibility
+    by one of the key ideal's generators: x_i^q, and the step monomials
+    x_1^a_1 ... x_{i-1}^a_{i-1} x_i^(a_i+1) for a_i < q-1; the tests check
+    the equivalence exhaustively.
+    """
+    _check_standard(A, q, "key monomial")
+    if len(C) != len(A):
+        raise DomainError("exponent vectors of different lengths")
+    if any(c >= q.q for c in C):
+        return True
+    if C == tuple(A):
+        raise ContractError("the key monomial itself never lies in its key ideal")
+    for c, a in zip(C, A):
+        if c != a:
+            return c > a
+    return False
 
 
 def _first_escape(A, delta, qq):
@@ -44,12 +75,12 @@ def is_member(A, f: Binomial, q: PrimePower) -> MembershipResult:
     delta = tuple(b - a for a, b in zip(e2, e1))
     mm = _lead_scan_bound(A, e2, delta)
     if all(a >= e for a, e in zip(A, e1)):
-        return MembershipResult(True, "trail", None, mm if mm is not None else 0)
+        return MembershipResult(True, "trail", None, mm)
     if mm == 0:
         return MembershipResult(False, None, None, 0)
     mw = _first_escape(A, delta, q.q)
-    if mw is not None and (mm is None or mw <= mm):
-        return MembershipResult(True, "mutation", mw, mm if mm is not None else mw)
+    if mw is not None and mw <= mm:
+        return MembershipResult(True, "mutation", mw, mm)
     return MembershipResult(False, None, None, mm)
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hkbinomial import cli, engines, parse_binomial
+from hkbinomial import cli, engines, hk, parse_binomial
 from hkbinomial.closedform import hk_closed_form_tables
 
 
@@ -175,9 +175,22 @@ def test_value_over_digit_limit_exits_3(capsys, command, fmt):
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
     if fmt == "json":
-        assert json.loads(err)["error"]["type"] == "ResourceError"
+        error = json.loads(err)["error"]
+        assert error["type"] == "ResourceError"
+        # both formats name the same integer: the value's 8668 digits, not q's 4334
+        _, _, plain = run_cli(capsys, argv + ["--format", "plain"])  # the last --format wins
+        assert plain.startswith(f"error: an integer of {error['required']} decimal digits ")
     else:
         assert err.startswith("error: an integer of ") and len(err.splitlines()) == 1
+
+
+def test_digit_limit_names_the_value_in_every_subcommand(capsys):
+    # HK(5^6159) = 2q has 4306 digits and q = 5^6159 has 4305; all three name the value
+    ns = ["--n-range", "6159..6159"]
+    for argv in (["hk", "--n", "6159"], ["table"] + ns, ["mult"] + ns):
+        code, out, err = run_cli(capsys, argv + ["--poly", "x1^3 - x2^2", "--p", "5"])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: an integer of 4306 decimal digits "), argv
 
 
 @pytest.mark.parametrize(
@@ -201,7 +214,7 @@ def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
     "argv,required,budget",
     [
         (["--engine", "direct", "--enum-cap", "5", "--n", "1"], 5**3, 5),
-        (["--n", "6200"], "digits of q", sys.get_int_max_str_digits()),
+        (["--n", "6200"], "digits of the value", sys.get_int_max_str_digits()),
         (["--engine", "direct", "--n", "6200"], None, 10**7),  # 5^18600: too long to write
     ],
 )
@@ -211,8 +224,9 @@ def test_json_resource_error_has_required_and_budget(capsys, argv, required, bud
     assert (code, out) == (3, "")
     error = json.loads(err)["error"]
     assert (error["type"], error["budget"]) == ("ResourceError", budget)
-    if required == "digits of q":  # q = 5^6200 is the payload's first integer over the limit
-        assert 10 ** (error["required"] - 1) <= 5**6200 < 10 ** error["required"]
+    if required == "digits of the value":  # q = 5^6200 is over the limit too, with fewer
+        value = hk(parse_binomial(poly, 5), 5, 6200).value
+        assert 10 ** (error["required"] - 1) <= value < 10 ** error["required"]
     else:
         assert error["required"] == required
 
@@ -278,7 +292,8 @@ def test_check_roundtrip(tmp_path, capsys):
         '{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n'
         '{"poly": "x1^3*x2 - x1*x2", "p": 3, "n": 1}\n'
     )
-    code, out, _ = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", "json"])
+    argv = ["check", "--corpus", str(corpus), "--format", "json", "--workers", "1"]  # the bench's
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     payload = json.loads(out)
     assert payload["all_agree"] is True
@@ -299,28 +314,46 @@ def test_check_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     assert "MISMATCH" in out
 
 
-def test_env_config(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"format": "json", "oracle_cap": 3}))
-    monkeypatch.setenv("HKB_CONFIG", str(cfg))
-    code, out, _ = run_cli(
-        capsys, ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1"]
-    )
-    assert code == 0
-    assert json.loads(out)["data"]["value"] == "10"
+_BASE_ARGV = {
+    "hk": ["--poly", "x1^3 - x2^2", "--p", "5", "--n", "1"],
+    "table": ["--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2"],
+    "mult": ["--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2"],
+    "classify": ["--poly", "x1^3 - x2^2", "--p", "5"],
+    "trace": ["--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", "4,1"],
+    "check": [],  # --corpus is added by the test
+}
+_UNREAD_FLAGS = [
+    *[(cmd, ["--workers", "1"]) for cmd in ("hk", "table", "mult", "classify", "trace")],
+    *[(cmd, ["--verbose"]) for cmd in ("table", "mult", "classify", "trace", "check")],
+    *[(cmd, [cap, "5"]) for cmd in ("mult", "classify", "trace")
+      for cap in ("--enum-cap", "--oracle-cap")],
+    *[(cmd, ["--format", "csv"]) for cmd in ("hk", "classify", "trace", "check")],
+    ("hk", ["--format", "xml"]),
+]
 
 
-def test_env_config_rejects_unknown_and_mistyped_keys(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "cfg.json"
-    monkeypatch.setenv("HKB_CONFIG", str(cfg))
-    argv = ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1"]
-    for bad, needle in (
-        ({"workers": "4"}, "workers"),
-        ({"enum_capp": 5}, "enum_capp"),
-        ({"verbose": "yes"}, "verbose"),
-        ([1, 2], "JSON object"),
-    ):
-        cfg.write_text(json.dumps(bad))
-        code, out, err = run_cli(capsys, argv)
-        assert code == 2 and out == ""
-        assert len(err.strip().splitlines()) == 1 and needle in err
+@pytest.mark.parametrize(
+    "command,flag", [pytest.param(c, f, id=" ".join([c] + f)) for c, f in _UNREAD_FLAGS]
+)
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n')
+    argv = [command] + _BASE_ARGV[command]
+    if command == "check":
+        argv += ["--corpus", str(corpus)]
+    assert run_cli(capsys, argv)[0] == 0
+    code, out, err = run_cli(capsys, argv + flag)
+    assert (code, out) == (2, "")
+    assert flag[0] in err
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_bad_budget_is_a_usage_error_in_the_requested_format(capsys, fmt):
+    argv = ["hk"] + _BASE_ARGV["hk"] + ["--enum-cap", "0", "--format", fmt]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "")
+    message = "enum_cap must be a positive integer, got 0"
+    if fmt == "json":
+        assert json.loads(err) == {"error": {"type": "DomainError", "message": message}}
+    else:
+        assert err == f"error: {message}\n"

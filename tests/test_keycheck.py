@@ -18,14 +18,18 @@ from hkbinomial import (
     Term,
     hk_direct_count,
     hk_oracle,
-    is_convergent,
     member_scan,
     normalize,
     parse_binomial,
 )
 from hkbinomial.classify import classify
 from hkbinomial.keycheck import _check_standard
-from tests.keycheck_reference import direct_count_per_monomial, is_member
+from tests.keycheck_reference import (
+    direct_count_per_monomial,
+    is_convergent,
+    is_member,
+    sorted_vector,
+)
 
 Q5 = PrimePower(5, 1)
 F1 = parse_binomial("x1^3 - x2^2", 5)
@@ -119,9 +123,13 @@ def test_is_member_examples():
 def test_member_scan_matches_closed_form_everywhere(corpus_small):
     for f, p, n in corpus_small:
         q = PrimePower(p, n)
+        cls = classify(f)
         for A in itertools.product(range(q.q), repeat=f.m):
             fast = is_member(A, f, q)
             ref, steps = member_scan(A, f, q)
+            # each step's convergence is the key ideal's test in the sorted frame
+            for _, _, cand, conv in steps:
+                assert conv == is_convergent(sorted_vector(cls, cand), sorted_vector(cls, A), q)
             assert fast.member == ref.member, (A, f, p, n)
             assert fast.witness == ref.witness
             assert fast.mmax_scanned == ref.mmax_scanned
@@ -135,10 +143,7 @@ def test_member_scan_matches_closed_form_everywhere(corpus_small):
                 )
                 assert all(v >= 0 for v in inter)
                 cand = tuple(v + e1 for v, e1 in zip(inter, f.trail.exps))
-                cls = classify(f)
-                assert is_convergent(
-                    cls.sorted_vector(cand), cls.sorted_vector(A), q
-                )
+                assert is_convergent(sorted_vector(cls, cand), sorted_vector(cls, A), q)
                 assert 1 <= M <= fast.mmax_scanned
 
 

@@ -8,6 +8,10 @@ belongs in `tests/`.  References are read from the syntax tree (names,
 attributes, imported names, and string constants equal to a name, as in
 `getattr`-style lookups) and matched by name alone, so a mention in a
 comment or docstring does not count.
+
+Every field of `engines.Config` must likewise be read as an attribute in
+`src/` outside the class itself and outside `cli.py`: a setting that only
+the command line reads is a flag of its subcommand, not library config.
 """
 
 import ast
@@ -63,3 +67,19 @@ def test_every_library_name_has_a_caller_outside_tests():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert unused == [], f"defined in src/ but reached only from tests/: {unused}"
+
+
+def test_every_config_field_is_read_by_the_library():
+    engines = ast.parse((PACKAGE / "engines.py").read_text(encoding="utf-8"))
+    config = next(n for n in engines.body if isinstance(n, ast.ClassDef) and n.name == "Config")
+    names = [n.target.id for n in config.body if isinstance(n, ast.AnnAssign)]
+    read = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        tree = engines if path.name == "engines.py" else ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if top is not config:
+                read.update(n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute))
+    unread = [name for name in names if name not in read]
+    assert names and unread == [], f"Config fields read only by the CLI or by Config: {unread}"
