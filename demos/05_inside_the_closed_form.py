@@ -2,8 +2,8 @@
 
 The closed form classifies variables by the difference of their powers
 between the two terms, derives per-variable bracket tables for the scan
-bound, counts the zero/growing block per bound, and assembles the total
-with product chains.  All of those intermediates are exposed for audit.
+bound, counts the zero/growing block per bound, and sums the non-members
+by scan bound.  All of those intermediates are exposed for audit.
 """
 
 from hkbinomial import (
@@ -38,6 +38,6 @@ for M in (1, 2):
 
 value, tables, _ = hk_closed_form_tables(f, 3, 1)
 print(f"\nchain values per shrinking variable: {tables.g_n}")
-outer = tuple(tables.level_top(j) for j in range(tables.level_top.length))
-print(f"integral vector at the outer level  : {outer}")
+by_bound = tuple(tables.by_bound(x) for x in range(tables.by_bound.length))
+print(f"by_bound (non-members at bound 1..V): {by_bound}")
 print(f"assembled value                     : {value}")

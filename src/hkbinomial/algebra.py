@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import (
     ConstantTermError,
@@ -24,6 +25,7 @@ from .errors import (
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
+@lru_cache(maxsize=256)  # trial division; every entry point checks p again
 def is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -37,6 +39,12 @@ def is_prime(p: int) -> bool:
             return False
         f += 2
     return True
+
+
+def require_prime(p: int):
+    """DomainError unless p is prime: checked before anything reduces mod p."""
+    if not is_prime(p):
+        raise DomainError(f"{p} is not prime")
 
 
 def deglex_compare(u, v) -> int:
@@ -81,8 +89,7 @@ class PrimePower:
     q: int = field(init=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+        require_prime(self.p)
         if self.n < 1:
             raise DomainError(f"exponent n must be positive, got {self.n}")
         object.__setattr__(self, "q", self.p**self.n)
@@ -102,8 +109,7 @@ class Binomial:
     trail: Term
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise DomainError(f"{self.p} is not prime")
+        require_prime(self.p)
         if len(self.lead.exps) != self.m or len(self.trail.exps) != self.m:
             raise DimensionError("term length does not match variable count")
         for t in (self.lead, self.trail):
@@ -118,25 +124,20 @@ class Binomial:
 
 
 def normalize(p: int, term_a: Term, term_b: Term) -> Binomial:
-    """Order two terms into a Binomial, reducing coefficients mod p."""
-    if len(term_a.exps) != len(term_b.exps):
-        raise DimensionError("terms with different numbers of variables")
-    terms = []
-    for t in (term_a, term_b):
-        c = t.coeff % p
-        if c == 0:
-            raise ZeroCoefficientError(f"coefficient {t.coeff} is 0 mod {p}")
-        if t.degree == 0:
-            raise ConstantTermError("constant term: polynomial not in the maximal ideal")
-        terms.append(Term(c, tuple(t.exps)))
-    a, b = terms
-    if a.exps == b.exps:
-        raise DegenerateBinomialError("terms share an exponent vector")
-    if deglex_compare(a.exps, b.exps) == GREATER:
-        lead, trail = a, b
-    else:
-        lead, trail = b, a
-    return Binomial(p=p, m=len(a.exps), lead=lead, trail=trail)
+    """Order two terms into a Binomial, reducing coefficients mod p; the
+    Binomial checks the rest."""
+    require_prime(p)
+    a, b = (Term(t.coeff % p, tuple(t.exps)) for t in (term_a, term_b))
+    if deglex_compare(a.exps, b.exps) == LESS:
+        a, b = b, a
+    return Binomial(p=p, m=len(a.exps), lead=a, trail=b)
+
+
+def check_field(f: Binomial, p: int, n: int) -> PrimePower:
+    """q = p^n for f, which must be a binomial over F_p."""
+    if p != f.p:
+        raise DomainError(f"p = {p} does not match the binomial over F_{f.p}")
+    return PrimePower(p, n)
 
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
@@ -176,6 +177,7 @@ def parse_binomial(text: str, p: int, num_vars: int | None = None) -> Binomial:
     ignored.  Like terms are combined mod p; exactly two distinct monomials
     with nonzero coefficients must remain.
     """
+    require_prime(p)
     s = re.sub(r"\s+", "", text)
     if not s:
         raise ParseError("empty polynomial")

@@ -8,16 +8,16 @@ Layout of the computation, all in the delta-sorted frame:
   growing variables followed by a fold over the zero variables.
 * g_chain: counts, per shrinking variable, the non-members that arise
   once the lead term stops dividing (membership then reduces to trail
-  divisibility); a single descending product chain.
-* hk_closed_form: assembles the total by enumerating each shrinking
-  variable's exponent through its bracket table, folding levels from the
-  least negative variable outward.  A level is a function of the scan
-  offset j in [0, Vr), Vr ~ q/a, and is kept as a PiecewisePoly: phi is a
-  polynomial of degree <= t in the scan bound between at most 2t cuts
-  per growing variable, and each fold (a linear or capped factor times
-  the level, plus a bracket-weighted suffix sum of it, plus a constant)
-  raises the degree by one at cuts known in closed form.  A level costs
-  O(cuts * degree) evaluations, so the value takes time independent of q.
+  divisibility); a single descending product chain, kept for the audit
+  tables.
+* hk_closed_form: sums the non-members by scan bound M = 1..V, V ~ q/a
+  the least top value: phi(M) times the shrinking tuples whose least
+  bound is M, a difference of two products of r factors linear in M.
+  That sum is one PiecewisePoly of degree t + r - 1, cut at phi's two
+  cuts per growing variable and at M = V, so it costs O(t * (t + r))
+  evaluations and the value takes time independent of q.  The monomials
+  whose shrinking part the lead does not divide add an O(m)
+  inclusion-exclusion term.
 * trail_complement_count: the length for the shapes the closed form
   excludes (`is_monomial_shape`), where the ideal is a monomial ideal.
 
@@ -28,11 +28,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from math import prod
 
-from .algebra import Binomial
+from .algebra import Binomial, PrimePower, check_field
 from .classify import Classification, classify
 from .errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
-from .mmax import MmaxParams, ceil_div, mmax_params
+from .mmax import ceil_div, mmax_params
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +78,7 @@ def phi_recursive(M: int, cls: Classification, p: int, n: int) -> int:
         raise NotApplicableError("no growing variable: the block count is undefined")
     if M < 1:
         raise DomainError(f"scan bound must be >= 1, got {M}")
-    return _phi_value(M, cls, p**n)
+    return _phi_value(M, cls, PrimePower(p, n).q)
 
 
 # ---------------------------------------------------------------------------
@@ -102,7 +103,7 @@ def g_chain(cls: Classification, p: int, n: int) -> GChains:
     """
     if cls.r == 0 or cls.t == 0:
         raise NotApplicableError("chain needs a shrinking and a growing variable")
-    qq = p**n
+    qq = PrimePower(p, n).q
     t, s = cls.t, cls.s
     weights = [P.pmax for P in reversed(cls.pos)]
     weights += [z.zmin for z in cls.zero] + [N.nmin for N in cls.neg]
@@ -141,7 +142,7 @@ def trail_complement_count(qq: int, trail_exps) -> int:
 
 
 # ---------------------------------------------------------------------------
-# piecewise polynomials: the levels of the fold
+# piecewise polynomials: the non-members by scan bound
 
 
 class PiecewisePoly:
@@ -216,12 +217,12 @@ class ClosedFormTables:
     g_n: tuple
     d_consts: tuple  # first-bracket-width constant per shrinking variable
     xtilde: tuple  # last offset contributed by each shrinking variable
-    level_top: PiecewisePoly  # the outermost level, j -> value on [0, Vr)
+    by_bound: PiecewisePoly  # x -> the non-members whose scan bound is x + 1, on [0, V)
 
 
 def _setup(f: Binomial, p: int, n: int):
+    qq = check_field(f, p, n).q
     cls = classify(f)
-    qq = p**n
     if is_monomial_shape(cls, qq):
         raise NotApplicableError(
             "no growing variable, or a lead exponent is >= q: "
@@ -231,82 +232,38 @@ def _setup(f: Binomial, p: int, n: int):
     return cls, qq, params
 
 
-def _bracket_sum(level: PiecewisePoly, prm: MmaxParams, delta: int, u: int) -> int:
-    """sum over brackets jp = u, ..., L-1 of width[jp] * level[jp + delta].
-
-    The widths are 1+E for jp = 0, a for 1 <= jp < ktilde_last and a' for
-    jp = ktilde_last (absent when a' = 0), so the sum is three range sums.
-    """
-    kt = prm.ktilde_last
-    total = 0
-    for lo, hi, width in ((0, 1, 1 + prm.excess), (1, kt, prm.a), (kt, kt + 1, prm.a_prime)):
-        lo = max(lo, u)
-        if lo < hi and width:  # a' = 0: no last bracket; kt + 1 + delta may pass Vr
-            total += width * (level.prefix(hi + delta) - level.prefix(lo + delta))
-    return total
-
-
-def _level_zero(cls: Classification, qq: int, Vr: int) -> PiecewisePoly:
-    """j -> phi(Vr - j).  Per growing variable, phi changes formula at the
-    least M where M*dp reaches q - pmin (minc caps, rest hits 0) and at the
-    least M where it passes q - pmax (h hits 0); j = Vr - M + 1 starts the
-    piece just below each such M."""
-    breaks = set()
-    for P in cls.pos:
-        for M in (ceil_div(qq - P.pmin, P.dp), (qq - P.pmax) // P.dp + 1):
-            breaks.add(Vr - M + 1)
-    return PiecewisePoly(lambda j: _phi_value(Vr - j, cls, qq), Vr, breaks, cls.t)
-
-
-def _fold(
-    level: PiecewisePoly, prm: MmaxParams, delta: int, K: int, const: int, degree: int
-) -> PiecewisePoly:
-    """One level out: new[j] = stay(j) * level[j] + tail(j) + const, where
-    x = j - delta, stay = min(1 + E + a*x, K) for x >= 0 (else 0), and
-    tail = the bracket sum from u = max(x + 1, lo).  stay is linear and the
-    tail a sum of `level`, so the degree grows by one.  The tail is one
-    polynomial in u on each closed span between the clamp lo, the width
-    changes 1, kt and L, and the old cuts shifted by -delta; a cut at
-    j = u + delta for each of those u, plus the old cuts and the two
-    places where stay starts and caps, covers every change."""
-    lo = max(0, -delta)
-    kt = prm.ktilde_last
-    L = kt + (prm.a_prime > 0)
-
-    def value(j):
-        x = j - delta
-        stay = 0 if x < 0 else min(1 + prm.excess + prm.a * x, K)
-        u = max(x + 1, lo)  # u >= L leaves an empty sum
-        return stay * level(j) + _bracket_sum(level, prm, delta, u) + const
-
-    breaks = set(level.starts)
-    breaks.update((delta, delta + ceil_div(K - 1 - prm.excess, prm.a)))
-    breaks.update(u + delta for u in (lo, 1, kt, L))
-    return PiecewisePoly(value, level.length, breaks, degree)
-
-
 def _assemble(f: Binomial, p: int, n: int):
-    """Fold the levels from the least negative shrinking variable outward,
-    each a piecewise polynomial in j on [0, Vr), then sum the outermost
-    over its brackets."""
+    """Sum the non-members by scan bound M = 1..V, V the least top value.
+
+    at_least(M) counts the shrinking tuples past the lead powers whose every
+    bound is >= M: a product of r factors linear in M for M <= V, and 0 at
+    M = V + 1.  Bound M holds phi(M) * (at_least(M) - at_least(M + 1))
+    non-members, a polynomial of degree t + r - 1 in M between phi's cuts,
+    with one more cut at M = V, where at_least(M + 1) is 0.  The other
+    monomials are those whose shrinking part the lead does not divide: a
+    non-member exactly when the trail does not divide it, counted by
+    inclusion-exclusion.
+    """
     cls, qq, params = _setup(f, p, n)
-    r, s, t = cls.r, cls.s, cls.t
-    V = [prm.top_value for prm in params]
-    Vr = V[r - 1]
-    if Vr < 1:
+    V = min(prm.top_value for prm in params)
+    if V < 1:
         raise FormulaDomainError("top scan bound below 1")
-    gch = g_chain(cls, p, n)
 
-    def const(i):
-        rec = cls.neg[i - 1]
-        return (rec.nmax - rec.nmin) * gch.g_n[i - 1] + rec.nmin * qq ** (s + t + i - 1)
+    def at_least(M):
+        return prod(max(0, qq - prm.nmax - prm.a * (M - 1)) for prm in params)
 
-    level = _level_zero(cls, qq, Vr)
-    for i in range(2, r + 1):
-        prm = params[i - 2]
-        level = _fold(level, prm, Vr - V[i - 2], qq - prm.nmax, const(i - 1), t + i - 1)
-    total = _bracket_sum(level, params[r - 1], 0, 0) + const(r)
-    return total, cls, params, gch, level, V
+    breaks = {V - 1}  # x = M - 1: phi changes formula where minc caps and where h hits 0
+    for P in cls.pos:
+        breaks.update((ceil_div(qq - P.pmin, P.dp) - 1, (qq - P.pmax) // P.dp))
+    by_bound = PiecewisePoly(
+        lambda x: _phi_value(x + 1, cls, qq) * (at_least(x + 1) - at_least(x + 2)),
+        V, breaks, cls.t + cls.r - 1,
+    )
+    past_lead, past_trail = at_least(1), prod(qq - N.nmin for N in cls.neg)
+    rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]
+    lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)  # less those the trail divides
+    lead_fails -= prod(max(0, qq - e) for e in rest_trail) * (past_trail - past_lead)
+    return by_bound.prefix(V) + lead_fails, cls, params, by_bound
 
 
 def hk_closed_form(f: Binomial, p: int, n: int) -> int:
@@ -323,7 +280,9 @@ def hk_closed_form(f: Binomial, p: int, n: int) -> int:
 
 def hk_closed_form_tables(f: Binomial, p: int, n: int):
     """Closed-form value plus the audit tables and per-variable constants."""
-    total, cls, params, gch, level, V = _assemble(f, p, n)
+    total, cls, params, by_bound = _assemble(f, p, n)
+    gch = g_chain(cls, p, n)
+    V = [prm.top_value for prm in params]
     Vr = V[cls.r - 1]
     d_consts = tuple(
         (1 + prm.excess) + prm.a * (V[i] - Vr) for i, prm in enumerate(params)
@@ -335,6 +294,6 @@ def hk_closed_form_tables(f: Binomial, p: int, n: int):
         g_n=gch.g_n,
         d_consts=d_consts,
         xtilde=xtilde,
-        level_top=level,
+        by_bound=by_bound,
     )
     return total, tables, params

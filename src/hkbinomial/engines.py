@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-from .algebra import Binomial, PrimePower, parse_binomial, render
+from .algebra import Binomial, check_field, parse_binomial, render
 from .classify import classify, classification_summary
 from .closedform import ClosedFormTables, hk_closed_form_tables
 from .closedform import is_monomial_shape, trail_complement_count
@@ -125,19 +125,19 @@ class HKReport:
 
 
 def _tables_dict(tables) -> dict:
-    """The closed form's tables; the outer level as its pieces (starts and
-    Newton differences), so the payload does not grow with q."""
-    level = tables.level_top
+    """The closed form's tables; the count by scan bound as its pieces
+    (starts and Newton differences), so the payload does not grow with q."""
+    by_bound = tables.by_bound
     return {
         "g_p": [jsonable_int(v) for v in tables.g_p],
         "g_z": [jsonable_int(v) for v in tables.g_z],
         "g_n": [jsonable_int(v) for v in tables.g_n],
         "d_consts": [jsonable_int(v) for v in tables.d_consts],
         "xtilde": [jsonable_int(v) for v in tables.xtilde],
-        "level_top": {
-            "length": jsonable_int(level.length),
-            "starts": [jsonable_int(v) for v in level.starts],
-            "diffs": [[jsonable_int(v) for v in row] for row in level.diffs],
+        "by_bound": {
+            "length": jsonable_int(by_bound.length),
+            "starts": [jsonable_int(v) for v in by_bound.starts],
+            "diffs": [[jsonable_int(v) for v in row] for row in by_bound.diffs],
         },
     }
 
@@ -161,10 +161,8 @@ def hk(
         raise DomainError(f"unknown engine {engine!r}")
     if p is None:
         p = f.p
-    if p != f.p:
-        raise DomainError(f"p = {p} does not match the binomial over F_{f.p}")
     cfg = config or Config()
-    q = PrimePower(p, n)
+    q = check_field(f, p, n)
     cls = classify(f)
     started = time.perf_counter()
 

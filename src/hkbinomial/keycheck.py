@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Binomial, PrimePower
+from .algebra import Binomial, PrimePower, check_field
 from .errors import ContractError, DomainError, ResourceError
 
 
@@ -56,6 +56,7 @@ def member_scan(A, f: Binomial, q: PrimePower):
     an exponent reaches q.  Used by the trace front end and as the reference
     implementation in tests.
     """
+    check_field(f, q.p, q.n)
     _check_standard(A, q)
     e2, e1 = f.lead.exps, f.trail.exps
     steps = []
@@ -95,9 +96,7 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
     exactly at each non-member.  The heads (first m - 1 exponents) are walked
     depth first; each head, and the row of x_m exponents above it, costs O(1).
     """
-    if q.p != f.p:
-        raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
-    qq, m = q.q, f.m
+    qq, m = check_field(f, q.p, q.n).q, f.m
     total = qq**m
     if total > enum_cap:
         raise ResourceError(

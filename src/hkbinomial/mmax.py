@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import PrimePower
 from .classify import Classification
 from .errors import NotApplicableError
 
@@ -45,7 +46,7 @@ def mmax_params(cls: Classification, p: int, n: int) -> tuple:
     """
     if cls.r == 0:
         raise NotApplicableError("no shrinking variable")
-    qq = p**n
+    qq = PrimePower(p, n).q
     out = []
     for rec in cls.neg:
         a, b = rec.a, rec.b

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Binomial
+from .algebra import Binomial, check_field
 from .classify import classify
 from .closedform import is_monomial_shape, trail_complement_count
 from .errors import DomainError
@@ -45,8 +45,8 @@ def hk_1dim(f: Binomial, p: int, n: int):
     Returns (value, label).  Exact for every n; the classical displays are
     recovered once p^n clears the exponents.
     """
+    qq = check_field(f, p, n).q
     cls, label = _two_variable_case(f)
-    qq = p**n
     if is_monomial_shape(cls, qq):
         return trail_complement_count(qq, f.trail.exps), label
     neg, pos = cls.neg[0], cls.pos[0]

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Binomial, PrimePower
-from .errors import DomainError, ResourceError
+from .algebra import Binomial, PrimePower, check_field
+from .errors import ResourceError
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,7 @@ def hk_oracle(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> int:
 
 def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> OracleReport:
     """Count the relation graph's live paths with whole-mask bit operations."""
-    if q.p != f.p:
-        raise DomainError(f"prime power {q.p}^{q.n} does not match f over F_{f.p}")
-    qq = q.q
+    qq = check_field(f, q.p, q.n).q
     nodes = qq**f.m
     if nodes > node_cap:
         raise ResourceError(

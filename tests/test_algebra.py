@@ -7,6 +7,7 @@ from hkbinomial import (
     ConstantTermError,
     DegenerateBinomialError,
     DimensionError,
+    DomainError,
     ParseError,
     PrimePower,
     Term,
@@ -75,6 +76,19 @@ def test_normalize_degenerate_and_constant():
         normalize(5, Term(1, (2, 1)), Term(2, (2, 1)))
     with pytest.raises(ConstantTermError):
         normalize(5, Term(1, (0, 0)), Term(2, (2, 1)))
+
+
+@pytest.mark.parametrize("p", [0, 1, -5, 4])
+def test_normalize_and_parse_check_p_before_reducing(p):
+    with pytest.raises(DomainError, match=f"{p} is not prime"):
+        normalize(p, Term(1, (3, 0)), Term(1, (0, 2)))
+    with pytest.raises(DomainError, match=f"{p} is not prime"):
+        parse_binomial("x1^3 - x2^2", p)
+
+
+def test_normalize_dimension_mismatch():
+    with pytest.raises(DimensionError):
+        normalize(5, Term(1, (3, 0)), Term(1, (0, 2, 1)))
 
 
 def test_normalize_swap_invariant_and_idempotent():

@@ -51,23 +51,23 @@ def test_hk_verbose_level_top_is_piecewise(capsys):
     assert time.perf_counter() - started < 1.0
     assert len(out.encode()) < 10_000
     tables = json.loads(out)["data"]["tables"]
-    assert isinstance(tables["level_top"]["length"], str)  # Vr > 2^53 stays exact
+    assert isinstance(tables["by_bound"]["length"], str)  # V > 2^53 stays exact
     assert isinstance(tables["xtilde"][0], str)
-    # the pieces' Newton forms give back every value of an outer level of four pieces
-    poly = "2*x1*x2^2*x3 + x2*x3^2"
-    _, ref, _ = hk_closed_form_tables(parse_binomial(poly, 3), 3, 3)
+    # the pieces' Newton forms give back every value of a count by scan bound of four pieces
+    poly = "x1^2*x2^2 - x3^3"
+    _, ref, _ = hk_closed_form_tables(parse_binomial(poly, 5), 5, 3)
     code, out, _ = run_cli(
-        capsys, ["hk", "--poly", poly, "--p", "3", "--n", "3", "--verbose", "--format", "json"]
+        capsys, ["hk", "--poly", poly, "--p", "5", "--n", "3", "--verbose", "--format", "json"]
     )
-    level = json.loads(out)["data"]["tables"]["level_top"]
-    cuts = level["starts"] + [level["length"]]
+    by_bound = json.loads(out)["data"]["tables"]["by_bound"]
+    cuts = by_bound["starts"] + [by_bound["length"]]
     values = [
         sum(d * math.comb(u, k) for k, d in enumerate(diffs))
-        for lo, hi, diffs in zip(cuts, cuts[1:], level["diffs"])
+        for lo, hi, diffs in zip(cuts, cuts[1:], by_bound["diffs"])
         for u in range(hi - lo)
     ]
-    assert len(level["starts"]) == 4
-    assert code == 0 and values == [ref.level_top(j) for j in range(ref.level_top.length)]
+    assert len(by_bound["starts"]) == 4
+    assert code == 0 and values == [ref.by_bound(x) for x in range(ref.by_bound.length)]
 
 
 def test_degenerate_is_usage_error(capsys):
@@ -263,8 +263,8 @@ _REPORT_KEYS = [
                 "data.mmax_params[].excess", "data.mmax_params[].ktilde_last",
                 "data.mmax_params[].a_prime", "data.tables", "data.tables.d_consts",
                 "data.tables.g_n", "data.tables.g_p", "data.tables.g_z", "data.tables.xtilde",
-                "data.tables.level_top", "data.tables.level_top.diffs",
-                "data.tables.level_top.length", "data.tables.level_top.starts",
+                "data.tables.by_bound", "data.tables.by_bound.diffs",
+                "data.tables.by_bound.length", "data.tables.by_bound.starts",
             ],
         ),
         (
@@ -357,3 +357,66 @@ def test_bad_budget_is_a_usage_error_in_the_requested_format(capsys, fmt):
         assert json.loads(err) == {"error": {"type": "DomainError", "message": message}}
     else:
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("p", ["0", "1", "-5"])
+@pytest.mark.parametrize(
+    "argv",
+    [["hk", "--n", "1"], ["table", "--n-range", "1..2"], ["mult", "--n-range", "1..2"],
+     ["classify"], ["trace", "--n", "1", "--monomial", "1,1"]],
+    ids=["hk", "table", "mult", "classify", "trace"],
+)
+def test_non_prime_p_is_a_usage_error(capsys, argv, p):
+    code, out, err = run_cli(capsys, argv + ["--poly", "x1^3 - x2^2", "--p", p])
+    assert (code, out) == (2, "") and err == f"error: {p} is not prime\n"
+
+
+def test_corpus_entry_with_p_0_is_a_usage_error(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"poly": "x1^3 - x2^2", "p": 0, "n": 1}) + "\n")
+    code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus)])
+    assert (code, out) == (2, "")
+    assert ":1: bad corpus entry: 0 is not prime" in err
+
+
+def test_table_json(capsys):
+    code, out, _ = run_cli(
+        capsys,
+        ["table", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2", "--format", "json"],
+    )
+    assert code == 0
+    assert json.loads(out) == {"data": [
+        {"n": 1, "q": 5, "hk": "10", "engine": "closed", "estimate": {"num": "2", "den": "1"}},
+        {"n": 2, "q": 25, "hk": "50", "engine": "closed", "estimate": {"num": "2", "den": "1"}},
+    ]}
+
+
+def test_mult_json_and_csv(capsys):
+    argv = ["mult", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2", "--format"]
+    code, out, _ = run_cli(capsys, argv + ["json"])
+    data = json.loads(out)["data"]
+    assert code == 0
+    assert [(row["n"], row["hk"], row["estimate"]) for row in data["samples"]] == [
+        (1, "10", {"num": "2", "den": "1"}), (2, "50", {"num": "2", "den": "1"}),
+    ]
+    code, out, _ = run_cli(capsys, argv + ["csv"])
+    assert code == 0
+    assert out.splitlines() == ["n,q,hk,estimate_num,estimate_den", "1,5,10,2,1", "2,25,50,2,1"]
+
+
+def test_hk_verbose_names_the_engine_on_stderr(capsys):
+    argv = ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--verbose"]
+    assert run_cli(capsys, argv) == (0, "10\n", "engine: closed\n")
+    assert run_cli(capsys, argv + ["--engine", "oracle"]) == (0, "10\n", "engine: oracle\n")
+    assert run_cli(capsys, argv[:-1]) == (0, "10\n", "")
+
+
+@pytest.mark.parametrize("command", ["table", "mult"])
+@pytest.mark.parametrize("n_range", ["1..", "3..2", "0..2"])
+def test_bad_n_range_is_a_usage_error(capsys, command, n_range):
+    code, out, err = run_cli(
+        capsys, [command, "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", n_range]
+    )
+    assert (code, out) == (2, "") and err == f"error: bad range {n_range!r}" + (
+        ", expected a..b\n" if n_range == "1.." else "\n"
+    )

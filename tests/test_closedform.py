@@ -213,7 +213,7 @@ def test_tables_shape():
     assert tables.g_n == (2,)
     assert tables.d_consts == (2,)
     assert tables.xtilde == (1,)
-    assert tables.level_top.length == 1 and tables.level_top(0) == 2
+    assert tables.by_bound.length == 1 and tables.by_bound(0) == 4  # phi(1) = 2, times x1 = 3, 4
     assert params[0].a_prime == 0
 
 
@@ -244,7 +244,7 @@ def test_two_variable_values_at_huge_q():
         assert hk_closed_form(f, p, n) == hk_1dim(f, p, n)[0], (poly, p, n)
 
 
-M3_SHAPE = parse_binomial("x1^2*x2^2 - x3^3", 5)  # level 0 has cuts inside [0, Vr)
+M3_SHAPE = parse_binomial("x1^2*x2^2 - x3^3", 5)  # phi has cuts inside [0, V)
 M4_SHAPE = parse_binomial("x1^3*x2^3*x3 - x3^2*x4^4", 5)
 
 

@@ -10,11 +10,14 @@ the variables or scaling the coefficients leaves every engine's value
 unchanged, and that auto mode never enumerates.  A seeded set of 12
 larger binomials (q^m from 2*10^5 to 2*10^6, m = 2..5) checks that the
 closed form, where it applies, equals both engines.  The closed form's
-piecewise-polynomial fold is also checked against the O(q) list fold of
-`tests/closedform_reference.py`.
+piecewise-polynomial sum by scan bound is also checked against the O(q)
+list fold of `tests/closedform_reference.py`, and each of its terms
+against a count over the shrinking exponents.
 """
 
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -33,7 +36,7 @@ from hkbinomial import (
     parse_binomial,
 )
 from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
-from tests.closedform_reference import hk_closed_form_linear
+from tests.closedform_reference import hk_closed_form_linear, phi_product
 
 SEED = 20261018
 QM_CAP = 3 * 10**4
@@ -43,9 +46,9 @@ ENUMERATED_CLOSED_COUNT = 120  # closed shapes also enumerated twice
 INVARIANCE_COUNT = 40  # of each shape; three forms, each enumerated twice
 LINEAR_MAX_N, LINEAR_MAX_Q = 8, 2 * 10**4
 LARGE_QM, LARGE_COUNT = (2 * 10**5, 2 * 10**6), 12  # q^m range and instance count
-# An inner level of these changes formula inside [0, Vr), so the fold's own
-# cuts (where stay starts and caps, and where the bracket sum's lower end
-# crosses a width change) are needed; about 1 random binomial in 1000 is so.
+# In the reference's level fold, an inner level of these changes formula
+# inside [0, Vr) (where a bracket width changes); about 1 random binomial in
+# 1000 is so.  The sum by scan bound must match the fold on them too.
 FOLD_CUT_CASES = [
     ("x1^4*x2*x3*x4^7 + x1^3*x2^2*x3^2*x4^6", 3, 2),
     ("x1^5*x2^6*x3^12 + x1^2*x2^7*x3^9*x4", 11, 3),
@@ -182,9 +185,31 @@ def test_piecewise_fold_equals_linear_fold(corpus200):
     cases += [(parse_binomial(poly, p), p, n) for poly, p, n in FOLD_CUT_CASES]
     for f, p, n in cases:
         total, tables, _ = hk_closed_form_tables(f, p, n)
-        ref_total, ref_level = hk_closed_form_linear(f, p, n)
-        level = [tables.level_top(j) for j in range(tables.level_top.length)]
-        assert (total, level) == (ref_total, ref_level), (f, p, n)
+        by_bound = [tables.by_bound(x) for x in range(tables.by_bound.length)]
+        assert total == hk_closed_form_linear(f, p, n)[0], (f, p, n)
+        assert by_bound == _by_bound_brute(f, p, n), (f, p, n)
+
+
+def _by_bound_brute(f, p, n):
+    """phi(M) times the shrinking tuples past the lead powers whose least
+    scan bound is M, for M = 1, 2, ... while any tuple has that bound.  The
+    tuples are counted one exponent at a time: a tuple's bounds are its
+    variables' bounds 1 + (e - nmax) // a, so at least M in every variable
+    is a product of per-variable counts."""
+    cls = classify(f)
+    qq = p**n
+    tops = []  # tops[i][M]: the exponents of N_i whose bound is >= M
+    for N in cls.neg:
+        count = Counter(1 + (e - N.nmax) // N.a for e in range(N.nmax, qq))
+        top = [0] * (max(count) + 2)
+        for M in range(len(top) - 2, 0, -1):
+            top[M] = top[M + 1] + count[M]
+        tops.append(top)
+    at_least = [math.prod(top[M] for top in tops) for M in range(min(map(len, tops)))]
+    return [
+        phi_product(M, cls, p, n) * (at_least[M] - at_least[M + 1])
+        for M in range(1, len(at_least) - 1)
+    ]
 
 
 def test_auto_never_enumerates(corpus200, no_enumeration):

@@ -9,13 +9,23 @@ from hkbinomial import (
     DomainError,
     HKError,
     NotApplicableError,
+    PrimePower,
     ResourceError,
+    classify,
     cross_check,
+    g_chain,
     hk,
     hk_1dim,
     hk_closed_form,
+    hk_closed_form_tables,
+    hk_direct_count,
+    hk_oracle,
+    hk_oracle_report,
     load_corpus,
+    member_scan,
+    mmax_params,
     parse_binomial,
+    phi_recursive,
     render,
 )
 
@@ -186,3 +196,41 @@ def test_load_corpus_rejects_bad_fields(tmp_path, line):
 def test_config_rejects_bad_values(fields):
     with pytest.raises(DomainError):
         Config(**fields)
+
+
+def test_hk_takes_p_from_the_binomial_and_checks_it_and_the_engine():
+    assert hk(F1, n=2).value == hk(F1, 5, 2).value == 50
+    with pytest.raises(DomainError, match="p = 3 does not match the binomial over F_5"):
+        hk(F1, 3, 2)
+    with pytest.raises(DomainError, match="unknown engine 'fast'"):
+        hk(F1, 5, 2, engine="fast")
+
+
+_CLS = classify(F1)
+_ENTRIES = {  # each takes (f, p, n); those given a PrimePower build it from (p, n)
+    **{f"hk-{engine}": lambda f, p, n, e=engine: hk(f, p, n, engine=e)
+       for engine in ("auto", "closed", "direct", "oracle")},
+    "hk_closed_form": hk_closed_form,
+    "hk_closed_form_tables": hk_closed_form_tables,
+    "hk_1dim": hk_1dim,
+    "hk_direct_count": lambda f, p, n: hk_direct_count(f, PrimePower(p, n)),
+    "hk_oracle": lambda f, p, n: hk_oracle(f, PrimePower(p, n)),
+    "hk_oracle_report": lambda f, p, n: hk_oracle_report(f, PrimePower(p, n)),
+    "member_scan": lambda f, p, n: member_scan((0, 0), f, PrimePower(p, n)),
+    "phi_recursive": lambda f, p, n: phi_recursive(1, _CLS, p, n),
+    "g_chain": lambda f, p, n: g_chain(_CLS, p, n),
+    "mmax_params": lambda f, p, n: mmax_params(_CLS, p, n),
+}
+_GIVEN_CLS = {"phi_recursive", "g_chain", "mmax_params"}  # no binomial, so no p to match
+
+
+@pytest.mark.parametrize("name", sorted(_ENTRIES))
+def test_every_entry_rejects_a_bad_p_or_n(name):
+    entry = _ENTRIES[name]
+    entry(F1, 5, 1)
+    if name not in _GIVEN_CLS:
+        with pytest.raises(DomainError, match="p = 3 does not match the binomial over F_5"):
+            entry(F1, 3, 1)
+    for p, n in [(4, 1), (5, 0), (5, -1)]:
+        with pytest.raises(DomainError):
+            entry(F1, p, n)

@@ -12,9 +12,14 @@ comment or docstring does not count.
 Every field of `engines.Config` must likewise be read as an attribute in
 `src/` outside the class itself and outside `cli.py`: a setting that only
 the command line reads is a flag of its subcommand, not library config.
+
+Every library attribute that the benchmark's tracer replaces by name
+(`tracer.interpose(module, "attr", ...)` in `bench/worker.py`) must exist,
+so a rename that would break `bench/run.py --trace 1` fails here.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -83,3 +88,20 @@ def test_every_config_field_is_read_by_the_library():
                 read.update(n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute))
     unread = [name for name in names if name not in read]
     assert names and unread == [], f"Config fields read only by the CLI or by Config: {unread}"
+
+
+def test_every_attribute_the_bench_traces_exists():
+    tree = ast.parse((ROOT / "bench" / "worker.py").read_text(encoding="utf-8"))
+    traced = [
+        (node.args[0].id, node.args[1].value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "interpose"
+    ]
+    missing = [
+        f"{module}.{attr}"
+        for module, attr in traced
+        if not hasattr(importlib.import_module(f"hkbinomial.{module}"), attr)
+    ]
+    assert len(traced) >= 10 and missing == [], f"bench/worker.py traces missing names: {missing}"
