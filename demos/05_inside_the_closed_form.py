@@ -1,9 +1,9 @@
 """Peek inside the closed-form evaluation.
 
 The closed form classifies variables by the difference of their powers
-between the two terms, derives per-variable bracket tables for the scan
-bound, counts the zero/growing block per bound, and sums the non-members
-by scan bound.  All of those intermediates are exposed for audit.
+between the two terms, derives each shrinking variable's top scan bound,
+counts the zero/growing block per bound, and sums the non-members by
+scan bound.  All of those intermediates are exposed for audit.
 """
 
 from hkbinomial import (
@@ -27,10 +27,7 @@ print(f"  fixed    : {summary['zero']}")
 print(f"  growing  : {summary['pos']}\n")
 
 for prm in mmax_params(cls, 3, 1):
-    print(
-        f"bracket table for x{prm.var}: top value {prm.top_value}, "
-        f"first width {1 + prm.excess}, step {prm.a}, last width {prm.a_prime}"
-    )
+    print(f"x{prm.var} shrinks by {prm.a} per trade: top scan bound {prm.top_value}")
 
 print("\nblock counts by scan bound:")
 for M in (1, 2):

@@ -19,8 +19,10 @@ from .algebra import (
 )
 from .classify import Classification, classify, classification_summary
 from .closedform import (
+    MmaxParams,
     hk_closed_form,
     hk_closed_form_tables,
+    mmax_params,
     phi_recursive,
     g_chain,
 )
@@ -43,7 +45,6 @@ from .keycheck import (
     hk_direct_count,
     member_scan,
 )
-from .mmax import MmaxParams, mmax_params
 from .multiplicity import (
     MultiplicityReport,
     estimate_multiplicity,

@@ -18,6 +18,7 @@ from .errors import (
     DimensionError,
     DomainError,
     ParseError,
+    ResourceError,
     ZeroCoefficientError,
 )
 
@@ -25,19 +26,32 @@ from .errors import (
 LESS, EQUAL, GREATER = -1, 0, 1
 
 
-@lru_cache(maxsize=256)  # trial division; every entry point checks p again
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981  # least strong pseudoprime to all of MR_BASES
+
+
+@lru_cache(maxsize=256)  # every entry point checks p again
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
+    """Deterministic Miller-Rabin over the primes 2..41, exact for every
+    p < MR_EXACT_BELOW in O(log p) multiplications mod p.  A larger p is a
+    ResourceError, not a probable answer."""
+    if p >= MR_EXACT_BELOW:
+        msg = f"Miller-Rabin over the bases 2..41 is exact only below {MR_EXACT_BELOW}"
+        raise ResourceError(f"p of {p.bit_length()} bits: {msg}", required=p, budget=MR_EXACT_BELOW)
+    if p < 2 or any(p % b == 0 for b in MR_BASES):
+        return p in MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    d = (p - 1) >> s
+    for b in MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

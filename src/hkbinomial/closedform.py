@@ -2,6 +2,9 @@
 
 Layout of the computation, all in the delta-sorted frame:
 
+* mmax_params: per shrinking variable with drop a and minimum power b,
+  the top scan bound V = floor((q - 1 - b)/a), the most trades a
+  monomial at that variable's top exponent q - 1 allows.
 * phi_recursive: for a fixed scan bound, counts the non-members among
   monomials whose shrinking exponents are fixed while the zero and
   growing exponents range freely.  Built from suffix chains over the
@@ -33,7 +36,46 @@ from math import prod
 from .algebra import Binomial, PrimePower, check_field
 from .classify import Classification, classify
 from .errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
-from .mmax import ceil_div, mmax_params
+
+
+def ceil_div(x: int, d: int) -> int:
+    return -((-x) // d)
+
+
+# ---------------------------------------------------------------------------
+# top scan bounds of the shrinking variables
+
+
+@dataclass(frozen=True)
+class MmaxParams:
+    """Constants of one shrinking variable at fixed p, n."""
+
+    var: int  # original 1-based variable index
+    a: int
+    b: int
+    nmax: int
+    top_value: int  # floor((q - 1 - b)/a): the scan bound at exponent q - 1
+
+
+def mmax_params(cls: Classification, p: int, n: int) -> tuple:
+    """One MmaxParams per shrinking variable (N_1 first).
+
+    Not applicable when there is no shrinking variable or when q <= nmax for
+    some shrinking variable (then no standard monomial is divisible by the
+    lead term and the whole closed-form route is vacuous).
+    """
+    if cls.r == 0:
+        raise NotApplicableError("no shrinking variable")
+    qq = PrimePower(p, n).q
+    for rec in cls.neg:
+        if qq <= rec.nmax:
+            raise NotApplicableError(
+                f"q = {qq} does not exceed the max power {rec.nmax} of x{rec.var}"
+            )
+    return tuple(
+        MmaxParams(rec.var, rec.a, rec.b, rec.nmax, (qq - 1 - rec.b) // rec.a)
+        for rec in cls.neg
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +257,6 @@ class ClosedFormTables:
     g_p: tuple
     g_z: tuple
     g_n: tuple
-    d_consts: tuple  # first-bracket-width constant per shrinking variable
-    xtilde: tuple  # last offset contributed by each shrinking variable
     by_bound: PiecewisePoly  # x -> the non-members whose scan bound is x + 1, on [0, V)
 
 
@@ -282,18 +322,4 @@ def hk_closed_form_tables(f: Binomial, p: int, n: int):
     """Closed-form value plus the audit tables and per-variable constants."""
     total, cls, params, by_bound = _assemble(f, p, n)
     gch = g_chain(cls, p, n)
-    V = [prm.top_value for prm in params]
-    Vr = V[cls.r - 1]
-    d_consts = tuple(
-        (1 + prm.excess) + prm.a * (V[i] - Vr) for i, prm in enumerate(params)
-    )
-    xtilde = tuple((Vr - V[i]) + prm.ktilde_last for i, prm in enumerate(params))
-    tables = ClosedFormTables(
-        g_p=gch.g_p,
-        g_z=gch.g_z,
-        g_n=gch.g_n,
-        d_consts=d_consts,
-        xtilde=xtilde,
-        by_bound=by_bound,
-    )
-    return total, tables, params
+    return total, ClosedFormTables(gch.g_p, gch.g_z, gch.g_n, by_bound), params

@@ -32,7 +32,6 @@ from .closedform import ClosedFormTables, hk_closed_form_tables
 from .closedform import is_monomial_shape, trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ResourceError
 from .keycheck import hk_direct_count
-from .mmax import params_summary
 from .oracle import hk_oracle_report
 
 JSON_INT_LIMIT = 2**53
@@ -111,8 +110,9 @@ class HKReport:
         }
         if self.mmax_params is not None:
             out["mmax_params"] = [
-                {k: jsonable_int(v) if isinstance(v, int) else v for k, v in row.items()}
-                for row in params_summary(self.mmax_params)
+                {"var": f"x{prm.var}", "a": jsonable_int(prm.a), "b": jsonable_int(prm.b),
+                 "top_value": jsonable_int(prm.top_value)}
+                for prm in self.mmax_params
             ]
         if self.oracle_stats is not None:
             out["oracle"] = self.oracle_stats
@@ -132,8 +132,6 @@ def _tables_dict(tables) -> dict:
         "g_p": [jsonable_int(v) for v in tables.g_p],
         "g_z": [jsonable_int(v) for v in tables.g_z],
         "g_n": [jsonable_int(v) for v in tables.g_n],
-        "d_consts": [jsonable_int(v) for v in tables.d_consts],
-        "xtilde": [jsonable_int(v) for v in tables.xtilde],
         "by_bound": {
             "length": jsonable_int(by_bound.length),
             "starts": [jsonable_int(v) for v in by_bound.starts],

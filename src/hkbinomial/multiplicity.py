@@ -17,9 +17,8 @@ from fractions import Fraction
 
 from .algebra import Binomial, check_field
 from .classify import classify
-from .closedform import is_monomial_shape, trail_complement_count
+from .closedform import ceil_div, is_monomial_shape, trail_complement_count
 from .errors import DomainError
-from .mmax import ceil_div, mmax_params
 from . import engines as _engines
 from .engines import decimal_str
 
@@ -51,10 +50,8 @@ def hk_1dim(f: Binomial, p: int, n: int):
         return trail_complement_count(qq, f.trail.exps), label
     neg, pos = cls.neg[0], cls.pos[0]
     a, dp = neg.a, pos.dp
-    prm = mmax_params(cls, p, n)[0]
-    V = prm.top_value
+    V, E = divmod(qq - 1 - neg.b, a)
     K = qq - neg.nmax
-    E = prm.excess
 
     def widths_upto(x):  # total bracket width for offsets 0..x
         if x < 0:

@@ -10,25 +10,41 @@ product forms of the block count and of the chain values, and
 intermediate value, for auditing.  `phi_closed_simple` is the block
 count's single formula in the simple case, `mmax_three_branch` the
 first bracket of a scan-bound table in its three-branch form, and
-`mmax_closed` the scan bound of one monomial read off the bracket tables.
+`mmax_closed` the scan bound of one monomial read off the bracket tables,
+whose widths `brackets` derives from a variable's drop and q.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from hkbinomial.classify import Classification
-from hkbinomial.closedform import _minc, _phi_value, _setup, g_chain
+from hkbinomial.closedform import MmaxParams, _minc, _phi_value, _setup, ceil_div, g_chain
 from hkbinomial.errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
-from hkbinomial.mmax import MmaxParams, ceil_div
 
 
-def widths(prm: MmaxParams):
+def brackets(prm: MmaxParams, qq: int):
+    """(excess, ktilde_last, a_prime) of a variable's bracket table.
+
+    Distance k = q - x from the top exponent, for k in [1, q - nmax], has
+    the scan bound floor((q - k - b)/a).  The first bracket (k = 1, ...,
+    1 + excess) has the top value, each further bracket of width a one
+    less; ktilde_last is the index of the last bracket (>= 1 by
+    convention) and a_prime its width, possibly zero.
+    """
+    K = qq - prm.nmax
+    excess = (qq - 1 - prm.b) % prm.a
+    kt = max(1, ceil_div(K - 1 - excess, prm.a))
+    return excess, kt, K - (1 + excess + prm.a * (kt - 1))
+
+
+def widths(prm: MmaxParams, qq: int):
     """Bracket widths [first, a, ..., a, last]; a zero-width last bracket is
     dropped so the list length equals the number of populated brackets."""
-    w = [1 + prm.excess]
-    w.extend([prm.a] * (prm.ktilde_last - 1))
-    if prm.a_prime > 0:
-        w.append(prm.a_prime)
+    excess, kt, a_prime = brackets(prm, qq)
+    w = [1 + excess]
+    w.extend([prm.a] * (kt - 1))
+    if a_prime > 0:
+        w.append(a_prime)
     return w
 
 
@@ -45,7 +61,7 @@ def levels_linear(cls, qq, params, p, n, naive=False):
         prm = params[i - 2]
         rec = cls.neg[i - 2]
         delta = Vr - V[i - 2]
-        w = widths(prm)
+        w = widths(prm, qq)
         L = len(w)
         const = (rec.nmax - rec.nmin) * gch.g_n[i - 2] + rec.nmin * qq ** (s + t + i - 2)
         if naive:
@@ -62,7 +78,7 @@ def levels_linear(cls, qq, params, p, n, naive=False):
         new = []
         for j in range(Vr):
             x = j - delta
-            stay = 0 if x < 0 else min(1 + prm.excess + prm.a * x, K)
+            stay = 0 if x < 0 else min(w[0] + prm.a * x, K)
             tail_from = max(x + 1, lo)
             tail = suffix[tail_from] if tail_from <= L else 0
             new.append(stay * level[j] + tail + const)
@@ -76,7 +92,7 @@ def hk_closed_form_linear(f, p, n, naive=False):
     r, s, t = cls.r, cls.s, cls.t
     level, gch, _ = levels_linear(cls, qq, params, p, n, naive=naive)
     rec = cls.neg[r - 1]
-    total = sum(w * level[jp] for jp, w in enumerate(widths(params[r - 1])))
+    total = sum(w * level[jp] for jp, w in enumerate(widths(params[r - 1], qq)))
     total += (rec.nmax - rec.nmin) * gch.g_n[r - 1] + rec.nmin * qq ** (s + t + r - 1)
     return total, level
 
@@ -251,11 +267,12 @@ def mmax_three_branch(a: int, b: int, qq: int):
     return m_div - y // a, y - d
 
 
-def bracket_index(prm: MmaxParams, k: int) -> int:
+def bracket_index(prm: MmaxParams, k: int, qq: int) -> int:
     """Bracket number of distance k: 0 for k <= 1+E, then one per width a."""
-    if k <= 1 + prm.excess:
+    excess = brackets(prm, qq)[0]
+    if k <= 1 + excess:
         return 0
-    return ceil_div(k - 1 - prm.excess, prm.a)
+    return ceil_div(k - 1 - excess, prm.a)
 
 
 def mmax_closed(A, cls: Classification, params, q) -> int:
@@ -269,7 +286,7 @@ def mmax_closed(A, cls: Classification, params, q) -> int:
     best = None
     for prm in params:
         k = qq - A[prm.var - 1]
-        val = prm.top_value - bracket_index(prm, k)
+        val = prm.top_value - bracket_index(prm, k, qq)
         if best is None or val < best:
             best = val
     return best

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -10,6 +11,7 @@ from hkbinomial import (
     DomainError,
     ParseError,
     PrimePower,
+    ResourceError,
     Term,
     ZeroCoefficientError,
     deglex_compare,
@@ -18,7 +20,7 @@ from hkbinomial import (
     parse_monomial,
     render,
 )
-from hkbinomial.algebra import GREATER, LESS, EQUAL
+from hkbinomial.algebra import GREATER, LESS, EQUAL, MR_EXACT_BELOW, is_prime
 from tests.conftest import random_binomials
 
 
@@ -164,3 +166,44 @@ def test_prime_power():
 def test_binomial_rejects_unise_lead():
     with pytest.raises(Exception):
         Binomial(p=5, m=2, lead=Term(1, (0, 2)), trail=Term(1, (3, 0)))
+
+
+def is_prime_trial(p: int) -> bool:
+    """Trial division by odd numbers up to the square root: O(sqrt p)."""
+    if p < 2:
+        return False
+    if p < 4:
+        return True
+    if p % 2 == 0:
+        return False
+    f = 3
+    while f * f <= p:
+        if p % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def test_is_prime_agrees_with_trial_division():
+    check = is_prime.__wrapped__  # uncached, so the cache is not flushed
+    assert [k for k in range(-5, 10**5) if check(k) != is_prime_trial(k)] == []
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not is_prime(3825123056546413051)  # strong pseudoprime to bases 2..23
+    assert not is_prime(318665857834031151167461)  # strong pseudoprime to bases 2..37
+
+
+@pytest.mark.parametrize("p", [2**61 - 1, 10**18 + 3])
+def test_is_prime_large_prime_is_fast(p):
+    started = time.perf_counter()
+    assert is_prime.__wrapped__(p)
+    assert time.perf_counter() - started < 0.01
+
+
+def test_is_prime_refuses_at_its_exact_bound():
+    assert MR_EXACT_BELOW == 3317044064679887385961981
+    for p in (MR_EXACT_BELOW, MR_EXACT_BELOW + 2, 10**40):
+        with pytest.raises(ResourceError) as err:
+            is_prime(p)
+        assert (err.value.required, err.value.budget) == (p, MR_EXACT_BELOW)

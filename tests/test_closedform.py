@@ -211,10 +211,8 @@ def test_tables_shape():
     value, tables, params = hk_closed_form_tables(F1, 5, 1)
     assert value == 10
     assert tables.g_n == (2,)
-    assert tables.d_consts == (2,)
-    assert tables.xtilde == (1,)
     assert tables.by_bound.length == 1 and tables.by_bound(0) == 4  # phi(1) = 2, times x1 = 3, 4
-    assert params[0].a_prime == 0
+    assert params[0].top_value == 1
 
 
 def test_piecewise_poly_values_and_prefix_sums():

@@ -12,7 +12,9 @@ larger binomials (q^m from 2*10^5 to 2*10^6, m = 2..5) checks that the
 closed form, where it applies, equals both engines.  The closed form's
 piecewise-polynomial sum by scan bound is also checked against the O(q)
 list fold of `tests/closedform_reference.py`, and each of its terms
-against a count over the shrinking exponents.
+against a count over the shrinking exponents.  Hypothesis draws of
+`direct_cases` check that auto `hk` equals both enumerating engines and
+that its value does not change under the drawn variable permutation.
 """
 
 import math
@@ -20,6 +22,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
 
 from hkbinomial import (
     HKError,
@@ -37,6 +40,7 @@ from hkbinomial import (
 )
 from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
 from tests.closedform_reference import hk_closed_form_linear, phi_product
+from tests.test_keycheck import direct_cases
 
 SEED = 20261018
 QM_CAP = 3 * 10**4
@@ -215,3 +219,13 @@ def _by_bound_brute(f, p, n):
 def test_auto_never_enumerates(corpus200, no_enumeration):
     for f, p, n in corpus200:
         assert hk(f, p, n).engine in ("monomial", "closed")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(direct_cases())
+def test_auto_closed_and_oracle_agree_on_drawn_cases(case):
+    f, q, permuted, _ = case
+    rep = hk(f, q.p, q.n)
+    assert rep.value == hk_oracle(f, q) == hk_direct_count(f, q)
+    moved = hk(permuted, q.p, q.n)
+    assert (moved.engine, moved.value) == (rep.engine, rep.value)

@@ -10,7 +10,7 @@ from hkbinomial import (
     parse_binomial,
 )
 from hkbinomial.classify import classify
-from tests.closedform_reference import bracket_index, mmax_closed, mmax_three_branch
+from tests.closedform_reference import bracket_index, brackets, mmax_closed, mmax_three_branch
 from tests.keycheck_reference import is_member
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
@@ -19,9 +19,10 @@ F1 = parse_binomial("x1^3 - x2^2", 5)
 def test_params_worked_instance():
     prm = mmax_params(classify(F1), 5, 1)[0]
     assert (prm.a, prm.b) == (3, 0)
-    assert (prm.top_value, prm.excess) == (1, 1)  # 4 = 3*1 + 1
-    assert prm.ktilde_last == 1
-    assert prm.a_prime == 0
+    excess, ktilde_last, a_prime = brackets(prm, 5)
+    assert (prm.top_value, excess) == (1, 1)  # 4 = 3*1 + 1
+    assert ktilde_last == 1
+    assert a_prime == 0
 
 
 def test_params_exact_division_branch():
@@ -30,7 +31,7 @@ def test_params_exact_division_branch():
     cls = classify(f)
     assert (cls.neg[0].a, cls.neg[0].b) == (2, 0)
     prm = mmax_params(cls, 3, 2)[0]
-    assert (prm.top_value, prm.excess) == (4, 0)
+    assert (prm.top_value, brackets(prm, 9)[0]) == (4, 0)
 
 
 def test_params_large_b_branch():
@@ -41,7 +42,7 @@ def test_params_large_b_branch():
     with pytest.raises(NotApplicableError):
         mmax_params(cls, 3, 1)  # q = 3 <= nmax = 5
     prm = mmax_params(cls, 3, 2)[0]  # q = 9, rem(8, 2) = 0, y = 4: 8 - 3 = 2*(4 - 2) + 1
-    assert (prm.top_value, prm.excess) == (2, 1)
+    assert (prm.top_value, brackets(prm, 9)[0]) == (2, 1)
 
 
 def test_params_small_remainder_branch():
@@ -50,7 +51,7 @@ def test_params_small_remainder_branch():
     cls = classify(f)
     assert (cls.neg[0].a, cls.neg[0].b) == (3, 2)
     prm = mmax_params(cls, 5, 2)[0]
-    assert (prm.top_value, prm.excess) == (7, 1)  # 22 = 3*7 + 1
+    assert (prm.top_value, brackets(prm, 25)[0]) == (7, 1)  # 22 = 3*7 + 1
 
 
 def test_three_branch_form_is_divmod():
@@ -91,22 +92,23 @@ def test_bracket_partition_exact(corpus_small):
             continue
         qq = p**n
         for prm in params:
-            assert 0 <= prm.excess < prm.a
-            assert 0 <= prm.a_prime <= prm.a
+            excess, _, a_prime = brackets(prm, qq)
+            assert 0 <= excess < prm.a
+            assert 0 <= a_prime <= prm.a
             K = qq - prm.nmax
             # brackets tile [1, K] with the predicted widths
             widths = {}
             for k in range(1, K + 1):
-                j = bracket_index(prm, k)
+                j = bracket_index(prm, k, qq)
                 widths[j] = widths.get(j, 0) + 1
                 # table value agrees with the direct floor form
                 assert prm.top_value - j == (qq - k - prm.b) // prm.a
-            assert widths.get(0) == min(1 + prm.excess, K)
+            assert widths.get(0) == min(1 + excess, K)
             top = max(widths)
             for j in range(1, top):
                 assert widths[j] == prm.a
             if top >= 1:
-                assert widths[top] == (prm.a_prime if prm.a_prime > 0 else prm.a)
+                assert widths[top] == (a_prime if a_prime > 0 else prm.a)
 
 
 def test_closed_equals_scanned_brute(corpus_small):
