@@ -1,34 +1,32 @@
-"""Multiplicities: exact integers in two variables, estimates beyond.
+"""Multiplicities: the exact Hilbert-Kunz quasi-polynomial.
 
-The length grows like c * q^d with d = m - 1.  In two variables c is an
-integer with a closed-form case split; the estimator's exact-rational
-samples converge to it.  In three or more variables the tool reports the
-rational samples and the convergence gap without claiming a closed form.
+Past a bound n0, HK(p^n) is a polynomial in q = p^n on each class of n
+modulo a period pi, which the closed form's cuts determine.  Its q^(m-1)
+coefficient, the same on every class, is the multiplicity e_HK: an
+integer in two variables, a rational in more.
 """
 
-from hkbinomial import (
-    estimate_multiplicity,
-    hk_1dim,
-    hk_multiplicity_1dim,
-    parse_binomial,
-    render,
-)
+from hkbinomial import hk, hk_quasi_polynomial, parse_binomial, render
 
-print("Two variables: the closed form pins the integer.")
-for poly, p in [("x1^3 - x2^2", 5), ("x1^3*x2 - x1*x2", 3), ("x2^5 - x1*x2^2", 5)]:
+
+def poly_text(coeffs):
+    terms = [f"({a})*q^{k}" for k, a in enumerate(coeffs) if a]
+    return " + ".join(reversed(terms)) or "0"
+
+
+for poly, p in [
+    ("x1^3 - x2^2", 5),
+    ("x2^5 - x1*x2^2", 5),
+    ("x1^2*x2 - x2*x3", 3),
+    ("x1^9*x2^2*x3 - x2^5*x3^9*x4^2", 2),
+]:
     f = parse_binomial(poly, p)
-    c, case = hk_multiplicity_1dim(f)
-    rep = estimate_multiplicity(f, p, range(1, 4))
-    ests = ", ".join(str(e) for _, _, e in rep.samples)
-    print(f"  {render(f):<22} case {case:<7} multiplicity {c}; estimates {ests}"
-          f" -> limit {rep.limit}")
-    for n in (1, 2, 3):
-        v, _ = hk_1dim(f, p, n)
-        print(f"      n={n}: closed two-variable value {v}")
-
-print("\nThree variables: exact rationals and a convergence flag only.")
-f = parse_binomial("x1^2*x2 - x2*x3", 3)
-rep = estimate_multiplicity(f, 3, range(1, 5))
-for n, v, est in rep.samples:
-    print(f"  n={n}: value {v:>6}  value/q^2 = {est} (~{float(est):.5f})")
-print(f"  converged: {rep.converged} (last gap {rep.gap})")
+    qp = hk_quasi_polynomial(f, p)
+    print(f"{render(f)} over F_{p}: e_HK = {qp.e_hk}, n0 = {qp.n0}, period {qp.period}")
+    for c, coeffs in enumerate(qp.classes):
+        print(f"  n = {c} (mod {qp.period}): HK = {poly_text(coeffs)}")
+    n = qp.n0 + (f.m + 1) * qp.period  # past the n the polynomials were fitted at
+    q = p**n
+    value = sum(a * q**k for k, a in enumerate(qp.classes[n % qp.period]))
+    assert value == hk(f, p, n).value
+    print(f"  at n = {n} the class polynomial gives hk's value, {len(str(value))} digits")

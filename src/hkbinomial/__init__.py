@@ -45,12 +45,7 @@ from .keycheck import (
     hk_direct_count,
     member_scan,
 )
-from .multiplicity import (
-    MultiplicityReport,
-    estimate_multiplicity,
-    hk_1dim,
-    hk_multiplicity_1dim,
-)
+from .multiplicity import QuasiPolynomial, hk_1dim, hk_quasi_polynomial
 from .oracle import hk_oracle, hk_oracle_report
 
 __version__ = "0.1.0"
@@ -62,21 +57,20 @@ __all__ = [
     "HKReport",
     "MembershipResult",
     "MmaxParams",
-    "MultiplicityReport",
     "PrimePower",
+    "QuasiPolynomial",
     "Term",
     "classify",
     "classification_summary",
     "cross_check",
     "deglex_compare",
-    "estimate_multiplicity",
     "g_chain",
     "hk",
     "hk_1dim",
     "hk_closed_form",
     "hk_closed_form_tables",
     "hk_direct_count",
-    "hk_multiplicity_1dim",
+    "hk_quasi_polynomial",
     "hk_oracle",
     "hk_oracle_report",
     "load_corpus",

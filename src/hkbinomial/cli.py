@@ -1,12 +1,12 @@
 """Command-line front end.
 
-Subcommands: hk (single value), table (values over a range of n), mult,
-classify, trace, check.  Exit codes: 0 success, 1 computational mismatch
-from check, 2 usage error, 3 resource budget exceeded (including a value
-too long for the interpreter to write in decimal).
+Subcommands: hk (single value), table (values over a range of n), mult
+(the exact quasi-polynomial and e_HK), classify, trace, check.  Exit codes:
+0 success, 1 computational mismatch from check, 2 usage error, 3 resource
+budget exceeded (including a value too long to write in decimal).
 
 Each subcommand takes only the flags it reads: all take --format (csv
-for table and mult only); hk, table and check the budgets --enum-cap and
+for table only); hk, table and check the budgets --enum-cap and
 --oracle-cap; hk --verbose; check --workers.  Any other flag is a usage
 error.  Defaults other than --format plain are `Config`'s.
 
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -28,7 +29,7 @@ from .classify import classify, classification_summary
 from .engines import ENGINES, Config, cross_check, decimal_str, hk, jsonable_int, load_corpus
 from .errors import HKError, ResourceError
 from .keycheck import member_scan
-from .multiplicity import estimate_multiplicity
+from .multiplicity import hk_quasi_polynomial
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -65,9 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--n-range", required=True, help="a..b inclusive")
     p_table.add_argument("--engine", choices=ENGINES, default="auto")
 
-    p_mult = command("mult", "multiplicity estimates", ("plain", "json", "csv"))
-    p_mult.add_argument("--n-range", required=True, help="a..b inclusive")
-
+    command("mult", "exact Hilbert-Kunz quasi-polynomial and multiplicity")
     command("classify", "variable classification")
 
     p_trace = command("trace", "membership scan for one monomial")
@@ -101,9 +100,22 @@ def _parse_range(text: str):
     return range(lo, hi + 1)
 
 
+def _refuse_unwritable(f, p: int, n: int, engine: str):
+    """Refuse before computing when HK(q) >= q^(m-1) (Kunz) already has more
+    digits than the interpreter writes; direct's and oracle's budgets refuse
+    far below that size."""
+    limit = sys.get_int_max_str_digits()
+    below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))  # past float error
+    digits = math.floor(n * (f.m - 1) * below_log10_p) + 1
+    if engine in ("auto", "closed") and 0 < limit < digits:
+        raise ResourceError(f"the value has at least {digits} decimal digits (HK(q) >= "
+                            f"q^{f.m - 1}), over the interpreter's limit of {limit}", digits, limit)
+
+
 def _cmd_hk(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
+    _refuse_unwritable(f, args.p, args.n, args.engine)
     rep = hk(f, args.p, args.n, engine=args.engine, config=cfg)
     if args.format == "json":
         _dump_json(rep.json_dict())
@@ -117,12 +129,13 @@ def _cmd_hk(args) -> int:
 def _cmd_table(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
-    d = f.m - 1
+    ns = _parse_range(args.n_range)
+    _refuse_unwritable(f, args.p, ns[-1], args.engine)
     rows = []  # every integer as text before anything is printed
-    for n in _parse_range(args.n_range):
+    for n in ns:
         rep = hk(f, args.p, n, engine=args.engine, config=cfg)
         value = decimal_str(rep.value)  # first, so a refusal names the value's digits, as hk's
-        est = Fraction(rep.value, rep.q**d)
+        est = Fraction(rep.value, rep.q ** (f.m - 1))
         num, den = decimal_str(est.numerator), decimal_str(est.denominator)
         rows.append((n, jsonable_int(rep.q), value, rep.engine, num, den))
     if args.format == "json":
@@ -143,32 +156,22 @@ def _cmd_table(args) -> int:
 
 def _cmd_mult(args) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
-    rep = estimate_multiplicity(f, args.p, _parse_range(args.n_range))
-    data = rep.json_dict()  # every integer as text before anything is printed
+    qp = hk_quasi_polynomial(f, args.p)
+    data = qp.json_dict()  # every fraction as text before anything is printed
     if args.format == "json":
         _dump_json({"data": data})
         return EXIT_OK
-    if args.format == "csv":
-        qs = [decimal_str(args.p ** n) for n, _, _ in rep.samples]
-        print("n,q,hk,estimate_num,estimate_den")
-        for q, row in zip(qs, data["samples"]):
-            est = row["estimate"]
-            print(f"{row['n']},{q},{row['hk']},{est['num']},{est['den']}")
-        return EXIT_OK
-    for (_, _, est), row in zip(rep.samples, data["samples"]):
-        text = _fraction_text(row["estimate"])
-        print(f"n={row['n']} hk={row['hk']} estimate={text} (~{float(est):.6g})")
-    print(f"converged: {rep.converged}")
-    if data["limit"] is not None:
-        print(f"difference-quotient limit: {_fraction_text(data['limit'])}")
-    if rep.exact is not None:
-        print(f"exact (m=2, case {rep.exact[1]}): {rep.exact[0]}")
+    print(f"e_HK = {data['e_hk']}")
+    print(f"for n >= {qp.n0}, period {qp.period} in n, with q = {args.p}^n:")
+    for row in data["classes"]:
+        print(f"  n = {row['residue']} (mod {qp.period}): HK = {_poly_text(row['coefficients'])}")
     return EXIT_OK
 
 
-def _fraction_text(frac: dict) -> str:
-    """str(Fraction) from its {"num", "den"} payload."""
-    return frac["num"] if frac["den"] == "1" else f"{frac['num']}/{frac['den']}"
+def _poly_text(coefficients) -> str:
+    """A polynomial in q from its coefficients, lowest degree first, as text."""
+    terms = [f"{c}*q^{k}" for k, c in enumerate(coefficients) if c != "0"]
+    return " + ".join(reversed(terms)).replace("+ -", "- ") or "0"
 
 
 def _cmd_classify(args) -> int:

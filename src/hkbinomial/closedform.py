@@ -260,16 +260,15 @@ class ClosedFormTables:
     by_bound: PiecewisePoly  # x -> the non-members whose scan bound is x + 1, on [0, V)
 
 
-def _setup(f: Binomial, p: int, n: int):
-    qq = check_field(f, p, n).q
-    cls = classify(f)
-    if is_monomial_shape(cls, qq):
-        raise NotApplicableError(
-            "no growing variable, or a lead exponent is >= q: "
-            "the length is the trail complement count"
-        )
-    params = mmax_params(cls, p, n)
-    return cls, qq, params
+def scan_cuts(cls: Classification, qq: int) -> list:
+    """(rate, x = M - 1) per cut of the count by scan bound: V_i - 1 per
+    shrinking variable, where minc caps and where h hits 0 per growing one.
+    x is q/rate plus an offset, constant on a class of q mod rate and at
+    most (E + 1)/rate + 2 in size, E the largest exponent."""
+    cuts = [(N.a, (qq - 1 - N.b) // N.a - 1) for N in cls.neg]
+    for P in cls.pos:
+        cuts += [(P.dp, ceil_div(qq - P.pmin, P.dp) - 1), (P.dp, (qq - P.pmax) // P.dp)]
+    return cuts
 
 
 def _assemble(f: Binomial, p: int, n: int):
@@ -284,7 +283,11 @@ def _assemble(f: Binomial, p: int, n: int):
     non-member exactly when the trail does not divide it, counted by
     inclusion-exclusion.
     """
-    cls, qq, params = _setup(f, p, n)
+    qq, cls = check_field(f, p, n).q, classify(f)
+    if is_monomial_shape(cls, qq):
+        raise NotApplicableError("no growing variable, or a lead exponent is >= q: "
+                                 "the length is the trail complement count")
+    params = mmax_params(cls, p, n)
     V = min(prm.top_value for prm in params)
     if V < 1:
         raise FormulaDomainError("top scan bound below 1")
@@ -292,12 +295,9 @@ def _assemble(f: Binomial, p: int, n: int):
     def at_least(M):
         return prod(max(0, qq - prm.nmax - prm.a * (M - 1)) for prm in params)
 
-    breaks = {V - 1}  # x = M - 1: phi changes formula where minc caps and where h hits 0
-    for P in cls.pos:
-        breaks.update((ceil_div(qq - P.pmin, P.dp) - 1, (qq - P.pmax) // P.dp))
     by_bound = PiecewisePoly(
         lambda x: _phi_value(x + 1, cls, qq) * (at_least(x + 1) - at_least(x + 2)),
-        V, breaks, cls.t + cls.r - 1,
+        V, [x for _, x in scan_cuts(cls, qq)], cls.t + cls.r - 1,
     )
     past_lead, past_trail = at_least(1), prod(qq - N.nmin for N in cls.neg)
     rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]

@@ -207,20 +207,14 @@ class CheckReport:
 
 def _check_instance(item, cfg: Config):
     f, p, n = item
-    values = {}
-    skipped = {}
-    try:
-        values["closed"] = hk(f, p, n, engine="closed", config=cfg).value
-    except NotApplicableError as exc:
-        skipped["closed"] = f"not applicable: {exc}"
-    try:
-        values["direct"] = hk(f, p, n, engine="direct", config=cfg).value
-    except ResourceError as exc:
-        skipped["direct"] = f"budget: {exc}"
-    try:
-        values["oracle"] = hk(f, p, n, engine="oracle", config=cfg).value
-    except ResourceError as exc:
-        skipped["oracle"] = f"budget: {exc}"
+    values, skipped = {}, {}
+    for engine, refusal, why in (("closed", NotApplicableError, "not applicable"),
+                                 ("direct", ResourceError, "budget"),
+                                 ("oracle", ResourceError, "budget")):
+        try:
+            values[engine] = hk(f, p, n, engine=engine, config=cfg).value
+        except refusal as exc:
+            skipped[engine] = f"{why}: {exc}"
     agree = len(set(values.values())) <= 1
     return {
         "poly": render(f),
@@ -263,5 +257,8 @@ def load_corpus(path: str) -> list:
                     raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")
                 out.append((parse_binomial(obj["poly"], p), p, n))
             except (KeyError, TypeError, ValueError, HKError) as exc:
-                raise HKError(f"{path}:{lineno}: bad corpus entry: {exc}") from exc
+                msg = f"{path}:{lineno}: bad corpus entry: {exc}"
+                if isinstance(exc, ResourceError):  # keeps its type and keys: exit 3, not 2
+                    raise ResourceError(msg, exc.required, exc.budget) from exc
+                raise HKError(msg) from exc
     return out

@@ -1,26 +1,25 @@
-"""Multiplicities: exact two-variable closed forms and a general estimator.
+"""Multiplicities: the exact Hilbert-Kunz quasi-polynomial of a binomial.
 
-For hypersurfaces the leading behaviour of the length is c * q^d with
-d = m - 1.  In two variables c is an integer with a short case split, and
-the whole length function has an exact O(1) evaluation obtained by
-integrating the block counts over the bracket table in three regimes
-(the middle regime never holds more than one scan bound).
-
-The general estimator reports exact rationals only and never claims a
-closed-form value for m >= 3.
+Past n0, HK(p^n) is a polynomial in q = p^n on each class of n modulo a
+period pi; its q^(m-1) coefficient, the same on every class, is the
+multiplicity e_HK, rational, and an integer when m = 2.  `hk_1dim` is the
+m = 2 length by the classical case split.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, log
 
 from .algebra import Binomial, check_field
 from .classify import classify
-from .closedform import ceil_div, is_monomial_shape, trail_complement_count
-from .errors import DomainError
+from .closedform import ceil_div, is_monomial_shape, scan_cuts, trail_complement_count
+from .errors import ContractError, DomainError, ResourceError
 from . import engines as _engines
 from .engines import decimal_str
+
+WORK_BUDGET = 3 * 10**11  # hk_quasi_polynomial's most work, as its `work` measures it
 
 
 def _two_variable_case(f: Binomial):
@@ -75,85 +74,87 @@ def hk_1dim(f: Binomial, p: int, n: int):
     return total, label
 
 
-def hk_multiplicity_1dim(f: Binomial):
-    """The integer multiplicity in two variables, with its case label."""
-    cls, label = _two_variable_case(f)
-    if cls.t == 0:
-        return f.trail.exps[0] + f.trail.exps[1], label
-    return cls.pos[0].pmax + cls.neg[0].nmin, label
+@dataclass(frozen=True)
+class QuasiPolynomial:
+    """HK(p^n) = sum_k classes[n % period][k] * q^k for every n >= n0."""
 
-
-@dataclass
-class MultiplicityReport:
-    d: int
+    m: int
     p: int
-    samples: list  # (n, length, Fraction(length, q^d))
-    exact: tuple | None  # (integer, case label) when m = 2
-    converged: bool
-    gap: Fraction | None  # last consecutive-estimate gap
-    limit: Fraction | None  # difference-quotient value, d = 1 only
+    n0: int
+    period: int
+    classes: tuple  # per residue of n: Fractions, the coefficients of q^0 .. q^(m-1)
+    e_hk: Fraction  # the q^(m-1) coefficient, the same on every class
 
     def json_dict(self) -> dict:
-        """Integers as decimal strings; ResourceError when one is too long."""
-
-        def frac(x):
-            if x is None:
-                return None
-            return {"num": decimal_str(x.numerator), "den": decimal_str(x.denominator)}
-
-        return {
-            "d": self.d,
-            "p": self.p,
-            "samples": [
-                {"n": n, "hk": decimal_str(v), "estimate": frac(e)}
-                for n, v, e in self.samples
-            ],
-            "exact": None
-            if self.exact is None
-            else {"value": str(self.exact[0]), "case": self.exact[1]},
-            "converged": self.converged,
-            "gap": frac(self.gap),
-            "limit": frac(self.limit),
-        }
+        """Fractions as strings ("7/2"); ResourceError when one is too long."""
+        classes = [{"residue": c, "coefficients": [fraction_str(x) for x in coeffs]}
+                   for c, coeffs in enumerate(self.classes)]
+        return {"m": self.m, "p": self.p, "n0": self.n0, "period": self.period,
+                "e_hk": fraction_str(self.e_hk), "classes": classes}
 
 
-def estimate_multiplicity(f: Binomial, p: int, n_range) -> MultiplicityReport:
-    """Exact-rational multiplicity estimates over a range of exponents.
+def fraction_str(x: Fraction) -> str:
+    """str(x), as `decimal_str` writes each integer."""
+    num = decimal_str(x.numerator)
+    return num if x.denominator == 1 else f"{num}/{decimal_str(x.denominator)}"
 
-    Ratios length / q^d are exact fractions.  Convergence is flagged when
-    the last consecutive gap is at most C / q with C calibrated from the
-    first gap.  In two variables the report also carries the difference
-    quotient of the last two samples, which is exact once the length has
-    entered its eventually-affine regime, plus the closed-form integer.
-    Each sample is auto `hk`, which never enumerates.
+
+def hk_quasi_polynomial(f: Binomial, p: int) -> QuasiPolynomial:
+    """The exact quasi-polynomial of HK(p^n), and e_HK.
+
+    Past n0, q exceeds every exponent and no two cuts of the count by scan
+    bound (`scan_cuts`, and 0) change order: cuts of rates r1 < r2 differ
+    by q/r1 - q/r2 less their offsets.  With pi the order of p modulo the
+    part prime to p of L, the lcm of the rates, q mod L is fixed on each
+    class n = c (mod pi), so each cut is affine in q there, and HK, a sum
+    of polynomials over pieces with affine ends, is a polynomial in q of
+    degree <= m (0 <= HK <= q^m): m + 1 auto `hk` values fix it.  Raises
+    ResourceError, before any of them, when the work is over WORK_BUDGET;
+    ContractError on a q^m term or classes with different e_HK.
     """
-    d = f.m - 1
-    samples = []
-    for n in sorted(set(n_range)):
-        rep = _engines.hk(f, p, n)
-        samples.append((n, rep.value, Fraction(rep.value, p ** (n * d))))
-    exact = None
-    if f.m == 2:
-        exact = hk_multiplicity_1dim(f)
-    gap = None
-    converged = False
-    if len(samples) >= 2:
-        gaps = [
-            abs(samples[i + 1][2] - samples[i][2]) for i in range(len(samples) - 1)
-        ]
-        gap = gaps[-1]
-        calib = gaps[0] * p ** samples[1][0]  # C from the first difference
-        converged = gap <= calib * Fraction(1, p ** samples[-1][0])
-    limit = None
-    if d == 1 and len(samples) >= 2:
-        (na, va, _), (nb, vb, _) = samples[-2], samples[-1]
-        limit = Fraction(vb - va, p**nb - p**na)
-    return MultiplicityReport(
-        d=d,
-        p=p,
-        samples=samples,
-        exact=exact,
-        converged=converged,
-        gap=gap,
-        limit=limit,
-    )
+    check_field(f, p, 1)
+    m, cls = f.m, classify(f)
+    E = max(f.lead.exps + f.trail.exps)
+    rates = sorted({rate for rate, _ in scan_cuts(cls, p)}) if cls.t else []
+    bound = E + 1 + 2 * rates[-1] if rates else E  # every cut above 0 past this q
+    for i, r1 in enumerate(rates):
+        for r2 in rates[i + 1 :]:
+            bound = max(bound, ((E + 1) * (r1 + r2) + 4 * r1 * r2) // (r2 - r1))
+    n0 = max(1, int(log(bound, p)) - 1)  # then the least n with p^n > bound
+    while p**n0 <= bound:
+        n0 += 1
+    L = lcm(*rates)
+    while L % p == 0:
+        L //= p
+
+    def work(period):  # its hk values times m times the squared bits of the largest q^m
+        return period * (m + 1) * m * (m * (n0 + period * (m + 1)) * p.bit_length()) ** 2
+
+    period = 1  # the order of p mod L, or the least period whose work is over the budget
+    while pow(p, period, L) != 1 % L and work(period) <= WORK_BUDGET:
+        period += 1
+    if work(period) > WORK_BUDGET:
+        raise ResourceError(f"the quasi-polynomial needs at least {work(period)} units of "
+                            f"work, over the budget of {WORK_BUDGET}", work(period), WORK_BUDGET)
+    classes = []
+    for c in range(period):
+        ns = [n0 + (c - n0) % period + k * period for k in range(m + 1)]
+        coeffs = _interpolate([p**n for n in ns], [_engines.hk(f, p, n).value for n in ns])
+        if coeffs[m]:
+            raise ContractError(f"HK has a q^{m} term on the class {c} mod {period}")
+        classes.append(tuple(coeffs[:m]))
+    if len({coeffs[-1] for coeffs in classes}) > 1:
+        raise ContractError("the classes' q^(m-1) coefficients differ")
+    return QuasiPolynomial(m, p, n0, period, tuple(classes), classes[0][-1])
+
+
+def _interpolate(xs, ys) -> list:
+    """Coefficients, lowest degree first, of the polynomial through the
+    points: Newton's divided differences, expanded by Horner's rule."""
+    d = [Fraction(y) for y in ys]
+    for j in range(1, len(xs)):
+        d[j:] = [(b - a) / (xs[i + j] - xs[i]) for i, (a, b) in enumerate(zip(d[j - 1 :], d[j:]))]
+    coeffs = [0] * len(xs)  # the top coefficient of each product by x - xs[i] is 0
+    for x, di in zip(xs[::-1], d[::-1]):
+        coeffs = [di - x * coeffs[0]] + [a - x * b for a, b in zip(coeffs, coeffs[1:])]
+    return coeffs

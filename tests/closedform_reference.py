@@ -17,8 +17,11 @@ whose widths `brackets` derives from a variable's drop and q.
 import itertools
 from dataclasses import dataclass
 
-from hkbinomial.classify import Classification
-from hkbinomial.closedform import MmaxParams, _minc, _phi_value, _setup, ceil_div, g_chain
+from hkbinomial.algebra import check_field
+from hkbinomial.classify import Classification, classify
+from hkbinomial.closedform import (
+    MmaxParams, _minc, _phi_value, ceil_div, g_chain, is_monomial_shape, mmax_params,
+)
 from hkbinomial.errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
 
 
@@ -88,7 +91,10 @@ def levels_linear(cls, qq, params, p, n, naive=False):
 
 def hk_closed_form_linear(f, p, n, naive=False):
     """Closed-form total from the list fold; returns (total, outermost level)."""
-    cls, qq, params = _setup(f, p, n)
+    qq, cls = check_field(f, p, n).q, classify(f)
+    if is_monomial_shape(cls, qq):
+        raise NotApplicableError("the length is the trail complement count")
+    params = mmax_params(cls, p, n)
     r, s, t = cls.r, cls.s, cls.t
     level, gch, _ = levels_linear(cls, qq, params, p, n, naive=naive)
     rec = cls.neg[r - 1]

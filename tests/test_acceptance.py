@@ -7,7 +7,6 @@ lines alongside pytest's own verdicts.
 import itertools
 import random
 import time
-from fractions import Fraction
 
 import pytest
 
@@ -22,17 +21,17 @@ from hkbinomial import (
     hk_1dim,
     hk_closed_form,
     hk_direct_count,
-    hk_multiplicity_1dim,
     hk_oracle,
+    hk_quasi_polynomial,
     mmax_params,
     normalize,
     parse_binomial,
     phi_recursive,
-    estimate_multiplicity,
 )
 from hkbinomial.classify import classify
 from tests.closedform_reference import mmax_closed, phi_closed_simple
 from tests.keycheck_reference import is_member
+from tests.multiplicity_reference import hk_multiplicity_1dim
 from tests.oracle_reference import build_relation_graph
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
@@ -55,8 +54,8 @@ def test_criterion_1_worked_instance_exactness():
     for n in range(1, 5):
         assert hk(F1, 5, n).value == 2 * 5**n
     assert hk_multiplicity_1dim(F1) == (2, "I(ii)")
-    rep = estimate_multiplicity(F1, 5, range(1, 4))
-    assert rep.limit == 2 and rep.converged
+    qp = hk_quasi_polynomial(F1, 5)
+    assert qp.e_hk == 2 and set(qp.classes) == {(0, 2)}  # HK = 2q on every class
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"took {elapsed:.3f}s"
     print(f"\nPASS criterion 1: worked instance exact on all engines ({elapsed:.3f}s)")
@@ -174,29 +173,26 @@ def test_criterion_6_zero_difference_family():
     print("\nPASS criterion 6: 20 zero-difference binomials match the affine form")
 
 
-def test_criterion_7_integer_multiplicity_dimension_one():
+def test_criterion_7_integer_multiplicity_dimension_one(corpus200):
+    # the exact e_HK is an integer, the case split's, on every m = 2 binomial
     rng = random.Random(707)
-    done = 0
-    while done < 50:
+    drawn = []
+    while len(drawn) < 50:
         p = rng.choice([3, 5])
         e2 = (rng.randint(0, 4), rng.randint(0, 4))
         e1 = (rng.randint(0, 4), rng.randint(0, 4))
         try:
-            f = normalize(p, Term(rng.randint(1, p - 1), e2), Term(rng.randint(1, p - 1), e1))
+            drawn.append(
+                normalize(p, Term(rng.randint(1, p - 1), e2), Term(rng.randint(1, p - 1), e1))
+            )
         except HKError:
             continue
-        rep = estimate_multiplicity(f, p, range(1, 4))
-        c, _ = hk_multiplicity_1dim(f)
-        assert rep.converged, (f, p)
-        n_last = rep.samples[-1][0]
-        est_last = rep.samples[-1][2]
-        gap0 = abs(rep.samples[1][2] - rep.samples[0][2])
-        tol = gap0 * p ** rep.samples[1][0] * Fraction(1, p**n_last)
-        err = abs(est_last - Fraction(c))
-        assert err <= tol, (f, p, est_last, c, tol)
-        assert err < Fraction(1, 2), (f, p, est_last, c)  # c is the nearest integer
-        done += 1
-    print("\nPASS criterion 7: 50 two-variable multiplicities converge to their integers by n=3")
+    fs = [f for f, _, _ in corpus200 if f.m == 2] + drawn
+    for f in fs:
+        e_hk = hk_quasi_polynomial(f, f.p).e_hk
+        assert e_hk.denominator == 1, (f, e_hk)
+        assert e_hk == hk_multiplicity_1dim(f)[0], (f, e_hk)
+    print(f"\nPASS criterion 7: {len(fs)} two-variable multiplicities are their exact integers")
 
 
 def test_criterion_8_invariance_suite(corpus200):
@@ -243,7 +239,7 @@ def test_criterion_9_performance_separation(corpus200):
     for f, p, n in corpus200:
         if f.m != 2:
             continue
-        c, _ = hk_multiplicity_1dim(f)
+        c = hk_quasi_polynomial(f, f.p).e_hk
         maxexp = max(max(f.lead.exps), max(f.trail.exps))
         for nn in range(1, 5):
             remainder = abs(hk(f, p, nn, config=Config()).value - c * p**nn)

@@ -151,22 +151,25 @@ def test_trace_json_steps(capsys):
 
 
 def test_mult_plain(capsys):
-    code, out, _ = run_cli(
-        capsys, ["mult", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..3"]
-    )
+    code, out, _ = run_cli(capsys, ["mult", "--poly", "x1^3 - x2^2", "--p", "5"])
     assert code == 0
-    assert "estimate=2" in out
-    assert "exact (m=2, case I(ii)): 2" in out
-    code, out, _ = run_cli(
-        capsys, ["mult", "--poly", "x1^2*x2 - x2*x3", "--p", "3", "--n-range", "1..3"]
+    assert out.splitlines() == [
+        "e_HK = 2",
+        "for n >= 3, period 2 in n, with q = 5^n:",
+        "  n = 0 (mod 2): HK = 2*q^1",
+        "  n = 1 (mod 2): HK = 2*q^1",
+    ]
+    code, out, _ = run_cli(capsys, ["mult", "--poly", "x1^2*x2 - x2*x3", "--p", "3"])
+    assert (code, out.splitlines()[0], out.splitlines()[-1]) == (
+        0, "e_HK = 2", "  n = 0 (mod 1): HK = 2*q^2 - 1*q^1"
     )
-    assert code == 0
-    assert "n=3 hk=" in out and "converged:" in out
-    assert "exact" not in out
+    code, out, _ = run_cli(capsys, ["mult", "--poly", "x1^9*x2^2*x3 - x2^5*x3^9*x4^2", "--p", "2"])
+    assert (code, out.splitlines()[0]) == (0, "e_HK = 310/27")
+    assert "  n = 3 (mod 6): HK = 310/27*q^3 - 205/9*q^2 - 68/3*q^1 + 16/27*q^0" in out.splitlines()
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
-@pytest.mark.parametrize("command", ["hk", "table", "mult"])
+@pytest.mark.parametrize("command", ["hk", "table"])
 def test_value_over_digit_limit_exits_3(capsys, command, fmt):
     # HK(5^6200) has more decimal digits than the interpreter writes (4300 by default)
     argv = [command, "--poly", "x1^3*x2 - x2^2*x3^2", "--p", "5", "--format", fmt]
@@ -176,20 +179,38 @@ def test_value_over_digit_limit_exits_3(capsys, command, fmt):
     if fmt == "json":
         error = json.loads(err)["error"]
         assert error["type"] == "ResourceError"
-        # both formats name the same integer: the value's 8668 digits, not q's 4334
+        # both formats name the same integer: the value's 8668 digits (from q^2), not q's 4334
         _, _, plain = run_cli(capsys, argv + ["--format", "plain"])  # the last --format wins
-        assert plain.startswith(f"error: an integer of {error['required']} decimal digits ")
+        assert plain.startswith(f"error: the value has at least {error['required']} decimal digits ")
     else:
-        assert err.startswith("error: an integer of ") and len(err.splitlines()) == 1
+        assert err.startswith("error: the value has at least ") and len(err.splitlines()) == 1
 
 
 def test_digit_limit_names_the_value_in_every_subcommand(capsys):
-    # HK(5^6159) = 2q has 4306 digits and q = 5^6159 has 4305; all three name the value
-    ns = ["--n-range", "6159..6159"]
-    for argv in (["hk", "--n", "6159"], ["table"] + ns, ["mult"] + ns):
-        code, out, err = run_cli(capsys, argv + ["--poly", "x1^3 - x2^2", "--p", "5"])
+    # q = 5^6151 has 4300 digits, at the limit, so only the exact check after
+    # computing refuses HK(q) = 5q - 6, and both name its 4301 digits
+    ns = ["--n-range", "6151..6151"]
+    for argv in (["hk", "--n", "6151"], ["table"] + ns):
+        code, out, err = run_cli(capsys, argv + ["--poly", "x1^3*x2^3 - x1^2*x2^3", "--p", "5"])
         assert (code, out) == (3, "")
-        assert err.startswith("error: an integer of 4306 decimal digits "), argv
+        assert err.startswith("error: an integer of 4301 decimal digits "), argv
+
+
+@pytest.mark.parametrize(
+    "argv", [["hk", "--n", "1000000"], ["table", "--n-range", "1..1000000"]], ids=["hk", "table"]
+)
+def test_value_too_long_by_kunz_bound_refuses_before_computing(capsys, argv):
+    # HK(q) >= q^2 = 5^2000000 has 1397941 digits; computing took 21.7 s
+    argv = argv + ["--poly", "x1^3*x2 - x2^2*x3^2", "--p", "5"]
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert time.perf_counter() - started < 0.25
+    error = json.loads(err)["error"]
+    assert (code, out, error["type"]) == (3, "", "ResourceError")
+    assert (error["required"], error["budget"]) == (1397941, sys.get_int_max_str_digits())
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: the value has at least 1397941 decimal digits ")
 
 
 @pytest.mark.parametrize(
@@ -314,7 +335,7 @@ def test_check_mismatch_exit_code(tmp_path, capsys, monkeypatch):
 _BASE_ARGV = {
     "hk": ["--poly", "x1^3 - x2^2", "--p", "5", "--n", "1"],
     "table": ["--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2"],
-    "mult": ["--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2"],
+    "mult": ["--poly", "x1^3 - x2^2", "--p", "5"],
     "classify": ["--poly", "x1^3 - x2^2", "--p", "5"],
     "trace": ["--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", "4,1"],
     "check": [],  # --corpus is added by the test
@@ -324,7 +345,8 @@ _UNREAD_FLAGS = [
     *[(cmd, ["--verbose"]) for cmd in ("table", "mult", "classify", "trace", "check")],
     *[(cmd, [cap, "5"]) for cmd in ("mult", "classify", "trace")
       for cap in ("--enum-cap", "--oracle-cap")],
-    *[(cmd, ["--format", "csv"]) for cmd in ("hk", "classify", "trace", "check")],
+    *[(cmd, ["--format", "csv"]) for cmd in ("hk", "mult", "classify", "trace", "check")],
+    ("mult", ["--n-range", "1..2"]),
     ("hk", ["--format", "xml"]),
 ]
 
@@ -359,7 +381,7 @@ def test_bad_budget_is_a_usage_error_in_the_requested_format(capsys, fmt):
 @pytest.mark.parametrize("p", ["0", "1", "-5"])
 @pytest.mark.parametrize(
     "argv",
-    [["hk", "--n", "1"], ["table", "--n-range", "1..2"], ["mult", "--n-range", "1..2"],
+    [["hk", "--n", "1"], ["table", "--n-range", "1..2"], ["mult"],
      ["classify"], ["trace", "--n", "1", "--monomial", "1,1"]],
     ids=["hk", "table", "mult", "classify", "trace"],
 )
@@ -404,16 +426,46 @@ def test_table_json(capsys):
 
 
 def test_mult_json_and_csv(capsys):
-    argv = ["mult", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2", "--format"]
+    # fractions are strings; csv went with the per-n rows, which table still writes
+    argv = ["mult", "--poly", "x1^9*x2^2*x3 - x2^5*x3^9*x4^2", "--p", "2", "--format"]
     code, out, _ = run_cli(capsys, argv + ["json"])
     data = json.loads(out)["data"]
     assert code == 0
-    assert [(row["n"], row["hk"], row["estimate"]) for row in data["samples"]] == [
-        (1, "10", {"num": "2", "den": "1"}), (2, "50", {"num": "2", "den": "1"}),
-    ]
-    code, out, _ = run_cli(capsys, argv + ["csv"])
-    assert code == 0
-    assert out.splitlines() == ["n,q,hk,estimate_num,estimate_den", "1,5,10,2,1", "2,25,50,2,1"]
+    assert {k: data[k] for k in ("m", "p", "n0", "period", "e_hk")} == {
+        "m": 4, "p": 2, "n0": 9, "period": 6, "e_hk": "310/27",
+    }
+    assert data["classes"][3] == {
+        "residue": 3, "coefficients": ["16/27", "-68/3", "-205/9", "310/27"],
+    }
+    assert run_cli(capsys, argv + ["csv"])[:2] == (2, "")
+
+
+def test_mult_over_budget_is_a_resource_error(capsys):
+    argv = ["mult", "--poly", "x1^97*x2 - x2^10*x3^5", "--p", "1000003", "--format", "json"]
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, argv)
+    assert time.perf_counter() - started < 0.25
+    error = json.loads(err)["error"]
+    assert (code, out, error["type"]) == (3, "", "ResourceError")
+    assert error["required"] > error["budget"] == 3 * 10**11
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_corpus_line_keeps_its_resource_error(tmp_path, capsys, fmt):
+    # p past the exact primality bound: classify exits 3 on it, and so does check
+    p = 3317044064679887385961981
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"poly": "x1^3 - x2^2", "p": 5, "n": 1}) + "\n"
+                      + json.dumps({"poly": "x1^3 - x2^2", "p": p, "n": 1}) + "\n")
+    code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", fmt])
+    assert (code, out) == (3, "")
+    if fmt == "json":
+        error = json.loads(err)["error"]
+        assert (error["type"], error["required"], error["budget"]) == ("ResourceError", str(p), str(p))
+        message = error["message"]
+    else:
+        message = err.removeprefix("error: ")
+    assert message.startswith(f"{corpus}:2: bad corpus entry: ")
 
 
 def test_hk_verbose_names_the_engine_on_stderr(capsys):
@@ -429,6 +481,10 @@ def test_bad_n_range_is_a_usage_error(capsys, command, n_range):
     code, out, err = run_cli(
         capsys, [command, "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", n_range]
     )
-    assert (code, out) == (2, "") and err == f"error: bad range {n_range!r}" + (
-        ", expected a..b\n" if n_range == "1.." else "\n"
-    )
+    assert (code, out) == (2, "")
+    if command == "mult":  # its answer holds for every n, so it takes no range at all
+        assert err.endswith(f"error: unrecognized arguments: --n-range {n_range}\n")
+    else:
+        assert err == f"error: bad range {n_range!r}" + (
+            ", expected a..b\n" if n_range == "1.." else "\n"
+        )

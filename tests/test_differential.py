@@ -14,7 +14,8 @@ piecewise-polynomial sum by scan bound is also checked against the O(q)
 list fold of `tests/closedform_reference.py`, and each of its terms
 against a count over the shrinking exponents.  Hypothesis draws of
 `direct_cases` check that auto `hk` equals both enumerating engines and
-that its value does not change under the drawn variable permutation.
+that its engine and value do not change under the drawn variable
+permutation or coefficient scaling.
 """
 
 import math
@@ -224,8 +225,9 @@ def test_auto_never_enumerates(corpus200, no_enumeration):
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(direct_cases())
 def test_auto_closed_and_oracle_agree_on_drawn_cases(case):
-    f, q, permuted, _ = case
+    f, q, permuted, scaled = case
     rep = hk(f, q.p, q.n)
     assert rep.value == hk_oracle(f, q) == hk_direct_count(f, q)
-    moved = hk(permuted, q.p, q.n)
-    assert (moved.engine, moved.value) == (rep.engine, rep.value)
+    for g in (permuted, scaled):
+        moved = hk(g, q.p, q.n)
+        assert (moved.engine, moved.value) == (rep.engine, rep.value)

@@ -1,39 +1,62 @@
+import random
+import time
 from fractions import Fraction
+from math import factorial
+from types import SimpleNamespace
 
 import pytest
 
 from hkbinomial import (
+    ContractError,
     DomainError,
+    HKError,
     PrimePower,
-    estimate_multiplicity,
+    QuasiPolynomial,
+    ResourceError,
+    Term,
+    engines,
     hk,
     hk_1dim,
-    hk_multiplicity_1dim,
     hk_oracle,
+    hk_quasi_polynomial,
+    normalize,
     parse_binomial,
 )
+from hkbinomial import multiplicity
 from hkbinomial.classify import classify
-from hkbinomial.multiplicity import MultiplicityReport
+from hkbinomial.closedform import scan_cuts
 from tests.conftest import random_binomials
+from tests.multiplicity_reference import hk_multiplicity_1dim
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
+SLOW = parse_binomial("x1^97*x2 - x2^10*x3^5", 1000003)  # pi = 96, over the budget
 
 
-def report_from_json_dict(obj: dict) -> MultiplicityReport:
-    def frac(d):
-        return None if d is None else Fraction(int(d["num"]), int(d["den"]))
+def sweep_binomials(seed, count):
+    """Distinct binomials, m = 2..5, p in {2, 3, 5, 7}, exponents <= 9."""
+    rng = random.Random(seed)
+    out, seen = [], set()
+    while len(out) < count:
+        m, p = rng.randint(2, 5), rng.choice((2, 3, 5, 7))
+        e2, e1 = (tuple(rng.randint(0, 9) for _ in range(m)) for _ in range(2))
+        try:
+            f = normalize(p, Term(rng.randint(1, p - 1), e2), Term(rng.randint(1, p - 1), e1))
+        except HKError:
+            continue
+        if f not in seen:
+            seen.add(f)
+            out.append(f)
+    return out
 
-    return MultiplicityReport(
-        d=obj["d"],
-        p=obj["p"],
-        samples=[(s["n"], int(s["hk"]), frac(s["estimate"])) for s in obj["samples"]],
-        exact=None
-        if obj["exact"] is None
-        else (int(obj["exact"]["value"]), obj["exact"]["case"]),
-        converged=obj["converged"],
-        gap=frac(obj["gap"]),
-        limit=frac(obj["limit"]),
-    )
+
+def class_start(qp, c):
+    """The least n >= n0 with n = c (mod period)."""
+    return qp.n0 + (c - qp.n0) % qp.period
+
+
+def class_value(qp, n):
+    q = qp.p**n
+    return sum(a * q**k for k, a in enumerate(qp.classes[n % qp.period]))
 
 
 def test_1dim_examples():
@@ -56,8 +79,7 @@ def test_multiplicity_integers():
     assert hk_multiplicity_1dim(parse_binomial("x1^3*x2 - x1*x2", 3)) == (2, "II/III")
     f = parse_binomial("x2^5 - x1*x2^2", 5)  # lead (0,5): a=3 > dp=1
     assert hk_multiplicity_1dim(f)[1] == "I(ii)"
-    rep = estimate_multiplicity(f, 5, range(1, 4))
-    assert rep.limit == Fraction(hk_multiplicity_1dim(f)[0])
+    assert hk_quasi_polynomial(f, f.p).e_hk == hk_multiplicity_1dim(f)[0] == 3
 
 
 def test_1dim_growth_never_exceeds_shrink(corpus200, corpus_small):
@@ -90,43 +112,120 @@ def test_1dim_agrees_at_and_above_threshold():
 
 
 def test_estimate_worked_instance():
-    rep = estimate_multiplicity(F1, 5, range(1, 4))
-    assert [e for _, _, e in rep.samples] == [Fraction(2)] * 3
-    assert rep.converged
-    assert rep.limit == 2
-    assert rep.exact == (2, "I(ii)")
+    # HK = 2q for every n; rates 3 and 2 give pi = ord_6(5) = 2
+    qp = hk_quasi_polynomial(F1, 5)
+    assert qp == QuasiPolynomial(2, 5, 3, 2, ((0, 2), (0, 2)), Fraction(2))
 
 
 def test_estimate_line():
-    rep = estimate_multiplicity(parse_binomial("x1 - x2", 7), 7, range(1, 4))
-    assert all(e == 1 for _, _, e in rep.samples)
-    assert rep.exact == (1, "I(iii)")
+    qp = hk_quasi_polynomial(parse_binomial("x1 - x2", 7), 7)
+    assert qp.e_hk == 1 and set(qp.classes) == {(0, 1)}
 
 
-def test_estimate_three_variables_no_exact_claim():
-    f = parse_binomial("x1^2*x2 - x2*x3", 3)
-    rep = estimate_multiplicity(f, 3, range(1, 4))
-    assert rep.d == 2
-    assert rep.exact is None
-    assert rep.limit is None
-    assert len(rep.samples) == 3
+def test_three_variables_exact_rational():
+    qp = hk_quasi_polynomial(parse_binomial("x1^2*x2 - x2*x3", 3), 3)
+    assert (qp.period, qp.classes, qp.e_hk) == (1, ((0, -1, 2),), 2)
+    qp = hk_quasi_polynomial(parse_binomial("x1^9*x2^2*x3 - x2^5*x3^9*x4^2", 2), 2)
+    assert (qp.n0, qp.period, qp.e_hk) == (9, 6, Fraction(310, 27))
+    assert len(set(qp.classes)) == 6  # the lower coefficients depend on the class
 
 
-def test_estimate_partial_on_budget():
-    # auto hk never enumerates, so no budget cuts the samples short
-    f = parse_binomial("x1^3*x2 - x1*x2", 3)  # no growing variable: monomial route
-    rep = estimate_multiplicity(f, 3, range(1, 4))
-    assert [n for n, _, _ in rep.samples] == [1, 2, 3]
-    for n, value, _ in rep.samples:
-        assert hk(f, 3, n).engine == "monomial"
-        assert value == hk(f, 3, n, engine="direct").value == hk(f, 3, n, engine="oracle").value
+def test_quasi_polynomial_checks_p():
+    with pytest.raises(DomainError, match="p = 3 does not match the binomial over F_5"):
+        hk_quasi_polynomial(F1, 3)
+    with pytest.raises(DomainError):
+        hk_quasi_polynomial(F1, 4)
+
+
+def test_cut_order_is_fixed_on_each_class_past_n0():
+    # the lemma under the fit: past n0, on a class of n mod pi, each cut is
+    # q/rate plus a constant, and no two cuts (nor a cut and 0) change order
+    checked = 0
+    for f in sweep_binomials(1201, 150):
+        cls = classify(f)
+        if cls.t == 0:
+            continue
+        qp = hk_quasi_polynomial(f, f.p)
+        for c in range(qp.period):
+            rows = []
+            for k in range(3):
+                qq = f.p ** (class_start(qp, c) + k * qp.period)
+                cuts = scan_cuts(cls, qq) + [(None, 0)]
+                offsets = [x if r is None else x - Fraction(qq, r) for r, x in cuts]
+                order = [[(x > y) - (x < y) for _, y in cuts] for _, x in cuts]
+                rows.append((offsets, order))
+            assert rows[0] == rows[1] == rows[2], (f, c)
+            checked += 1
+    assert checked > 100
+
+
+def test_seeded_sweep_matches_hk_beyond_the_fit():
+    periods = set()
+    for f in sweep_binomials(1202, 300):
+        qp = hk_quasi_polynomial(f, f.p)
+        periods.add(qp.period)
+        m = f.m
+        assert all(len(coeffs) == m for coeffs in qp.classes)  # no q^m term
+        assert {coeffs[m - 1] for coeffs in qp.classes} == {qp.e_hk}
+        for c in range(qp.period):
+            for k in (m + 1, m + 2):  # the fit used k = 0..m
+                n = class_start(qp, c) + k * qp.period
+                assert class_value(qp, n) == hk(f, f.p, n).value, (f, n)
+        e = min(sum(f.lead.exps), sum(f.trail.exps))
+        assert Fraction(e, factorial(m - 1)) <= qp.e_hk <= e, (f, qp.e_hk)
+        assert (qp.e_hk == 1) == (e == 1), f
+    assert {1, 2, 4, 6} <= periods
+
+
+def test_m2_multiplicity_is_the_case_split_integer(corpus200):
+    rng = random.Random(1203)
+    drawn = []
+    while len(drawn) < 50:
+        p = rng.choice((2, 3, 5, 7))
+        e2, e1 = (tuple(rng.randint(0, 9) for _ in range(2)) for _ in range(2))
+        try:
+            drawn.append(normalize(p, Term(1, e2), Term(rng.randint(1, p - 1), e1)))
+        except HKError:
+            continue
+    fs = [f for f, _, _ in corpus200 if f.m == 2] + drawn
+    assert len(fs) > 100
+    for f in fs:
+        e_hk = hk_quasi_polynomial(f, f.p).e_hk
+        assert e_hk.denominator == 1 and e_hk == hk_multiplicity_1dim(f)[0], f
+
+
+def test_over_budget_refuses_before_evaluating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(engines, "hk", lambda *a, **k: calls.append(a))
+    started = time.perf_counter()
+    with pytest.raises(ResourceError) as exc:
+        hk_quasi_polynomial(SLOW, SLOW.p)
+    assert time.perf_counter() - started < 0.1
+    assert calls == []
+    assert exc.value.budget == multiplicity.WORK_BUDGET < exc.value.required
+
+
+@pytest.mark.parametrize(
+    "bump,message", [(lambda q, n: q**2, r"q\^2 term"), (lambda q, n: q * (n % 2), "differ")]
+)
+def test_contract_checks(monkeypatch, bump, message):
+    # F1 has period 2 at p = 5; a q^2 term, or e_HK 3 on odd n, must be refused
+    real = engines.hk
+    monkeypatch.setattr(
+        engines, "hk", lambda f, p, n: SimpleNamespace(value=real(f, p, n).value + bump(p**n, n))
+    )
+    with pytest.raises(ContractError, match=message):
+        hk_quasi_polynomial(F1, 5)
 
 
 def test_report_serialization_round_trip():
-    rep = estimate_multiplicity(F1, 5, range(1, 4))
-    clone = report_from_json_dict(rep.json_dict())
-    assert clone.samples == rep.samples
-    assert clone.exact == rep.exact
-    assert clone.gap == rep.gap
-    assert clone.limit == rep.limit
-    assert clone.converged == rep.converged
+    qp = hk_quasi_polynomial(parse_binomial("x1^9*x2^2*x3 - x2^5*x3^9*x4^2", 2), 2)
+    data = qp.json_dict()
+    clone = QuasiPolynomial(
+        data["m"], data["p"], data["n0"], data["period"],
+        tuple(tuple(Fraction(x) for x in row["coefficients"]) for row in data["classes"]),
+        Fraction(data["e_hk"]),
+    )
+    assert clone == qp
+    assert [row["residue"] for row in data["classes"]] == list(range(qp.period))
+    assert data["e_hk"] == "310/27"
