@@ -7,8 +7,9 @@ budget exceeded (including a value too long to write in decimal).
 
 Each subcommand takes only the flags it reads: all take --format (csv
 for table only); hk, table and check the budgets --enum-cap and
---oracle-cap; hk --verbose; check --workers.  Any other flag is a usage
-error.  Defaults other than --format plain are `Config`'s.
+--oracle-cap; hk --verbose (the engine on stderr, or the closed form's
+count by scan bound in JSON); check --workers.  Any other flag is a usage
+error.  Defaults other than --format plain and no --verbose are `Config`'s.
 
 Identical invocations produce byte-identical JSON payloads: ordering is
 sorted, large integers are decimal strings, and wall-clock timings live
@@ -60,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hk = command("hk", "single length value", caps=True)
     p_hk.add_argument("--n", required=True, type=int)
     p_hk.add_argument("--engine", choices=ENGINES, default="auto")
-    p_hk.add_argument("--verbose", action="store_true", default=Config.verbose)
+    p_hk.add_argument("--verbose", action="store_true")
 
     p_table = command("table", "values over a range of n", ("plain", "json", "csv"), caps=True)
     p_table.add_argument("--n-range", required=True, help="a..b inclusive")
@@ -100,14 +101,13 @@ def _parse_range(text: str):
     return range(lo, hi + 1)
 
 
-def _refuse_unwritable(f, p: int, n: int, engine: str):
-    """Refuse before computing when HK(q) >= q^(m-1) (Kunz) already has more
-    digits than the interpreter writes; direct's and oracle's budgets refuse
-    far below that size."""
+def _refuse_unwritable(f, p: int, n: int):
+    """Refuse before computing, whatever the engine, when HK(q) >= q^(m-1)
+    (Kunz) already has more digits than the interpreter writes."""
     limit = sys.get_int_max_str_digits()
     below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))  # past float error
     digits = math.floor(n * (f.m - 1) * below_log10_p) + 1
-    if engine in ("auto", "closed") and 0 < limit < digits:
+    if 0 < limit < digits:
         raise ResourceError(f"the value has at least {digits} decimal digits (HK(q) >= "
                             f"q^{f.m - 1}), over the interpreter's limit of {limit}", digits, limit)
 
@@ -115,10 +115,18 @@ def _refuse_unwritable(f, p: int, n: int, engine: str):
 def _cmd_hk(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
-    _refuse_unwritable(f, args.p, args.n, args.engine)
+    _refuse_unwritable(f, args.p, args.n)
     rep = hk(f, args.p, args.n, engine=args.engine, config=cfg)
     if args.format == "json":
-        _dump_json(rep.json_dict())
+        payload = rep.json_dict()
+        if args.verbose and rep.by_bound is not None:  # as pieces: does not grow with q
+            b = rep.by_bound
+            payload["data"]["tables"] = {"by_bound": {
+                "length": jsonable_int(b.length),
+                "starts": [jsonable_int(v) for v in b.starts],
+                "diffs": [[jsonable_int(v) for v in row] for row in b.diffs],
+            }}
+        _dump_json(payload)
     else:
         print(decimal_str(rep.value))
         if args.verbose:
@@ -130,7 +138,7 @@ def _cmd_table(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
     ns = _parse_range(args.n_range)
-    _refuse_unwritable(f, args.p, ns[-1], args.engine)
+    _refuse_unwritable(f, args.p, ns[-1])
     rows = []  # every integer as text before anything is printed
     for n in ns:
         rep = hk(f, args.p, n, engine=args.engine, config=cfg)

@@ -11,9 +11,9 @@ Layout of the computation, all in the delta-sorted frame:
   growing variables followed by a fold over the zero variables.
 * g_chain: counts, per shrinking variable, the non-members that arise
   once the lead term stops dividing (membership then reduces to trail
-  divisibility); a single descending product chain, kept for the audit
-  tables.
-* hk_closed_form: sums the non-members by scan bound M = 1..V, V ~ q/a
+  divisibility); a single descending product chain.  Not on the value
+  path: kept only for the benchmark's trace until it moves to the tests.
+* hk_closed_form_tables: sums the non-members by scan bound M = 1..V, V ~ q/a
   the least top value: phi(M) times the shrinking tuples whose least
   bound is M, a difference of two products of r factors linear in M.
   That sum is one PiecewisePoly of degree t + r - 1, cut at phi's two
@@ -252,14 +252,6 @@ def _newton(diffs, u: int, shift: int) -> int:
 # full assembly
 
 
-@dataclass(frozen=True)
-class ClosedFormTables:
-    g_p: tuple
-    g_z: tuple
-    g_n: tuple
-    by_bound: PiecewisePoly  # x -> the non-members whose scan bound is x + 1, on [0, V)
-
-
 def scan_cuts(cls: Classification, qq: int) -> list:
     """(rate, x = M - 1) per cut of the count by scan bound: V_i - 1 per
     shrinking variable, where minc caps and where h hits 0 per growing one.
@@ -271,9 +263,11 @@ def scan_cuts(cls: Classification, qq: int) -> list:
     return cuts
 
 
-def _assemble(f: Binomial, p: int, n: int):
-    """Sum the non-members by scan bound M = 1..V, V the least top value.
+def hk_closed_form_tables(f: Binomial, p: int, n: int):
+    """(value, by_bound, params): the closed-form value, the non-members by
+    scan bound (x -> those at bound x + 1, on [0, V)) and the MmaxParams.
 
+    Sums the non-members by scan bound M = 1..V, V the least top value.
     at_least(M) counts the shrinking tuples past the lead powers whose every
     bound is >= M: a product of r factors linear in M for M <= V, and 0 at
     M = V + 1.  Bound M holds phi(M) * (at_least(M) - at_least(M + 1))
@@ -303,7 +297,7 @@ def _assemble(f: Binomial, p: int, n: int):
     rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]
     lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)  # less those the trail divides
     lead_fails -= prod(max(0, qq - e) for e in rest_trail) * (past_trail - past_lead)
-    return by_bound.prefix(V) + lead_fails, cls, params, by_bound
+    return by_bound.prefix(V) + lead_fails, by_bound, params
 
 
 def hk_closed_form(f: Binomial, p: int, n: int) -> int:
@@ -314,12 +308,4 @@ def hk_closed_form(f: Binomial, p: int, n: int) -> int:
     excluded shapes are exactly `is_monomial_shape`, whose length is
     `trail_complement_count`.  The cost does not depend on q.
     """
-    total, *_ = _assemble(f, p, n)
-    return total
-
-
-def hk_closed_form_tables(f: Binomial, p: int, n: int):
-    """Closed-form value plus the audit tables and per-variable constants."""
-    total, cls, params, by_bound = _assemble(f, p, n)
-    gch = g_chain(cls, p, n)
-    return total, ClosedFormTables(gch.g_p, gch.g_z, gch.g_n, by_bound), params
+    return hk_closed_form_tables(f, p, n)[0]

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 
 from .algebra import Binomial, check_field, parse_binomial, render
 from .classify import classify, classification_summary
-from .closedform import ClosedFormTables, hk_closed_form_tables
-from .closedform import is_monomial_shape, trail_complement_count
+from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape
+from .closedform import trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ResourceError
 from .keycheck import hk_direct_count
 from .oracle import hk_oracle_report
@@ -41,20 +41,17 @@ ENGINES = ("auto", "closed", "direct", "oracle")
 
 @dataclass
 class Config:
-    """Budgets of direct (q^m) and oracle (nodes), cross_check's threads, hk keeping tables."""
+    """Budgets of direct (q^m) and oracle (nodes), and cross_check's threads."""
 
     enum_cap: int = 10**7
     oracle_cap: int = 10**6
     workers: int = 1
-    verbose: bool = False
 
     def __post_init__(self):
         for name in ("enum_cap", "oracle_cap", "workers"):
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
-        if type(self.verbose) is not bool:
-            raise DomainError(f"verbose must be true or false, got {self.verbose!r}")
 
 
 def decimal_str(x: int) -> str:
@@ -91,12 +88,12 @@ class HKReport:
     classification: dict = field(default_factory=dict)
     mmax_params: tuple | None = None  # MmaxParams per shrinking variable
     oracle_stats: dict | None = None
-    tables: ClosedFormTables | None = None
+    by_bound: PiecewisePoly | None = None  # the closed form's non-members by scan bound
     timing_ms: float = 0.0
 
     def data_dict(self) -> dict:
-        """Deterministic payload; timing deliberately excluded.  Raises
-        ResourceError when an integer is too long to write in decimal."""
+        """Deterministic payload; timing and by_bound deliberately excluded.
+        Raises ResourceError when an integer is too long to write in decimal."""
         value = decimal_str(self.value)  # first, so a refusal names the value's digits
         out = {
             "p": self.p,
@@ -116,28 +113,10 @@ class HKReport:
             ]
         if self.oracle_stats is not None:
             out["oracle"] = self.oracle_stats
-        if self.tables is not None:
-            out["tables"] = _tables_dict(self.tables)
         return out
 
     def json_dict(self) -> dict:
         return {"data": self.data_dict(), "timing": {"ms": self.timing_ms}}
-
-
-def _tables_dict(tables) -> dict:
-    """The closed form's tables; the count by scan bound as its pieces
-    (starts and Newton differences), so the payload does not grow with q."""
-    by_bound = tables.by_bound
-    return {
-        "g_p": [jsonable_int(v) for v in tables.g_p],
-        "g_z": [jsonable_int(v) for v in tables.g_z],
-        "g_n": [jsonable_int(v) for v in tables.g_n],
-        "by_bound": {
-            "length": jsonable_int(by_bound.length),
-            "starts": [jsonable_int(v) for v in by_bound.starts],
-            "diffs": [[jsonable_int(v) for v in row] for row in by_bound.diffs],
-        },
-    }
 
 
 def hk(
@@ -153,7 +132,7 @@ def hk(
     when `is_monomial_shape` holds and the closed form otherwise; it never
     enumerates.  A named engine runs alone and raises NotApplicableError
     or ResourceError (budgets from `config`) instead of switching routes.
-    The closed form's tables are kept when `config.verbose` is set.
+    A closed report keeps the closed form's count by scan bound, `by_bound`.
     """
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
@@ -164,7 +143,7 @@ def hk(
     cls = classify(f)
     started = time.perf_counter()
 
-    def report(value, used, mmax=None, oracle_stats=None, tables=None):
+    def report(value, used, mmax=None, oracle_stats=None, by_bound=None):
         return HKReport(
             p=p,
             n=n,
@@ -175,7 +154,7 @@ def hk(
             classification=classification_summary(cls),
             mmax_params=mmax,
             oracle_stats=oracle_stats,
-            tables=tables,
+            by_bound=by_bound,
             timing_ms=(time.perf_counter() - started) * 1000.0,
         )
 
@@ -183,8 +162,8 @@ def hk(
         return report(trail_complement_count(q.q, f.trail.exps), "monomial")
 
     if engine in ("auto", "closed"):
-        value, tables, params = hk_closed_form_tables(f, p, n)
-        return report(value, "closed", mmax=params, tables=tables if cfg.verbose else None)
+        value, by_bound, params = hk_closed_form_tables(f, p, n)
+        return report(value, "closed", mmax=params, by_bound=by_bound)
 
     if engine == "direct":
         return report(hk_direct_count(f, q, enum_cap=cfg.enum_cap), "direct")

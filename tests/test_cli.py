@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hkbinomial import cli, engines, hk, parse_binomial
+from hkbinomial import cli, closedform, engines, hk, parse_binomial
 from hkbinomial.closedform import hk_closed_form_tables
 
 
@@ -66,7 +66,21 @@ def test_hk_verbose_level_top_is_piecewise(capsys):
         for u in range(hi - lo)
     ]
     assert len(by_bound["starts"]) == 4
-    assert code == 0 and values == [ref.by_bound(x) for x in range(ref.by_bound.length)]
+    assert code == 0 and values == [ref(x) for x in range(ref.length)]
+
+
+def test_value_and_verbose_payload_do_not_need_g_chain(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("g_chain is not on the value path")
+
+    monkeypatch.setattr(closedform, "g_chain", refuse)
+    f = parse_binomial("x1^2*x2 - x2*x3", 3)
+    for engine in ("auto", "closed"):
+        rep = hk(f, 3, 2, engine=engine)
+        assert (rep.engine, rep.value) == ("closed", hk(f, 3, 2, engine="oracle").value)
+    argv = ["hk", "--poly", "x1^2*x2 - x2*x3", "--p", "3", "--n", "2", "--verbose"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    assert code == 0 and "by_bound" in json.loads(out)["data"]["tables"]
 
 
 def test_degenerate_is_usage_error(capsys):
@@ -197,10 +211,17 @@ def test_digit_limit_names_the_value_in_every_subcommand(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["hk", "--n", "1000000"], ["table", "--n-range", "1..1000000"]], ids=["hk", "table"]
+    "argv",
+    [
+        [cmd, *range_flag] + engine
+        for engine in ([], ["--engine", "direct"], ["--engine", "oracle"])
+        for cmd, *range_flag in (["hk", "--n", "1000000"], ["table", "--n-range", "1..1000000"])
+    ],
+    ids=["hk", "table", "hk-direct", "table-direct", "hk-oracle", "table-oracle"],
 )
 def test_value_too_long_by_kunz_bound_refuses_before_computing(capsys, argv):
-    # HK(q) >= q^2 = 5^2000000 has 1397941 digits; computing took 21.7 s
+    # HK(q) >= q^2 = 5^2000000 has 1397941 digits; computing took 21.7 s, and
+    # direct's budget error took over a second to write q^3
     argv = argv + ["--poly", "x1^3*x2 - x2^2*x3^2", "--p", "5"]
     started = time.perf_counter()
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
@@ -217,9 +238,12 @@ def test_value_too_long_by_kunz_bound_refuses_before_computing(capsys, argv):
     "argv", [["hk", "--engine", "direct"], ["hk", "--engine", "oracle"], ["check"]]
 )
 def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
-    # q^m = 5^18600 is over every budget and has more digits than the interpreter writes
-    poly, p, n = "x1^3*x2 - x2^2*x3^2", 5, 6200
+    # q^m = 5^7500 is over every budget and has more digits than the interpreter
+    # writes, while Kunz's bound q^2 (3495 digits) does not refuse before computing;
+    # check skips the budget errors, so there the closed value 5^12400 must be too long
+    poly, p, n = "x1^3*x2 - x2^2*x3^2", 5, 2500
     if argv == ["check"]:
+        n = 6200
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps({"poly": poly, "p": p, "n": n}) + "\n")
         argv = argv + ["--corpus", str(corpus)]
@@ -235,7 +259,7 @@ def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
     [
         (["--engine", "direct", "--enum-cap", "5", "--n", "1"], 5**3, 5),
         (["--n", "6200"], "digits of the value", sys.get_int_max_str_digits()),
-        (["--engine", "direct", "--n", "6200"], None, 10**7),  # 5^18600: too long to write
+        (["--engine", "direct", "--n", "2500"], None, 10**7),  # 5^7500: too long to write
     ],
 )
 def test_json_resource_error_has_required_and_budget(capsys, argv, required, budget):
@@ -280,7 +304,6 @@ _REPORT_KEYS = [
             _REPORT_KEYS + [
                 "data.mmax_params", "data.mmax_params[].var", "data.mmax_params[].a",
                 "data.mmax_params[].b", "data.mmax_params[].top_value", "data.tables",
-                "data.tables.g_n", "data.tables.g_p", "data.tables.g_z",
                 "data.tables.by_bound", "data.tables.by_bound.diffs",
                 "data.tables.by_bound.length", "data.tables.by_bound.starts",
             ],
@@ -293,6 +316,13 @@ _REPORT_KEYS = [
             ],
         ),
         (["classify"], ["data"] + [f"data.{key}" for key in _CLASSIFICATION_KEYS]),
+        (
+            ["hk", "--n", "2"],
+            _REPORT_KEYS + [
+                "data.mmax_params", "data.mmax_params[].var", "data.mmax_params[].a",
+                "data.mmax_params[].b", "data.mmax_params[].top_value",
+            ],
+        ),
     ],
 )
 def test_json_payload_key_sets(capsys, argv, keys):

@@ -208,10 +208,9 @@ def test_regression_offset_and_large_b_instances():
 
 
 def test_tables_shape():
-    value, tables, params = hk_closed_form_tables(F1, 5, 1)
+    value, by_bound, params = hk_closed_form_tables(F1, 5, 1)
     assert value == 10
-    assert tables.g_n == (2,)
-    assert tables.by_bound.length == 1 and tables.by_bound(0) == 4  # phi(1) = 2, times x1 = 3, 4
+    assert by_bound.length == 1 and by_bound(0) == 4  # phi(1) = 2, times x1 = 3, 4
     assert params[0].top_value == 1
 
 

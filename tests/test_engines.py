@@ -191,7 +191,7 @@ def test_load_corpus_rejects_bad_fields(tmp_path, line):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"workers": "4"}, {"enum_cap": 0}, {"oracle_cap": True}, {"workers": 0}, {"verbose": 1}],
+    [{"workers": "4"}, {"enum_cap": 0}, {"oracle_cap": True}, {"workers": 0}],
 )
 def test_config_rejects_bad_values(fields):
     with pytest.raises(DomainError):
