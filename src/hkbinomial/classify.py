@@ -60,7 +60,6 @@ class Classification:
     zero: tuple  # ZeroVar records, Z_1 first
     pos: tuple  # PosVar records, P_1 first
     lead_exps: tuple  # original-frame exponents of the lead term
-    trail_exps: tuple
 
 
 @lru_cache(maxsize=4096)
@@ -105,7 +104,6 @@ def classify(f: Binomial) -> Classification:
         zero=tuple(zero),
         pos=tuple(pos),
         lead_exps=e2,
-        trail_exps=e1,
     )
 
 

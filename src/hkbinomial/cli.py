@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from fractions import Fraction
@@ -28,6 +27,7 @@ from fractions import Fraction
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
 from .engines import ENGINES, Config, cross_check, decimal_str, hk, jsonable_int, load_corpus
+from .engines import refuse_unwritable
 from .errors import HKError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import hk_quasi_polynomial
@@ -101,21 +101,10 @@ def _parse_range(text: str):
     return range(lo, hi + 1)
 
 
-def _refuse_unwritable(f, p: int, n: int):
-    """Refuse before computing, whatever the engine, when HK(q) >= q^(m-1)
-    (Kunz) already has more digits than the interpreter writes."""
-    limit = sys.get_int_max_str_digits()
-    below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))  # past float error
-    digits = math.floor(n * (f.m - 1) * below_log10_p) + 1
-    if 0 < limit < digits:
-        raise ResourceError(f"the value has at least {digits} decimal digits (HK(q) >= "
-                            f"q^{f.m - 1}), over the interpreter's limit of {limit}", digits, limit)
-
-
 def _cmd_hk(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
-    _refuse_unwritable(f, args.p, args.n)
+    refuse_unwritable(f, args.p, args.n)
     rep = hk(f, args.p, args.n, engine=args.engine, config=cfg)
     if args.format == "json":
         payload = rep.json_dict()
@@ -138,7 +127,7 @@ def _cmd_table(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
     ns = _parse_range(args.n_range)
-    _refuse_unwritable(f, args.p, ns[-1])
+    refuse_unwritable(f, args.p, ns[-1])
     rows = []  # every integer as text before anything is printed
     for n in ns:
         rep = hk(f, args.p, n, engine=args.engine, config=cfg)

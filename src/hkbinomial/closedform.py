@@ -16,9 +16,10 @@ Layout of the computation, all in the delta-sorted frame:
 * hk_closed_form_tables: sums the non-members by scan bound M = 1..V, V ~ q/a
   the least top value: phi(M) times the shrinking tuples whose least
   bound is M, a difference of two products of r factors linear in M.
-  That sum is one PiecewisePoly of degree t + r - 1, cut at phi's two
-  cuts per growing variable and at M = V, so it costs O(t * (t + r))
-  evaluations and the value takes time independent of q.  The monomials
+  The summand is one PiecewisePoly of degree t + r - 1, cut at phi's two
+  cuts per growing variable and at M = V, whose one `total` (no prefix
+  sums) is the sum; it costs O(t * (t + r)) evaluations and the value
+  takes time independent of q.  The monomials
   whose shrinking part the lead does not divide add an O(m)
   inclusion-exclusion term.
 * trail_complement_count: the length for the shapes the closed form
@@ -189,12 +190,12 @@ def trail_complement_count(qq: int, trail_exps) -> int:
 
 class PiecewisePoly:
     """An integer function on [0, length) that is a polynomial of degree at
-    most `degree` between consecutive cuts.
+    most `degree` between consecutive cuts, and `total`, the sum of its
+    values.
 
     Each piece keeps its forward differences D_k at its start (Newton
     form): the value u steps into the piece is sum D_k * C(u, k), and the
-    sum of its first u values is sum D_k * C(u, k + 1).  Running totals of
-    whole pieces make `prefix` cost O(log pieces + degree).
+    sum of its first u values is sum D_k * C(u, k + 1).
 
     A piece is built by evaluating `fn` at min(degree + 1, piece length)
     points.  `breaks` may hold extra cuts (and cuts outside the range,
@@ -203,14 +204,14 @@ class PiecewisePoly:
     ContractError when it differs from the Newton form.
     """
 
-    __slots__ = ("length", "starts", "diffs", "totals")
+    __slots__ = ("length", "starts", "diffs", "total")
 
     def __init__(self, fn, length: int, breaks, degree: int):
         cuts = sorted({0, length}.union(b for b in breaks if 0 < b < length))
         self.length = length
         self.starts = cuts[:-1]
         self.diffs = []
-        self.totals = [0]  # totals[i]: sum of the values before piece i
+        self.total = 0
         for lo, hi in zip(cuts, cuts[1:]):
             row = [fn(x) for x in range(lo, min(lo + degree + 1, hi))]
             diffs = []
@@ -222,21 +223,13 @@ class PiecewisePoly:
                     f"not a polynomial of degree <= {degree} on [{lo}, {hi}): a cut is missing"
                 )
             self.diffs.append(diffs)
-            self.totals.append(self.totals[-1] + _newton(diffs, hi - lo, 1))
-
-    def _piece(self, x: int, hi: int) -> int:
-        if not 0 <= x <= hi:
-            raise ContractError(f"{x} is outside [0, {hi}]")
-        return bisect_right(self.starts, x) - 1
+            self.total += _newton(diffs, hi - lo, 1)
 
     def __call__(self, x: int) -> int:
-        i = self._piece(x, self.length - 1)
+        if not 0 <= x < self.length:
+            raise ContractError(f"{x} is outside [0, {self.length - 1}]")
+        i = bisect_right(self.starts, x) - 1
         return _newton(self.diffs[i], x - self.starts[i], 0)
-
-    def prefix(self, x: int) -> int:
-        """Sum of the values at 0, ..., x - 1."""
-        i = self._piece(x, self.length)
-        return self.totals[i] + _newton(self.diffs[i], x - self.starts[i], 1)
 
 
 def _newton(diffs, u: int, shift: int) -> int:
@@ -297,7 +290,7 @@ def hk_closed_form_tables(f: Binomial, p: int, n: int):
     rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]
     lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)  # less those the trail divides
     lead_fails -= prod(max(0, qq - e) for e in rest_trail) * (past_trail - past_lead)
-    return by_bound.prefix(V) + lead_fails, by_bound, params
+    return by_bound.total + lead_fails, by_bound, params
 
 
 def hk_closed_form(f: Binomial, p: int, n: int) -> int:

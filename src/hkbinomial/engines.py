@@ -25,14 +25,15 @@ import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .algebra import Binomial, check_field, parse_binomial, render
-from .classify import classify, classification_summary
+from .classify import Classification, classify, classification_summary
 from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape
 from .closedform import trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ResourceError
 from .keycheck import hk_direct_count
-from .oracle import hk_oracle_report
+from .oracle import OracleReport, hk_oracle_report
 
 JSON_INT_LIMIT = 2**53
 
@@ -71,6 +72,19 @@ def decimal_str(x: int) -> str:
         ) from None
 
 
+def refuse_unwritable(f: Binomial, p: int, n: int):
+    """Refuse before computing, whatever the engine, when Kunz's bound
+    HK(q) >= q^(m-1), or q itself for m = 1, already has more decimal digits
+    than the interpreter converts."""
+    limit, power = sys.get_int_max_str_digits(), max(f.m - 1, 1)
+    below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))  # past float error
+    digits = math.floor(n * power * below_log10_p) + 1
+    if 0 < limit < digits:
+        subject, bound = ("q", "") if f.m == 1 else ("the value", f" (HK(q) >= q^{power})")
+        raise ResourceError(f"{subject} has at least {digits} decimal digits{bound}, over the "
+                            f"interpreter's limit of {limit}", digits, limit)
+
+
 def jsonable_int(x: int):
     """Ints that may not survive a double round-trip become decimal strings."""
     return x if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else decimal_str(x)
@@ -84,16 +98,17 @@ class HKReport:
     m: int
     value: int
     engine: str  # "monomial", "closed", "direct" or "oracle"
+    classification: Classification
     guard_notes: list = field(default_factory=list)  # no route adds notes; a payload key
-    classification: dict = field(default_factory=dict)
     mmax_params: tuple | None = None  # MmaxParams per shrinking variable
-    oracle_stats: dict | None = None
+    oracle: OracleReport | None = None
     by_bound: PiecewisePoly | None = None  # the closed form's non-members by scan bound
     timing_ms: float = 0.0
 
     def data_dict(self) -> dict:
-        """Deterministic payload; timing and by_bound deliberately excluded.
-        Raises ResourceError when an integer is too long to write in decimal."""
+        """Deterministic payload, formatted here from the engines' records;
+        timing and by_bound deliberately excluded.  Raises ResourceError
+        when an integer is too long to write in decimal."""
         value = decimal_str(self.value)  # first, so a refusal names the value's digits
         out = {
             "p": self.p,
@@ -103,7 +118,7 @@ class HKReport:
             "value": value,
             "engine": self.engine,
             "guard_notes": list(self.guard_notes),
-            "classification": self.classification,
+            "classification": classification_summary(self.classification),
         }
         if self.mmax_params is not None:
             out["mmax_params"] = [
@@ -111,8 +126,13 @@ class HKReport:
                  "top_value": jsonable_int(prm.top_value)}
                 for prm in self.mmax_params
             ]
-        if self.oracle_stats is not None:
-            out["oracle"] = self.oracle_stats
+        if self.oracle is not None:
+            orc = self.oracle
+            out["oracle"] = {
+                "nodes": jsonable_int(orc.nodes), "dead": jsonable_int(orc.dead_nodes),
+                "merges": jsonable_int(orc.merges),
+                "live_merged_classes": jsonable_int(orc.live_merged_classes),
+            }
         return out
 
     def json_dict(self) -> dict:
@@ -143,39 +163,22 @@ def hk(
     cls = classify(f)
     started = time.perf_counter()
 
-    def report(value, used, mmax=None, oracle_stats=None, by_bound=None):
-        return HKReport(
-            p=p,
-            n=n,
-            q=q.q,
-            m=f.m,
-            value=value,
-            engine=used,
-            classification=classification_summary(cls),
-            mmax_params=mmax,
-            oracle_stats=oracle_stats,
-            by_bound=by_bound,
-            timing_ms=(time.perf_counter() - started) * 1000.0,
-        )
+    def report(value, used, **records):
+        return HKReport(p=p, n=n, q=q.q, m=f.m, value=value, engine=used, classification=cls,
+                        timing_ms=(time.perf_counter() - started) * 1000.0, **records)
 
     if engine == "auto" and is_monomial_shape(cls, q.q):
         return report(trail_complement_count(q.q, f.trail.exps), "monomial")
 
     if engine in ("auto", "closed"):
         value, by_bound, params = hk_closed_form_tables(f, p, n)
-        return report(value, "closed", mmax=params, by_bound=by_bound)
+        return report(value, "closed", mmax_params=params, by_bound=by_bound)
 
     if engine == "direct":
         return report(hk_direct_count(f, q, enum_cap=cfg.enum_cap), "direct")
 
     rep = hk_oracle_report(f, q, node_cap=cfg.oracle_cap)
-    stats = {
-        "nodes": jsonable_int(rep.nodes),
-        "dead": jsonable_int(rep.dead_nodes),
-        "merges": jsonable_int(rep.merges),
-        "live_merged_classes": jsonable_int(rep.live_merged_classes),
-    }
-    return report(rep.length, "oracle", oracle_stats=stats)
+    return report(rep.length, "oracle", oracle=rep)
 
 
 @dataclass
@@ -222,7 +225,8 @@ def cross_check(instances, config: Config | None = None) -> CheckReport:
 
 
 def load_corpus(path: str) -> list:
-    """Read a corpus file: one JSON object {"poly", "p", "n"} per line."""
+    """Read a corpus file: one JSON object {"poly", "p", "n"} per line.
+    A line is refused as `refuse_unwritable` refuses it."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -234,7 +238,9 @@ def load_corpus(path: str) -> list:
                 p, n = obj["p"], obj["n"]
                 if type(p) is not int or type(n) is not int:
                     raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")
-                out.append((parse_binomial(obj["poly"], p), p, n))
+                f = parse_binomial(obj["poly"], p)
+                refuse_unwritable(f, p, n)  # before anything is computed
+                out.append((f, p, n))
             except (KeyError, TypeError, ValueError, HKError) as exc:
                 msg = f"{path}:{lineno}: bad corpus entry: {exc}"
                 if isinstance(exc, ResourceError):  # keeps its type and keys: exit 3, not 2

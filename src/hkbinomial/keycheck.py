@@ -51,41 +51,30 @@ def _lead_scan_bound(A, e2, delta):
 def member_scan(A, f: Binomial, q: PrimePower):
     """Literal scan: returns (MembershipResult, steps).
 
-    Each step is (M, intermediate, candidate, convergent) with exponent
-    vectors in the original variable frame; a candidate is convergent when
-    an exponent reaches q.  Used by the trace front end and as the reference
-    implementation in tests.
+    Step M trades M lead factors for M - 1 trail factors, so it runs for M
+    up to the scan bound `_lead_scan_bound`, the most trades the lead term
+    allows, and stops at the first convergent candidate (an exponent
+    reaches q).  Each step is (M, intermediate, candidate, convergent) with
+    exponent vectors in the original variable frame.  A trail member has
+    no steps, a mutation member `witness_m` and a non-member `mmax_scanned`.
+    Used by the trace front end and as the reference implementation in tests.
     """
     check_field(f, q.p, q.n)
     _check_standard(A, q)
     e2, e1 = f.lead.exps, f.trail.exps
+    bound = _lead_scan_bound(A, e2, tuple(b - a for a, b in zip(e2, e1)))
     steps = []
     if all(a >= e for a, e in zip(A, e1)):
-        return MembershipResult(True, "trail", None, _full_scan_bound(A, f)), steps
-    mvec = list(A)
-    mmax = 0
-    member = None
-    cap = q.q * f.m + 2  # safety bound; unreachable for normalized binomials
-    for M in range(1, cap):
-        inter = tuple(v - e for v, e in zip(mvec, e2))
-        if any(v < 0 for v in inter):
-            break
-        mmax = M
+        return MembershipResult(True, "trail", None, bound), steps
+    cand = A
+    for M in range(1, bound + 1):
+        inter = tuple(v - e for v, e in zip(cand, e2))
         cand = tuple(v + e for v, e in zip(inter, e1))
         conv = any(c >= q.q for c in cand)
         steps.append((M, inter, cand, conv))
         if conv:
-            member = MembershipResult(True, "mutation", M, _full_scan_bound(A, f))
-            break
-        mvec = list(cand)
-    if member is None:
-        member = MembershipResult(False, None, None, mmax)
-    return member, steps
-
-
-def _full_scan_bound(A, f):
-    e2, e1 = f.lead.exps, f.trail.exps
-    return _lead_scan_bound(A, e2, tuple(b - a for a, b in zip(e2, e1)))
+            return MembershipResult(True, "mutation", M, bound), steps
+    return MembershipResult(False, None, None, bound), steps
 
 
 def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:

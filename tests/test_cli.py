@@ -200,7 +200,7 @@ def test_value_over_digit_limit_exits_3(capsys, command, fmt):
         assert err.startswith("error: the value has at least ") and len(err.splitlines()) == 1
 
 
-def test_digit_limit_names_the_value_in_every_subcommand(capsys):
+def test_digit_limit_names_the_value_in_every_subcommand(tmp_path, capsys):
     # q = 5^6151 has 4300 digits, at the limit, so only the exact check after
     # computing refuses HK(q) = 5q - 6, and both name its 4301 digits
     ns = ["--n-range", "6151..6151"]
@@ -208,30 +208,51 @@ def test_digit_limit_names_the_value_in_every_subcommand(capsys):
         code, out, err = run_cli(capsys, argv + ["--poly", "x1^3*x2^3 - x1^2*x2^3", "--p", "5"])
         assert (code, out) == (3, "")
         assert err.startswith("error: an integer of 4301 decimal digits "), argv
+    # check skips direct and oracle there, and refuses the closed value of x1^6 - x2^5
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"poly": "x1^6 - x2^5", "p": 5, "n": 6151}) + "\n")
+    code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus)])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: an integer of 4301 decimal digits ")
+
+
+M3, M1 = ("x1^3*x2 - x2^2*x3^2", 1397941), ("x1^3 - x1", 2096911)
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, case, n, subject",
     [
-        [cmd, *range_flag] + engine
+        ([cmd] + engine, M3, 1000000, "the value")
         for engine in ([], ["--engine", "direct"], ["--engine", "oracle"])
-        for cmd, *range_flag in (["hk", "--n", "1000000"], ["table", "--n-range", "1..1000000"])
-    ],
-    ids=["hk", "table", "hk-direct", "table-direct", "hk-oracle", "table-oracle"],
+        for cmd in ("hk", "table")
+    ] + [(["hk"], M1, 3000000, "q"), (["table"], M1, 3000000, "q"),
+         (["check"], M3, 1000000, "the value")],
+    ids=["hk", "table", "hk-direct", "table-direct", "hk-oracle", "table-oracle",
+         "hk-m1", "table-m1", "check"],
 )
-def test_value_too_long_by_kunz_bound_refuses_before_computing(capsys, argv):
-    # HK(q) >= q^2 = 5^2000000 has 1397941 digits; computing took 21.7 s, and
-    # direct's budget error took over a second to write q^3
-    argv = argv + ["--poly", "x1^3*x2 - x2^2*x3^2", "--p", "5"]
+def test_value_too_long_by_kunz_bound_refuses_before_computing(tmp_path, capsys, argv, case, n,
+                                                              subject):
+    # m = 3: HK(q) >= q^2 = 5^2000000 has 1397941 digits; computing took 21.7 s,
+    # direct's budget error took over a second to write q^3, and check ran every
+    # engine first.  m = 1: the bound q^0 refuses nothing, but every report writes
+    # q = 5^3000000 (2096911 digits); hk --format json took 1.7 s to exit 3
+    poly, digits = case
+    if argv == ["check"]:
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"poly": poly, "p": 5, "n": n}) + "\n")
+        argv, subject = argv + ["--corpus", str(corpus)], f"{corpus}:1: bad corpus entry: {subject}"
+    else:
+        n_flag = ["--n", str(n)] if argv[0] == "hk" else ["--n-range", f"1..{n}"]
+        argv = argv + n_flag + ["--poly", poly, "--p", "5"]
     started = time.perf_counter()
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     assert time.perf_counter() - started < 0.25
     error = json.loads(err)["error"]
     assert (code, out, error["type"]) == (3, "", "ResourceError")
-    assert (error["required"], error["budget"]) == (1397941, sys.get_int_max_str_digits())
+    assert (error["required"], error["budget"]) == (digits, sys.get_int_max_str_digits())
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
-    assert err.startswith("error: the value has at least 1397941 decimal digits ")
+    assert err.startswith(f"error: {subject} has at least {digits} decimal digits")
 
 
 @pytest.mark.parametrize(
@@ -240,7 +261,7 @@ def test_value_too_long_by_kunz_bound_refuses_before_computing(capsys, argv):
 def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
     # q^m = 5^7500 is over every budget and has more digits than the interpreter
     # writes, while Kunz's bound q^2 (3495 digits) does not refuse before computing;
-    # check skips the budget errors, so there the closed value 5^12400 must be too long
+    # check skips the budget errors, so there Kunz's bound q^2 = 5^12400 refuses the line
     poly, p, n = "x1^3*x2 - x2^2*x3^2", 5, 2500
     if argv == ["check"]:
         n = 6200

@@ -133,6 +133,10 @@ def test_member_scan_matches_closed_form_everywhere(corpus_small):
             assert fast.member == ref.member, (A, f, p, n)
             assert fast.witness == ref.witness
             assert fast.mmax_scanned == ref.mmax_scanned
+            # the scan stops at its bound, or at the first convergent candidate
+            steps_taken = {"trail": 0, "mutation": ref.witness_m, None: ref.mmax_scanned}
+            assert len(steps) == steps_taken[ref.witness], (A, f, p, n)
+            assert [M for M, *_ in steps] == list(range(1, len(steps) + 1))
             if fast.witness == "mutation":
                 assert fast.witness_m == ref.witness_m
                 # witness validity: recompute both monomials of the step

@@ -9,6 +9,11 @@ attributes, imported names, and string constants equal to a name, as in
 `getattr`-style lookups) and matched by name alone, so a mention in a
 comment or docstring does not count.
 
+Every dataclass field and `__slots__` entry defined in `src/` must be
+read as an attribute (`x.field`) or named in a string constant somewhere in
+`src/`, `bench/` or `demos/`: a field that is only ever written is dead
+weight.  Passing it by keyword does not count.
+
 Every field of `engines.Config` must likewise be read as an attribute in
 `src/` outside the class itself and outside `cli.py`: a setting that only
 the command line reads is a flag of its subcommand, not library config.
@@ -43,14 +48,19 @@ def defined_names():
     return out
 
 
+def trees_outside_tests():
+    """Syntax trees of the code in `src/`, `bench/` and `demos/`."""
+    for d in ("src", "bench", "demos"):
+        for path in sorted((ROOT / d).rglob("*.py")):
+            if path != PACKAGE / "__init__.py":  # only re-exports: imports and __all__
+                yield ast.parse(path.read_text(encoding="utf-8"))
+
+
 def referenced_names():
     """Identifiers used by the code outside `tests/`."""
     used = set()
-    sources = [p for d in ("src", "bench", "demos") for p in sorted((ROOT / d).rglob("*.py"))]
-    for path in sources:
-        if path == PACKAGE / "__init__.py":  # only re-exports: imports and __all__
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for tree in trees_outside_tests():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -72,6 +82,45 @@ def test_every_library_name_has_a_caller_outside_tests():
         if name.rsplit(".", 1)[-1] not in used
     ]
     assert unused == [], f"defined in src/ but reached only from tests/: {unused}"
+
+
+def declared_fields():
+    """(class, field) for each dataclass field and `__slots__` entry in src/."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+            dataclass = any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+            for item in node.body:
+                if dataclass and isinstance(item, ast.AnnAssign):
+                    out.append((node.name, item.target.id))
+                elif isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__" for t in item.targets
+                ):
+                    out.extend((node.name, slot) for slot in ast.literal_eval(item.value))
+    return out
+
+
+def read_fields():
+    """Attribute names loaded, and string constants, in the code outside `tests/`."""
+    read = set()
+    for tree in trees_outside_tests():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    return read
+
+
+def test_every_field_is_read_outside_tests():
+    # GChains leaves src/ with closedform.g_chain, once the benchmark stops tracing it
+    read = read_fields()
+    fields = declared_fields()
+    unread = [f"{cls}.{name}" for cls, name in fields if cls != "GChains" and name not in read]
+    assert len(fields) >= 40 and unread == [], f"fields only ever written: {unread}"
 
 
 def test_every_config_field_is_read_by_the_library():
