@@ -9,6 +9,7 @@ all operations are safe under unrestricted concurrent use.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -147,16 +148,31 @@ def normalize(p: int, term_a: Term, term_b: Term) -> Binomial:
     return Binomial(p=p, m=len(a.exps), lead=a, trail=b)
 
 
-def check_field(f: Binomial, p: int, n: int) -> PrimePower:
-    """q = p^n for f, which must be a binomial over F_p."""
+def require_field(f: Binomial, p: int):
+    """DomainError unless f is a binomial over F_p."""
     if p != f.p:
         raise DomainError(f"p = {p} does not match the binomial over F_{f.p}")
+
+
+def check_field(f: Binomial, p: int, n: int) -> PrimePower:
+    """q = p^n for f, which must be a binomial over F_p."""
+    require_field(f, p)
     return PrimePower(p, n)
 
 
 _FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
 _INT_RE = re.compile(r"\d+$")
 _TERM_SPLIT_RE = re.compile(r"([+-])")
+
+
+def _literal(digits: str) -> int:
+    """int(digits) for a run of decimal digits, or a ResourceError where int()
+    would raise ValueError: past the interpreter's `sys.get_int_max_str_digits`."""
+    limit = sys.get_int_max_str_digits()
+    if 0 < limit < len(digits):
+        raise ResourceError(f"an integer literal of {len(digits)} decimal digits is over the "
+                            f"interpreter's limit of {limit}", len(digits), limit)
+    return int(digits)
 
 
 def _parse_term(chunk: str, sign: int):
@@ -170,15 +186,15 @@ def _parse_term(chunk: str, sign: int):
         if _INT_RE.match(part):
             if k != 0:
                 raise ParseError(f"integer factor must come first in {chunk!r}")
-            coeff *= int(part)
+            coeff *= _literal(part)
             continue
         mt = _FACTOR_RE.match(part)
         if not mt:
             raise ParseError(f"bad factor {part!r} in term {chunk!r}")
-        idx = int(mt.group(1))
+        idx = _literal(mt.group(1))
         if idx < 1:
             raise ParseError(f"variables are 1-indexed, got x{idx}")
-        exp = int(mt.group(2)) if mt.group(2) else 1
+        exp = _literal(mt.group(2)) if mt.group(2) else 1
         exps[idx] = exps.get(idx, 0) + exp
     return coeff, exps
 
@@ -250,7 +266,7 @@ def parse_monomial(text: str, num_vars: int | None = None) -> tuple:
     if not s:
         raise ParseError("empty monomial")
     if re.match(r"^\d+(,\d+)*$", s):
-        vec = tuple(int(x) for x in s.split(","))
+        vec = tuple(_literal(x) for x in s.split(","))
         if num_vars is not None and len(vec) != num_vars:
             raise DimensionError(
                 f"expected {num_vars} exponents, got {len(vec)}"

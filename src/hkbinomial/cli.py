@@ -12,8 +12,8 @@ count by scan bound in JSON); check --workers.  Any other flag is a usage
 error.  Defaults other than --format plain and no --verbose are `Config`'s.
 
 Identical invocations produce byte-identical JSON payloads: ordering is
-sorted, large integers are decimal strings, and wall-clock timings live
-in a separate "timing" object.
+sorted, `_dump_json` writes every int outside (-2^53, 2^53) as a decimal
+string, and wall-clock timings live in a separate "timing" object.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from fractions import Fraction
 
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
-from .engines import ENGINES, Config, cross_check, decimal_str, hk, jsonable_int, load_corpus
-from .engines import refuse_unwritable
+from .engines import ENGINES, Config, cross_check, decimal_str, hk, load_corpus, refuse_unwritable
 from .errors import HKError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import hk_quasi_polynomial
@@ -36,6 +35,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+JSON_INT_LIMIT = 2**53  # a double holds every integer of smaller magnitude exactly
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -87,7 +87,18 @@ def _config(args) -> Config:
 
 
 def _dump_json(payload, stream=None):
-    print(json.dumps(payload, sort_keys=True), file=stream or sys.stdout)
+    """The one JSON writer: sorted keys, and ints past 2^53 as decimal strings."""
+    print(json.dumps(_jsonable(payload), sort_keys=True), file=stream or sys.stdout)
+
+
+def _jsonable(obj):
+    """obj through dicts, lists and tuples, each int outside (-2^53, 2^53) by `decimal_str`."""
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    inexact = type(obj) is int and not -JSON_INT_LIMIT < obj < JSON_INT_LIMIT
+    return decimal_str(obj) if inexact else obj
 
 
 def _parse_range(text: str):
@@ -104,17 +115,14 @@ def _parse_range(text: str):
 def _cmd_hk(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
-    refuse_unwritable(f, args.p, args.n)
+    refuse_unwritable(f.m, args.p, args.n)
     rep = hk(f, args.p, args.n, engine=args.engine, config=cfg)
     if args.format == "json":
         payload = rep.json_dict()
         if args.verbose and rep.by_bound is not None:  # as pieces: does not grow with q
             b = rep.by_bound
             payload["data"]["tables"] = {"by_bound": {
-                "length": jsonable_int(b.length),
-                "starts": [jsonable_int(v) for v in b.starts],
-                "diffs": [[jsonable_int(v) for v in row] for row in b.diffs],
-            }}
+                "length": b.length, "starts": b.starts, "diffs": b.diffs}}
         _dump_json(payload)
     else:
         print(decimal_str(rep.value))
@@ -127,14 +135,15 @@ def _cmd_table(args) -> int:
     cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
     ns = _parse_range(args.n_range)
-    refuse_unwritable(f, args.p, ns[-1])
+    refuse_unwritable(f.m, args.p, ns[-1])
     rows = []  # every integer as text before anything is printed
     for n in ns:
         rep = hk(f, args.p, n, engine=args.engine, config=cfg)
         value = decimal_str(rep.value)  # first, so a refusal names the value's digits, as hk's
         est = Fraction(rep.value, rep.q ** (f.m - 1))
         num, den = decimal_str(est.numerator), decimal_str(est.denominator)
-        rows.append((n, jsonable_int(rep.q), value, rep.engine, num, den))
+        q = rep.q if args.format == "json" else decimal_str(rep.q)  # _dump_json writes JSON's
+        rows.append((n, q, value, rep.engine, num, den))
     if args.format == "json":
         payload = [
             {"n": n, "q": q, "hk": v, "engine": eng, "estimate": {"num": num, "den": den}}
@@ -192,8 +201,8 @@ def _cmd_classify(args) -> int:
 def _cmd_trace(args) -> int:
     f = parse_binomial(args.poly, args.p, args.vars)
     A = parse_monomial(args.monomial, f.m)
-    q = PrimePower(args.p, args.n)
-    result, steps = member_scan(A, f, q)
+    refuse_unwritable(1, args.p, args.n)  # before p^n is built
+    result, steps = member_scan(A, f, PrimePower(args.p, args.n))
     if args.format == "json":
         payload = {
             "monomial": list(A),
@@ -269,9 +278,9 @@ def _emit_error(exc, fmt: str):
 
 
 def _int_or_null(x: int):
-    """jsonable_int(x), or None when x is too long to write in decimal."""
+    """x as `_dump_json` writes it, or None when x is too long to write in decimal."""
     try:
-        return jsonable_int(x)
+        return _jsonable(x)
     except ResourceError:
         return None
 

@@ -32,10 +32,8 @@ from .classify import Classification, classify, classification_summary
 from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape
 from .closedform import trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ResourceError
-from .keycheck import hk_direct_count
-from .oracle import OracleReport, hk_oracle_report
-
-JSON_INT_LIMIT = 2**53
+from .keycheck import ENUM_CAP, hk_direct_count
+from .oracle import ORACLE_CAP, OracleReport, hk_oracle_report
 
 ENGINES = ("auto", "closed", "direct", "oracle")
 
@@ -44,8 +42,8 @@ ENGINES = ("auto", "closed", "direct", "oracle")
 class Config:
     """Budgets of direct (q^m) and oracle (nodes), and cross_check's threads."""
 
-    enum_cap: int = 10**7
-    oracle_cap: int = 10**6
+    enum_cap: int = ENUM_CAP
+    oracle_cap: int = ORACLE_CAP
     workers: int = 1
 
     def __post_init__(self):
@@ -72,22 +70,17 @@ def decimal_str(x: int) -> str:
         ) from None
 
 
-def refuse_unwritable(f: Binomial, p: int, n: int):
+def refuse_unwritable(m: int, p: int, n: int):
     """Refuse before computing, whatever the engine, when Kunz's bound
-    HK(q) >= q^(m-1), or q itself for m = 1, already has more decimal digits
-    than the interpreter converts."""
-    limit, power = sys.get_int_max_str_digits(), max(f.m - 1, 1)
+    HK(q) >= q^(m-1), or q itself for m = 1 (which a trace passes: its scan
+    writes exponents >= q), has more decimal digits than the interpreter converts."""
+    limit, power = sys.get_int_max_str_digits(), max(m - 1, 1)
     below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))  # past float error
     digits = math.floor(n * power * below_log10_p) + 1
     if 0 < limit < digits:
-        subject, bound = ("q", "") if f.m == 1 else ("the value", f" (HK(q) >= q^{power})")
+        subject, bound = ("q", "") if m == 1 else ("the value", f" (HK(q) >= q^{power})")
         raise ResourceError(f"{subject} has at least {digits} decimal digits{bound}, over the "
                             f"interpreter's limit of {limit}", digits, limit)
-
-
-def jsonable_int(x: int):
-    """Ints that may not survive a double round-trip become decimal strings."""
-    return x if -JSON_INT_LIMIT < x < JSON_INT_LIMIT else decimal_str(x)
 
 
 @dataclass
@@ -107,13 +100,13 @@ class HKReport:
 
     def data_dict(self) -> dict:
         """Deterministic payload, formatted here from the engines' records;
-        timing and by_bound deliberately excluded.  Raises ResourceError
-        when an integer is too long to write in decimal."""
+        timing and by_bound deliberately excluded.  `value` is a decimal string
+        (ResourceError when too long); other ints are plain, and the CLI writes them."""
         value = decimal_str(self.value)  # first, so a refusal names the value's digits
         out = {
             "p": self.p,
             "n": self.n,
-            "q": jsonable_int(self.q),
+            "q": self.q,
             "m": self.m,
             "value": value,
             "engine": self.engine,
@@ -122,20 +115,17 @@ class HKReport:
         }
         if self.mmax_params is not None:
             out["mmax_params"] = [
-                {"var": f"x{prm.var}", "a": jsonable_int(prm.a), "b": jsonable_int(prm.b),
-                 "top_value": jsonable_int(prm.top_value)}
+                {"var": f"x{prm.var}", "a": prm.a, "b": prm.b, "top_value": prm.top_value}
                 for prm in self.mmax_params
             ]
         if self.oracle is not None:
             orc = self.oracle
-            out["oracle"] = {
-                "nodes": jsonable_int(orc.nodes), "dead": jsonable_int(orc.dead_nodes),
-                "merges": jsonable_int(orc.merges),
-                "live_merged_classes": jsonable_int(orc.live_merged_classes),
-            }
+            out["oracle"] = {"nodes": orc.nodes, "dead": orc.dead_nodes, "merges": orc.merges,
+                             "live_merged_classes": orc.live_merged_classes}
         return out
 
     def json_dict(self) -> dict:
+        """`data_dict()` and the timing, with the same plain ints."""
         return {"data": self.data_dict(), "timing": {"ms": self.timing_ms}}
 
 
@@ -239,7 +229,7 @@ def load_corpus(path: str) -> list:
                 if type(p) is not int or type(n) is not int:
                     raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")
                 f = parse_binomial(obj["poly"], p)
-                refuse_unwritable(f, p, n)  # before anything is computed
+                refuse_unwritable(f.m, p, n)  # before anything is computed
                 out.append((f, p, n))
             except (KeyError, TypeError, ValueError, HKError) as exc:
                 msg = f"{path}:{lineno}: bad corpus entry: {exc}"

@@ -16,8 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Binomial, PrimePower, check_field
+from .algebra import Binomial, PrimePower, require_field
 from .errors import ContractError, DomainError, ResourceError
+
+ENUM_CAP = 10**7  # hk_direct_count's default budget on q^m membership tests
 
 
 def _check_standard(A, q: PrimePower, what="monomial"):
@@ -59,7 +61,7 @@ def member_scan(A, f: Binomial, q: PrimePower):
     no steps, a mutation member `witness_m` and a non-member `mmax_scanned`.
     Used by the trace front end and as the reference implementation in tests.
     """
-    check_field(f, q.p, q.n)
+    require_field(f, q.p)
     _check_standard(A, q)
     e2, e1 = f.lead.exps, f.trail.exps
     bound = _lead_scan_bound(A, e2, tuple(b - a for a, b in zip(e2, e1)))
@@ -77,7 +79,7 @@ def member_scan(A, f: Binomial, q: PrimePower):
     return MembershipResult(False, None, None, bound), steps
 
 
-def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
+def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = ENUM_CAP) -> int:
     """Count standard monomials outside their key ideal plus (f).
 
     This equals the length of the quotient by the Frobenius power plus (f):
@@ -85,7 +87,8 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = 10**7) -> int:
     exactly at each non-member.  The heads (first m - 1 exponents) are walked
     depth first; each head, and the row of x_m exponents above it, costs O(1).
     """
-    qq, m = check_field(f, q.p, q.n).q, f.m
+    require_field(f, q.p)
+    qq, m = q.q, f.m
     total = qq**m
     if total > enum_cap:
         raise ResourceError(

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import Binomial, PrimePower, check_field
+from .algebra import Binomial, PrimePower, require_field
 from .errors import ResourceError
+
+ORACLE_CAP = 10**6  # hk_oracle_report's default budget on relation-graph nodes
 
 
 @dataclass(frozen=True)
@@ -37,14 +39,15 @@ class OracleReport:
     live_merged_classes: int
 
 
-def hk_oracle(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> int:
+def hk_oracle(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> int:
     """Exact length by explicit relation propagation."""
     return hk_oracle_report(f, q, node_cap).length
 
 
-def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = 10**6) -> OracleReport:
+def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> OracleReport:
     """Count the relation graph's live paths with whole-mask bit operations."""
-    qq = check_field(f, q.p, q.n).q
+    require_field(f, q.p)
+    qq = q.q
     nodes = qq**f.m
     if nodes > node_cap:
         raise ResourceError(

@@ -216,6 +216,16 @@ def test_digit_limit_names_the_value_in_every_subcommand(tmp_path, capsys):
     assert err.startswith("error: an integer of 4301 decimal digits ")
 
 
+@pytest.mark.parametrize("fmt", ["plain", "csv", "json"])
+def test_table_refuses_q_past_the_digit_limit_in_every_format(capsys, fmt):
+    # m = 1: q = (10^20 + 39)^215 has 4301 digits, one more than the lower bound that
+    # refuses before computing counts, so q itself is refused before anything is printed
+    argv = ["table", "--poly", "x1^3 - x1", "--p", str(10**20 + 39), "--n-range", "215..215"]
+    code, out, err = run_cli(capsys, argv + ["--format", fmt])
+    assert (code, out) == (3, "")
+    assert "an integer of 4301 decimal digits is over the interpreter's limit of 4300" in err
+
+
 M3, M1 = ("x1^3*x2 - x2^2*x3^2", 1397941), ("x1^3 - x1", 2096911)
 
 
@@ -226,23 +236,25 @@ M3, M1 = ("x1^3*x2 - x2^2*x3^2", 1397941), ("x1^3 - x1", 2096911)
         for engine in ([], ["--engine", "direct"], ["--engine", "oracle"])
         for cmd in ("hk", "table")
     ] + [(["hk"], M1, 3000000, "q"), (["table"], M1, 3000000, "q"),
-         (["check"], M3, 1000000, "the value")],
+         (["check"], M3, 1000000, "the value"),
+         (["trace", "--monomial", "4,1"], ("x1^3 - x2^2", 6989701), 10000000, "q")],
     ids=["hk", "table", "hk-direct", "table-direct", "hk-oracle", "table-oracle",
-         "hk-m1", "table-m1", "check"],
+         "hk-m1", "table-m1", "check", "trace"],
 )
 def test_value_too_long_by_kunz_bound_refuses_before_computing(tmp_path, capsys, argv, case, n,
                                                               subject):
     # m = 3: HK(q) >= q^2 = 5^2000000 has 1397941 digits; computing took 21.7 s,
     # direct's budget error took over a second to write q^3, and check ran every
     # engine first.  m = 1: the bound q^0 refuses nothing, but every report writes
-    # q = 5^3000000 (2096911 digits); hk --format json took 1.7 s to exit 3
+    # q = 5^3000000 (2096911 digits); hk --format json took 1.7 s to exit 3.  trace
+    # writes exponents >= q once its scan converges; at n = 10^7 it built p^n twice (16 s)
     poly, digits = case
     if argv == ["check"]:
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(json.dumps({"poly": poly, "p": 5, "n": n}) + "\n")
         argv, subject = argv + ["--corpus", str(corpus)], f"{corpus}:1: bad corpus entry: {subject}"
     else:
-        n_flag = ["--n", str(n)] if argv[0] == "hk" else ["--n-range", f"1..{n}"]
+        n_flag = ["--n-range", f"1..{n}"] if argv[0] == "table" else ["--n", str(n)]
         argv = argv + n_flag + ["--poly", poly, "--p", "5"]
     started = time.perf_counter()
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
@@ -294,6 +306,86 @@ def test_json_resource_error_has_required_and_budget(capsys, argv, required, bud
         assert 10 ** (error["required"] - 1) <= value < 10 ** error["required"]
     else:
         assert error["required"] == required
+
+
+def _ints(obj):
+    """Every int (not bool) in a JSON value."""
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, list):
+        return [x for v in obj for x in _ints(v)]
+    return [obj] if type(obj) is int else []
+
+
+BIG_P, BIG_E = 10**18 + 3, 2**53 + 1  # p > 2^53 makes q and HK large; an exponent 2^53 + 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hk", "--poly", "x1^3 - x2^2", "--p", str(BIG_P), "--n", "1"],
+        ["hk", "--poly", f"x1^{BIG_E}*x2 - x2^2", "--p", "5", "--n", "1"],
+        ["hk", "--poly", "x1^3 - x2^2", "--p", str(BIG_P), "--n", "1", "--engine", "closed",
+         "--verbose"],
+        ["table", "--poly", "x1^3 - x2^2", "--p", str(BIG_P), "--n-range", "1..2"],
+        ["mult", "--poly", "x1^3 - x2^2", "--p", str(BIG_P)],
+        ["classify", "--poly", f"x1^{BIG_E}*x2 - x2^2", "--p", "5"],
+        ["trace", "--poly", "x1^3 - x2^2", "--p", str(BIG_P), "--n", "1",
+         "--monomial", f"{3 * 2**53},2"],
+        ["check"],
+    ],
+    ids=["hk-p", "hk-exponent", "hk-closed-verbose", "table", "mult", "classify", "trace",
+         "check"],
+)
+def test_every_json_int_survives_a_double(tmp_path, capsys, argv):
+    # every payload goes through one writer, which turns each int outside
+    # (-2^53, 2^53) into a decimal string: p, the classification, the trace's
+    # vectors and scan bound, and each corpus entry's p included
+    if argv == ["check"]:
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"poly": "x1^3 - x2^2", "p": BIG_P, "n": 1}) + "\n")
+        argv = argv + ["--corpus", str(corpus)]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    payload = json.loads(out)
+    payload.pop("timing", None)
+    assert code == 0
+    assert [x for x in _ints(payload) if not -(2**53) < x < 2**53] == []
+    assert any(f'"{big}"' in out for big in (BIG_P, BIG_E, 3 * 2**53))  # as a string
+
+
+LONG = "9" * (sys.get_int_max_str_digits() + 100)  # one literal int() refuses to convert
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["hk", "--poly", f"{LONG}*x1 - x2", "--p", "5", "--n", "1"],
+        ["table", "--poly", f"x{LONG} - x2", "--p", "5", "--n-range", "1..1"],
+        ["mult", "--poly", f"x1^{LONG}*x2 - x2^2", "--p", "5"],
+        ["classify", "--poly", f"x1^{LONG}*x2 - x2^2", "--p", "5"],
+        ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", f"4,{LONG}"],
+        ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", f"x1^{LONG}"],
+        ["check"],
+    ],
+    ids=["coefficient", "variable", "exponent", "classify", "monomial-list", "monomial",
+         "check"],
+)
+def test_over_long_integer_literal_is_a_resource_error(tmp_path, capsys, argv):
+    # int() raises a bare ValueError past the interpreter's digit limit: a traceback
+    prefix = ""
+    if argv == ["check"]:
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"poly": f"x1^{LONG}*x2 - x2^2", "p": 5, "n": 1}) + "\n")
+        argv, prefix = argv + ["--corpus", str(corpus)], f"{corpus}:1: bad corpus entry: "
+    message = f"{prefix}an integer literal of {len(LONG)} decimal digits is over the interpreter's"
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    error = json.loads(err)["error"]
+    assert (code, out, error["type"]) == (3, "", "ResourceError")
+    assert (error["required"], error["budget"]) == (len(LONG), sys.get_int_max_str_digits())
+    assert error["message"].startswith(message)
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
 
 def _key_paths(obj, path=""):

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hkbinomial import engines
+from hkbinomial import engines, keycheck, oracle
 from hkbinomial import (
     Config,
     DomainError,
@@ -234,3 +234,26 @@ def test_every_entry_rejects_a_bad_p_or_n(name):
     for p, n in [(4, 1), (5, 0), (5, -1)]:
         with pytest.raises(DomainError):
             entry(F1, p, n)
+
+
+def test_entries_given_a_prime_power_check_its_p_without_building_it_again(monkeypatch):
+    # hkb trace at n = 10^7 spent 3 s building p^n in member_scan, after the CLI had built it
+    q, f3 = PrimePower(5, 1), parse_binomial("x1^3 - x2^2", 3)
+
+    def build(self):
+        raise AssertionError("p^n built again")
+
+    monkeypatch.setattr(PrimePower, "__post_init__", build)
+    entries = {"hk_direct_count": lambda f: hk_direct_count(f, q),
+               "hk_oracle_report": lambda f: hk_oracle_report(f, q).length,
+               "member_scan": lambda f: member_scan((4, 1), f, q)[0].member}
+    assert {name: entry(F1) for name, entry in entries.items()} == {
+        "hk_direct_count": 10, "hk_oracle_report": 10, "member_scan": False}
+    for entry in entries.values():
+        with pytest.raises(DomainError, match="p = 5 does not match the binomial over F_3"):
+            entry(f3)
+
+
+def test_budget_defaults_are_the_engines_own():
+    assert Config().enum_cap == keycheck.ENUM_CAP == 10**7
+    assert Config().oracle_cap == oracle.ORACLE_CAP == 10**6

@@ -18,6 +18,11 @@ Every field of `engines.Config` must likewise be read as an attribute in
 `src/` outside the class itself and outside `cli.py`: a setting that only
 the command line reads is a flag of its subcommand, not library config.
 
+JSON is written in one place: `json.dumps` is called only in
+`cli._dump_json`, which applies the 2^53 integer rule to every payload, and
+no module but `cli.py` names `JSON_INT_LIMIT`, so that rule cannot drift
+back to one field at a time.
+
 Every library attribute that the benchmark's tracer replaces by name
 (`tracer.interpose(module, "attr", ...)` in `bench/worker.py`) must exist,
 so a rename that would break `bench/run.py --trace 1` fails here.
@@ -154,3 +159,23 @@ def test_every_attribute_the_bench_traces_exists():
         if not hasattr(importlib.import_module(f"hkbinomial.{module}"), attr)
     ]
     assert len(traced) >= 10 and missing == [], f"bench/worker.py traces missing names: {missing}"
+
+
+def test_json_is_written_in_one_place():
+    writers, limit_named = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "dumps" in (
+                getattr(node.func, "attr", None), getattr(node.func, "id", None)
+            ):
+                owner = node
+                while not isinstance(owner, (ast.FunctionDef, ast.Module)):
+                    owner = parent[owner]
+                writers.append(f"{path.stem}.{getattr(owner, 'name', '<module>')}")
+            names = (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+            if "JSON_INT_LIMIT" in names and path.name != "cli.py":
+                limit_named.append(path.name)
+    assert writers == ["cli._dump_json"], f"json.dumps called outside cli._dump_json: {writers}"
+    assert limit_named == [], f"JSON_INT_LIMIT named outside cli.py: {limit_named}"
