@@ -1,6 +1,9 @@
 """The iterative closed-form count and its building blocks.
 
-Layout of the computation, all in the delta-sorted frame:
+The count is a formula in the integer q alone, the length of S/(x_1^q, ...,
+x_m^q, f) at every q >= 1, prime power or not: p and n enter only through
+q = p^n, which the (p, n) wrappers build after checking the field.  Layout
+of the computation, all in the delta-sorted frame:
 
 * mmax_params: per shrinking variable with drop a and minimum power b,
   the top scan bound V = floor((q - 1 - b)/a), the most trades a
@@ -13,15 +16,10 @@ Layout of the computation, all in the delta-sorted frame:
   once the lead term stops dividing (membership then reduces to trail
   divisibility); a single descending product chain.  Not on the value
   path: kept only for the benchmark's trace until it moves to the tests.
-* hk_closed_form_tables: sums the non-members by scan bound M = 1..V, V ~ q/a
-  the least top value: phi(M) times the shrinking tuples whose least
-  bound is M, a difference of two products of r factors linear in M.
-  The summand is one PiecewisePoly of degree t + r - 1, cut at phi's two
-  cuts per growing variable and at M = V, whose one `total` (no prefix
-  sums) is the sum; it costs O(t * (t + r)) evaluations and the value
-  takes time independent of q.  The monomials
-  whose shrinking part the lead does not divide add an O(m)
-  inclusion-exclusion term.
+* closed_form_at, the one body (hk_closed_form_tables at q = p^n): the
+  non-members by scan bound M = 1..V, V ~ q/a, are one PiecewisePoly whose
+  `total` costs O(t * (t + r)) evaluations, so the value takes time
+  independent of q; an O(m) inclusion-exclusion term adds the rest.
 * trail_complement_count: the length for the shapes the closed form
   excludes (`is_monomial_shape`), where the ideal is a monomial ideal.
 
@@ -49,7 +47,7 @@ def ceil_div(x: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class MmaxParams:
-    """Constants of one shrinking variable at fixed p, n."""
+    """Constants of one shrinking variable at fixed q."""
 
     var: int  # original 1-based variable index
     a: int
@@ -65,14 +63,16 @@ def mmax_params(cls: Classification, p: int, n: int) -> tuple:
     some shrinking variable (then no standard monomial is divisible by the
     lead term and the whole closed-form route is vacuous).
     """
+    return _mmax_at(cls, PrimePower(p, n).q)
+
+
+def _mmax_at(cls: Classification, qq: int) -> tuple:
     if cls.r == 0:
         raise NotApplicableError("no shrinking variable")
-    qq = PrimePower(p, n).q
     for rec in cls.neg:
         if qq <= rec.nmax:
-            raise NotApplicableError(
-                f"q = {qq} does not exceed the max power {rec.nmax} of x{rec.var}"
-            )
+            raise NotApplicableError(f"q = {qq} does not exceed the max power {rec.nmax} "
+                                     f"of x{rec.var}")
     return tuple(
         MmaxParams(rec.var, rec.a, rec.b, rec.nmax, (qq - 1 - rec.b) // rec.a)
         for rec in cls.neg
@@ -257,8 +257,13 @@ def scan_cuts(cls: Classification, qq: int) -> list:
 
 
 def hk_closed_form_tables(f: Binomial, p: int, n: int):
-    """(value, by_bound, params): the closed-form value, the non-members by
-    scan bound (x -> those at bound x + 1, on [0, V)) and the MmaxParams.
+    """`closed_form_at` for f at q = p^n, after checking the field."""
+    return closed_form_at(classify(f), check_field(f, p, n).q)
+
+
+def closed_form_at(cls: Classification, qq: int):
+    """(value, by_bound, params) at an integer q >= 1: the closed-form value, the
+    non-members by scan bound (x -> those at bound x + 1, on [0, V)) and the MmaxParams.
 
     Sums the non-members by scan bound M = 1..V, V the least top value.
     at_least(M) counts the shrinking tuples past the lead powers whose every
@@ -270,11 +275,10 @@ def hk_closed_form_tables(f: Binomial, p: int, n: int):
     non-member exactly when the trail does not divide it, counted by
     inclusion-exclusion.
     """
-    qq, cls = check_field(f, p, n).q, classify(f)
     if is_monomial_shape(cls, qq):
         raise NotApplicableError("no growing variable, or a lead exponent is >= q: "
                                  "the length is the trail complement count")
-    params = mmax_params(cls, p, n)
+    params = _mmax_at(cls, qq)
     V = min(prm.top_value for prm in params)
     if V < 1:
         raise FormulaDomainError("top scan bound below 1")

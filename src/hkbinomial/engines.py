@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import Binomial, check_field, parse_binomial, render
+from .algebra import Binomial, _literal, check_field, parse_binomial, render
 from .classify import Classification, classify, classification_summary
 from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape
 from .closedform import trail_complement_count
@@ -215,8 +215,8 @@ def cross_check(instances, config: Config | None = None) -> CheckReport:
 
 
 def load_corpus(path: str) -> list:
-    """Read a corpus file: one JSON object {"poly", "p", "n"} per line.
-    A line is refused as `refuse_unwritable` refuses it."""
+    """Read a corpus file: one JSON object {"poly", "p", "n"} per line.  A line is
+    refused as `refuse_unwritable` refuses it, and an over-long int as the parser does."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -224,7 +224,7 @@ def load_corpus(path: str) -> list:
             if not line:
                 continue
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, parse_int=_literal)
                 p, n = obj["p"], obj["n"]
                 if type(p) is not int or type(n) is not int:
                     raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")

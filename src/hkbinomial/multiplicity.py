@@ -2,8 +2,9 @@
 
 Past n0, HK(p^n) is a polynomial in q = p^n on each class of n modulo a
 period pi; its q^(m-1) coefficient, the same on every class, is the
-multiplicity e_HK, rational, and an integer when m = 2.  `hk_1dim` is the
-m = 2 length by the classical case split.
+multiplicity e_HK, rational, and an integer when m = 2.  Each class is
+interpolated from the closed form at small integers Q, not at q = p^n;
+`hk_1dim` is the m = 2 length by the classical case split.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from math import lcm, log
 
 from .algebra import Binomial, check_field
 from .classify import classify
-from .closedform import ceil_div, is_monomial_shape, scan_cuts, trail_complement_count
+from .closedform import ceil_div, closed_form_at, is_monomial_shape, trail_complement_count
 from .errors import ContractError, DomainError, ResourceError
-from . import engines as _engines
 from .engines import decimal_str
 
-WORK_BUDGET = 3 * 10**11  # hk_quasi_polynomial's most work, as its `work` measures it
+WORK_BUDGET = 3 * 10**13  # hk_quasi_polynomial's most work: its period times a class's `unit`
 
 
 def _two_variable_case(f: Binomial):
@@ -104,18 +104,17 @@ def hk_quasi_polynomial(f: Binomial, p: int) -> QuasiPolynomial:
 
     Past n0, q exceeds every exponent and no two cuts of the count by scan
     bound (`scan_cuts`, and 0) change order: cuts of rates r1 < r2 differ
-    by q/r1 - q/r2 less their offsets.  With pi the order of p modulo the
-    part prime to p of L, the lcm of the rates, q mod L is fixed on each
-    class n = c (mod pi), so each cut is affine in q there, and HK, a sum
-    of polynomials over pieces with affine ends, is a polynomial in q of
-    degree <= m (0 <= HK <= q^m): m + 1 auto `hk` values fix it.  Raises
-    ResourceError, before any of them, when the work is over WORK_BUDGET;
-    ContractError on a q^m term or classes with different e_HK.
+    by q/r1 - q/r2 less their offsets.  On a class n = c (mod pi), q mod L,
+    L the lcm of the rates, is fixed, each cut is affine in q, and HK, a sum
+    of polynomials over pieces with affine ends, is one of degree <= m in q:
+    the closed form at m + 1 integers Q past the bound in that residue class
+    fixes it.  ResourceError, before any evaluation, when the work is over
+    WORK_BUDGET; ContractError on a q^m term or classes with different e_HK.
     """
     check_field(f, p, 1)
     m, cls = f.m, classify(f)
     E = max(f.lead.exps + f.trail.exps)
-    rates = sorted({rate for rate, _ in scan_cuts(cls, p)}) if cls.t else []
+    rates = sorted({N.a for N in cls.neg} | {P.dp for P in cls.pos}) if cls.t else []
     bound = E + 1 + 2 * rates[-1] if rates else E  # every cut above 0 past this q
     for i, r1 in enumerate(rates):
         for r2 in rates[i + 1 :]:
@@ -123,23 +122,20 @@ def hk_quasi_polynomial(f: Binomial, p: int) -> QuasiPolynomial:
     n0 = max(1, int(log(bound, p)) - 1)  # then the least n with p^n > bound
     while p**n0 <= bound:
         n0 += 1
-    L = lcm(*rates)
-    while L % p == 0:
-        L //= p
-
-    def work(period):  # its hk values times m times the squared bits of the largest q^m
-        return period * (m + 1) * m * (m * (n0 + period * (m + 1)) * p.bit_length()) ** 2
-
-    period = 1  # the order of p mod L, or the least period whose work is over the budget
-    while pow(p, period, L) != 1 % L and work(period) <= WORK_BUDGET:
+    L = lcm(*rates)  # its p-part divides p^n0, as it is at most the largest rate
+    # a class's work: m + 1 evaluations, each priced by m and the bits of the largest Q^m
+    unit = (m + 1) * (m + 40) * (4000 + m * (bound + L * (m + 2)).bit_length()) ** 2
+    period = 1  # the order of p mod the part of L prime to p, or the least period over budget
+    while pow(p, n0 + period, L) != pow(p, n0, L) and period * unit <= WORK_BUDGET:
         period += 1
-    if work(period) > WORK_BUDGET:
-        raise ResourceError(f"the quasi-polynomial needs at least {work(period)} units of "
-                            f"work, over the budget of {WORK_BUDGET}", work(period), WORK_BUDGET)
+    if period * unit > WORK_BUDGET:
+        raise ResourceError(f"the quasi-polynomial needs at least {period * unit} units of "
+                            f"work, over the budget of {WORK_BUDGET}", period * unit, WORK_BUDGET)
     classes = []
     for c in range(period):
-        ns = [n0 + (c - n0) % period + k * period for k in range(m + 1)]
-        coeffs = _interpolate([p**n for n in ns], [_engines.hk(f, p, n).value for n in ns])
+        Qs = [pow(p, n0 + (c - n0) % period, L) + (bound // L + 1 + k) * L for k in range(m + 1)]
+        coeffs = _interpolate(Qs, [closed_form_at(cls, Q)[0] if cls.t else
+                                   trail_complement_count(Q, f.trail.exps) for Q in Qs])
         if coeffs[m]:
             raise ContractError(f"HK has a q^{m} term on the class {c} mod {period}")
         classes.append(tuple(coeffs[:m]))

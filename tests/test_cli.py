@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hkbinomial import cli, closedform, engines, hk, parse_binomial
+from hkbinomial import cli, closedform, engines, hk, multiplicity, parse_binomial
 from hkbinomial.closedform import hk_closed_form_tables
 
 
@@ -583,14 +583,34 @@ def test_mult_json_and_csv(capsys):
     assert run_cli(capsys, argv + ["csv"])[:2] == (2, "")
 
 
-def test_mult_over_budget_is_a_resource_error(capsys):
-    argv = ["mult", "--poly", "x1^97*x2 - x2^10*x3^5", "--p", "1000003", "--format", "json"]
+def test_mult_over_budget_is_a_resource_error(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(multiplicity, "closed_form_at", lambda *a: calls.append(a))
+    argv = ["mult", "--poly", "x1 - x3000", "--p", "5", "--format", "json"]
     started = time.perf_counter()
     code, out, err = run_cli(capsys, argv)
-    assert time.perf_counter() - started < 0.25
+    assert time.perf_counter() - started < 0.1
     error = json.loads(err)["error"]
-    assert (code, out, error["type"]) == (3, "", "ResourceError")
-    assert error["required"] > error["budget"] == 3 * 10**11
+    assert (code, out, error["type"], calls) == (3, "", "ResourceError", [])
+    assert int(error["required"]) > error["budget"] == multiplicity.WORK_BUDGET  # required > 2^53
+
+
+def test_mult_answers_a_large_period_at_a_large_prime(capsys):
+    argv = ["mult", "--poly", "x1^97*x2 - x2^10*x3^5", "--p", "1000003"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0 and out.startswith("e_HK = 1410/97\n")
+
+
+def test_corpus_line_with_an_over_long_int_is_a_resource_error(tmp_path, capsys):
+    # json.loads raises a bare ValueError on such an int: the interpreter's text, exit 2
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1' + "0" * 4400 + "}\n")
+    code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", "json"])
+    assert (code, out, len(err.splitlines())) == (3, "", 1)
+    error = json.loads(err)["error"]
+    assert (error["type"], error["required"], error["budget"]) == (
+        "ResourceError", 4401, sys.get_int_max_str_digits())
+    assert error["message"].startswith(f"{corpus}:1: bad corpus entry: an integer literal of 4401")
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])

@@ -1,4 +1,5 @@
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,13 +14,16 @@ from hkbinomial import (
     hk_closed_form_tables,
     hk_direct_count,
     hk_oracle,
+    hk_oracle_report,
     mmax_params,
     parse_binomial,
     phi_recursive,
 )
 from hkbinomial import closedform
 from hkbinomial.classify import classify
-from hkbinomial.closedform import PiecewisePoly, g_chain
+from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain, is_monomial_shape
+from hkbinomial.closedform import trail_complement_count
+from tests.conftest import random_binomials
 from tests.closedform_reference import (
     g_complement,
     hk_closed_form_naive,
@@ -268,3 +272,22 @@ def test_four_variable_value_at_5_14_is_fast():
     rep = hk(M4_SHAPE, 5, 14)
     assert time.perf_counter() - started < 1.0
     assert rep.engine == "closed" and 0 < rep.value < 5 ** (14 * 4)
+
+
+def test_closed_form_is_the_length_at_every_integer_q():
+    # p and n enter only through q: at every Q, prime power or not, the body
+    # (or the trail complement count on monomial shapes) is the oracle's count
+    # of S/(x_1^Q, ..., x_m^Q, f), run with a PrimePower stand-in carrying Q
+    drawn = {f: 12 for f, _, _ in random_binomials(1601, 240, ms=(2, 3), max_exp=6, qm_cap=10**9)}
+    drawn |= {f: 8 for f, _, _ in random_binomials(1602, 60, ms=(4,), max_exp=5, qm_cap=10**9)}
+    closed = 0
+    for f, top in drawn.items():
+        cls = classify(f)
+        for Q in range(1, top + 1):
+            if is_monomial_shape(cls, Q):
+                value = trail_complement_count(Q, f.trail.exps)
+            else:
+                value, closed = closed_form_at(cls, Q)[0], closed + 1
+            oracle = hk_oracle_report(f, SimpleNamespace(p=f.p, n=1, q=Q)).length
+            assert value == oracle, (f, Q)
+    assert closed > 1000

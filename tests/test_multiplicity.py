@@ -2,7 +2,6 @@ import random
 import time
 from fractions import Fraction
 from math import factorial
-from types import SimpleNamespace
 
 import pytest
 
@@ -14,7 +13,6 @@ from hkbinomial import (
     QuasiPolynomial,
     ResourceError,
     Term,
-    engines,
     hk,
     hk_1dim,
     hk_oracle,
@@ -26,10 +24,10 @@ from hkbinomial import multiplicity
 from hkbinomial.classify import classify
 from hkbinomial.closedform import scan_cuts
 from tests.conftest import random_binomials
-from tests.multiplicity_reference import hk_multiplicity_1dim
+from tests.multiplicity_reference import hk_multiplicity_1dim, hk_quasi_polynomial_at_prime_powers
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
-SLOW = parse_binomial("x1^97*x2 - x2^10*x3^5", 1000003)  # pi = 96, over the budget
+SLOW = "x1^97*x2 - x2^10*x3^5"  # pi = 96 at p = 5 and at p = 10^6 + 3
 
 
 def sweep_binomials(seed, count):
@@ -146,6 +144,7 @@ def test_cut_order_is_fixed_on_each_class_past_n0():
         if cls.t == 0:
             continue
         qp = hk_quasi_polynomial(f, f.p)
+        assert qp == hk_quasi_polynomial_at_prime_powers(f, f.p), f
         for c in range(qp.period):
             rows = []
             for k in range(3):
@@ -163,6 +162,7 @@ def test_seeded_sweep_matches_hk_beyond_the_fit():
     periods = set()
     for f in sweep_binomials(1202, 300):
         qp = hk_quasi_polynomial(f, f.p)
+        assert qp == hk_quasi_polynomial_at_prime_powers(f, f.p), f
         periods.add(qp.period)
         m = f.m
         assert all(len(coeffs) == m for coeffs in qp.classes)  # no q^m term
@@ -196,23 +196,34 @@ def test_m2_multiplicity_is_the_case_split_integer(corpus200):
 
 def test_over_budget_refuses_before_evaluating(monkeypatch):
     calls = []
-    monkeypatch.setattr(engines, "hk", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(multiplicity, "closed_form_at", lambda *a: calls.append(a))
+    f = parse_binomial("x1 - x3000", 5)
     started = time.perf_counter()
     with pytest.raises(ResourceError) as exc:
-        hk_quasi_polynomial(SLOW, SLOW.p)
+        hk_quasi_polynomial(f, 5)
     assert time.perf_counter() - started < 0.1
     assert calls == []
     assert exc.value.budget == multiplicity.WORK_BUDGET < exc.value.required
 
 
+def test_large_period_at_a_large_prime_answers():
+    # the classes come from small Q, so the work does not grow with the bits of p
+    p = 1000003
+    qp = hk_quasi_polynomial(parse_binomial(SLOW, p), p)
+    at_5 = hk_quasi_polynomial_at_prime_powers(parse_binomial(SLOW, 5), 5)
+    assert (qp.period, at_5.period) == (96, 96)
+    assert qp.e_hk == at_5.e_hk == Fraction(1410, 97)
+
+
 @pytest.mark.parametrize(
-    "bump,message", [(lambda q, n: q**2, r"q\^2 term"), (lambda q, n: q * (n % 2), "differ")]
+    "bump,message", [(lambda q: q**2, r"q\^2 term"), (lambda q: q * (q % 3 == 2), "differ")]
 )
 def test_contract_checks(monkeypatch, bump, message):
-    # F1 has period 2 at p = 5; a q^2 term, or e_HK 3 on odd n, must be refused
-    real = engines.hk
+    # F1 has period 2 at p = 5, and L = 6: its classes take Q = 1 and Q = 5 (mod 6).
+    # A q^2 term, or e_HK 3 on the odd class, must be refused
+    real = multiplicity.closed_form_at
     monkeypatch.setattr(
-        engines, "hk", lambda f, p, n: SimpleNamespace(value=real(f, p, n).value + bump(p**n, n))
+        multiplicity, "closed_form_at", lambda cls, q: (real(cls, q)[0] + bump(q), None, None)
     )
     with pytest.raises(ContractError, match=message):
         hk_quasi_polynomial(F1, 5)

@@ -23,6 +23,10 @@ JSON is written in one place: `json.dumps` is called only in
 no module but `cli.py` names `JSON_INT_LIMIT`, so that rule cannot drift
 back to one field at a time.
 
+The closed form is one body on an integer q: in `closedform.py` only the
+public (p, n) wrappers name `PrimePower` or `check_field`, and
+`multiplicity.py` interpolates that body, never the engine dispatcher `hk`.
+
 Every library attribute that the benchmark's tracer replaces by name
 (`tracer.interpose(module, "attr", ...)` in `bench/worker.py`) must exist,
 so a rename that would break `bench/run.py --trace 1` fails here.
@@ -179,3 +183,23 @@ def test_json_is_written_in_one_place():
                 limit_named.append(path.name)
     assert writers == ["cli._dump_json"], f"json.dumps called outside cli._dump_json: {writers}"
     assert limit_named == [], f"JSON_INT_LIMIT named outside cli.py: {limit_named}"
+
+
+def test_the_closed_form_body_takes_q_alone():
+    wrappers = {"mmax_params", "phi_recursive", "g_chain", "hk_closed_form_tables"}
+    tree = ast.parse((PACKAGE / "closedform.py").read_text(encoding="utf-8"))
+    naming = {
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+        if isinstance(node, ast.Name) and node.id in ("PrimePower", "check_field")
+    }
+    assert naming and naming <= wrappers, f"q built outside the (p, n) wrappers: {naming - wrappers}"
+    tree = ast.parse((PACKAGE / "multiplicity.py").read_text(encoding="utf-8"))
+    reached = [
+        getattr(node, "id", None) or getattr(node, "attr", None) or node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    ]
+    assert "hk" not in reached and "engines" not in reached, "multiplicity.py reaches engines.hk"
