@@ -26,7 +26,7 @@ from .closedform import (
     phi_recursive,
     g_chain,
 )
-from .engines import Config, HKReport, cross_check, hk, load_corpus
+from .engines import HKReport, cross_check, hk, load_corpus
 from .errors import (
     ConstantTermError,
     ContractError,
@@ -53,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Binomial",
     "Classification",
-    "Config",
     "HKReport",
     "MembershipResult",
     "MmaxParams",

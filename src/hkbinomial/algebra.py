@@ -165,14 +165,15 @@ _INT_RE = re.compile(r"\d+$")
 _TERM_SPLIT_RE = re.compile(r"([+-])")
 
 
-def _literal(digits: str) -> int:
-    """int(digits) for a run of decimal digits, or a ResourceError where int()
-    would raise ValueError: past the interpreter's `sys.get_int_max_str_digits`."""
-    limit = sys.get_int_max_str_digits()
-    if 0 < limit < len(digits):
-        raise ResourceError(f"an integer literal of {len(digits)} decimal digits is over the "
-                            f"interpreter's limit of {limit}", len(digits), limit)
-    return int(digits)
+def _literal(text: str) -> int:
+    """int(text) for a run of decimal digits, signed in a JSON corpus, or a
+    ResourceError where int() would raise ValueError: more digits, the sign
+    not counted, than the interpreter's `sys.get_int_max_str_digits`."""
+    limit, digits = sys.get_int_max_str_digits(), len(text.lstrip("-"))
+    if 0 < limit < digits:
+        raise ResourceError(f"an integer literal of {digits} decimal digits is over the "
+                            f"interpreter's limit of {limit}", digits, limit)
+    return int(text)
 
 
 def _parse_term(chunk: str, sign: int):

@@ -3,13 +3,15 @@
 Subcommands: hk (single value), table (values over a range of n), mult
 (the exact quasi-polynomial and e_HK), classify, trace, check.  Exit codes:
 0 success, 1 computational mismatch from check, 2 usage error, 3 resource
-budget exceeded (including a value too long to write in decimal).
+budget exceeded (including a value too long to write in decimal).  Under
+`main`, a closed stdout ends the process by SIGPIPE, as it ends any filter:
+shell status 141 and nothing on stderr.
 
 Each subcommand takes only the flags it reads: all take --format (csv
-for table only); hk, table and check the budgets --enum-cap and
---oracle-cap; hk --verbose (the engine on stderr, or the closed form's
-count by scan bound in JSON); check --workers.  Any other flag is a usage
-error.  Defaults other than --format plain and no --verbose are `Config`'s.
+for table only); hk --verbose (the engine on stderr, or the closed form's
+count by scan bound in JSON); check --workers (default 1).  Any other flag
+is a usage error.  The direct and oracle engines' budgets are constants
+(`keycheck.ENUM_CAP`, `oracle.ORACLE_CAP`), not flags.
 
 Identical invocations produce byte-identical JSON payloads: ordering is
 sorted, `_dump_json` writes every int outside (-2^53, 2^53) as a decimal
@@ -20,13 +22,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
-from dataclasses import fields
 from fractions import Fraction
 
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
-from .engines import ENGINES, Config, cross_check, decimal_str, hk, load_corpus, refuse_unwritable
+from .engines import ENGINES, cross_check, decimal_str, hk, load_corpus, refuse_unwritable
 from .errors import HKError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import hk_quasi_polynomial
@@ -49,21 +51,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, summary, formats=("plain", "json"), parents=(poly,), caps=False):
-        """A subcommand with --format; caps adds the enumerating engines' budgets."""
+    def command(name, summary, formats=("plain", "json"), parents=(poly,)):
+        """A subcommand with --format."""
         cmd = sub.add_parser(name, parents=list(parents), help=summary)
         cmd.add_argument("--format", choices=formats, default="plain")
-        if caps:
-            cmd.add_argument("--enum-cap", type=int, default=Config.enum_cap)
-            cmd.add_argument("--oracle-cap", type=int, default=Config.oracle_cap)
         return cmd
 
-    p_hk = command("hk", "single length value", caps=True)
+    p_hk = command("hk", "single length value")
     p_hk.add_argument("--n", required=True, type=int)
     p_hk.add_argument("--engine", choices=ENGINES, default="auto")
     p_hk.add_argument("--verbose", action="store_true")
 
-    p_table = command("table", "values over a range of n", ("plain", "json", "csv"), caps=True)
+    p_table = command("table", "values over a range of n", ("plain", "json", "csv"))
     p_table.add_argument("--n-range", required=True, help="a..b inclusive")
     p_table.add_argument("--engine", choices=ENGINES, default="auto")
 
@@ -74,16 +73,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--n", required=True, type=int)
     p_trace.add_argument("--monomial", required=True, help='e.g. "x1^4*x2" or "4,1"')
 
-    p_check = command("check", "corpus cross-check", parents=(), caps=True)
+    p_check = command("check", "corpus cross-check", parents=())
     p_check.add_argument("--corpus", required=True, help="JSONL file with poly/p/n objects")
-    p_check.add_argument("--workers", type=int, default=Config.workers)
+    p_check.add_argument("--workers", type=int, default=1)
     return ap
-
-
-def _config(args) -> Config:
-    """Config from the flags this subcommand takes; its defaults for the rest."""
-    return Config(**{fld.name: getattr(args, fld.name) for fld in fields(Config)
-                     if hasattr(args, fld.name)})
 
 
 def _dump_json(payload, stream=None):
@@ -113,10 +106,9 @@ def _parse_range(text: str):
 
 
 def _cmd_hk(args) -> int:
-    cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
     refuse_unwritable(f.m, args.p, args.n)
-    rep = hk(f, args.p, args.n, engine=args.engine, config=cfg)
+    rep = hk(f, args.p, args.n, engine=args.engine)
     if args.format == "json":
         payload = rep.json_dict()
         if args.verbose and rep.by_bound is not None:  # as pieces: does not grow with q
@@ -132,13 +124,12 @@ def _cmd_hk(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cfg = _config(args)
     f = parse_binomial(args.poly, args.p, args.vars)
     ns = _parse_range(args.n_range)
     refuse_unwritable(f.m, args.p, ns[-1])
     rows = []  # every integer as text before anything is printed
     for n in ns:
-        rep = hk(f, args.p, n, engine=args.engine, config=cfg)
+        rep = hk(f, args.p, n, engine=args.engine)
         value = decimal_str(rep.value)  # first, so a refusal names the value's digits, as hk's
         est = Fraction(rep.value, rep.q ** (f.m - 1))
         num, den = decimal_str(est.numerator), decimal_str(est.denominator)
@@ -226,8 +217,7 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    cfg = _config(args)
-    report = cross_check(load_corpus(args.corpus), cfg)
+    report = cross_check(load_corpus(args.corpus), args.workers)
     if args.format == "json":
         _dump_json({"data": report.entries, "all_agree": report.all_agree})
     else:
@@ -286,4 +276,6 @@ def _int_or_null(x: int):
 
 
 def main():  # console entry point
+    if hasattr(signal, "SIGPIPE"):  # not on Windows
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))

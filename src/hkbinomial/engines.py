@@ -4,9 +4,10 @@ Three routes compute the same exact length:
 
 * closed: the iterative closed form (fast, guarded by applicability)
 * direct: the membership criterion over all q^m standard monomials,
-  counted a row of x_m exponents at a time (budgeted by q^m)
+  counted a row of x_m exponents at a time (refused past q^m =
+  `keycheck.ENUM_CAP`, 10^7)
 * oracle: a bit-parallel count of the relation graph's live paths
-  (budgeted by node count)
+  (refused past `oracle.ORACLE_CAP`, 10^6 nodes)
 
 `hk` with engine="auto" answers every binomial without enumeration: the
 shapes the closed form excludes (no growing variable, or a lead exponent
@@ -14,7 +15,9 @@ shapes the closed form excludes (no growing variable, or a lead exponent
 every other shape goes to the closed form.  direct and oracle run only when
 asked for by name, and `cross_check` runs all three per corpus instance and
 treats any disagreement as a hard failure; the closed form's boundary
-conventions are only trusted because this gate exists.
+conventions are only trusted because this gate exists.  The two budgets
+are constants here; only the engine functions take another (`enum_cap=`,
+`node_cap=`).
 """
 
 from __future__ import annotations
@@ -32,25 +35,10 @@ from .classify import Classification, classify, classification_summary
 from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape
 from .closedform import trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ResourceError
-from .keycheck import ENUM_CAP, hk_direct_count
-from .oracle import ORACLE_CAP, OracleReport, hk_oracle_report
+from .keycheck import hk_direct_count
+from .oracle import OracleReport, hk_oracle_report
 
 ENGINES = ("auto", "closed", "direct", "oracle")
-
-
-@dataclass
-class Config:
-    """Budgets of direct (q^m) and oracle (nodes), and cross_check's threads."""
-
-    enum_cap: int = ENUM_CAP
-    oracle_cap: int = ORACLE_CAP
-    workers: int = 1
-
-    def __post_init__(self):
-        for name in ("enum_cap", "oracle_cap", "workers"):
-            value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
 
 
 def decimal_str(x: int) -> str:
@@ -129,26 +117,19 @@ class HKReport:
         return {"data": self.data_dict(), "timing": {"ms": self.timing_ms}}
 
 
-def hk(
-    f: Binomial,
-    p: int | None = None,
-    n: int = 1,
-    engine: str = "auto",
-    config: Config | None = None,
-) -> HKReport:
+def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> HKReport:
     """Evaluate the length for q = p^n with the requested engine.
 
     engine="auto" returns the trail complement count (engine "monomial")
     when `is_monomial_shape` holds and the closed form otherwise; it never
     enumerates.  A named engine runs alone and raises NotApplicableError
-    or ResourceError (budgets from `config`) instead of switching routes.
+    or ResourceError (past its own budget) instead of switching routes.
     A closed report keeps the closed form's count by scan bound, `by_bound`.
     """
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
     if p is None:
         p = f.p
-    cfg = config or Config()
     q = check_field(f, p, n)
     cls = classify(f)
     started = time.perf_counter()
@@ -165,9 +146,9 @@ def hk(
         return report(value, "closed", mmax_params=params, by_bound=by_bound)
 
     if engine == "direct":
-        return report(hk_direct_count(f, q, enum_cap=cfg.enum_cap), "direct")
+        return report(hk_direct_count(f, q), "direct")
 
-    rep = hk_oracle_report(f, q, node_cap=cfg.oracle_cap)
+    rep = hk_oracle_report(f, q)
     return report(rep.length, "oracle", oracle=rep)
 
 
@@ -177,14 +158,14 @@ class CheckReport:
     all_agree: bool
 
 
-def _check_instance(item, cfg: Config):
+def _check_instance(item):
     f, p, n = item
     values, skipped = {}, {}
     for engine, refusal, why in (("closed", NotApplicableError, "not applicable"),
                                  ("direct", ResourceError, "budget"),
                                  ("oracle", ResourceError, "budget")):
         try:
-            values[engine] = hk(f, p, n, engine=engine, config=cfg).value
+            values[engine] = hk(f, p, n, engine=engine).value
         except refusal as exc:
             skipped[engine] = f"{why}: {exc}"
     agree = len(set(values.values())) <= 1
@@ -198,19 +179,20 @@ def _check_instance(item, cfg: Config):
     }
 
 
-def cross_check(instances, config: Config | None = None) -> CheckReport:
+def cross_check(instances, workers: int = 1) -> CheckReport:
     """Run every applicable engine on each (binomial, p, n) instance.
 
-    Instances are evaluated concurrently up to the configured worker
-    limit; results keep input order, so reports are deterministic.
+    Instances are evaluated on up to `workers` threads; results keep input
+    order, so reports are deterministic.
     """
-    cfg = config or Config()
+    if type(workers) is not int or workers < 1:
+        raise DomainError(f"workers must be a positive integer, got {workers!r}")
     items = list(instances)
-    if cfg.workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            entries = list(pool.map(lambda it: _check_instance(it, cfg), items))
+    if workers > 1 and len(items) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            entries = list(pool.map(_check_instance, items))
     else:
-        entries = [_check_instance(it, cfg) for it in items]
+        entries = [_check_instance(it) for it in items]
     return CheckReport(entries=entries, all_agree=all(e["agree"] for e in entries))
 
 
@@ -228,6 +210,8 @@ def load_corpus(path: str) -> list:
                 p, n = obj["p"], obj["n"]
                 if type(p) is not int or type(n) is not int:
                     raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")
+                if n < 1:  # before Kunz's bound, which refuses nothing at n < 1
+                    raise DomainError(f"exponent n must be positive, got {n}")
                 f = parse_binomial(obj["poly"], p)
                 refuse_unwritable(f.m, p, n)  # before anything is computed
                 out.append((f, p, n))

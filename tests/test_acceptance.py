@@ -11,7 +11,6 @@ import time
 import pytest
 
 from hkbinomial import (
-    Config,
     HKError,
     NotApplicableError,
     PrimePower,
@@ -242,7 +241,7 @@ def test_criterion_9_performance_separation(corpus200):
         c = hk_quasi_polynomial(f, f.p).e_hk
         maxexp = max(max(f.lead.exps), max(f.trail.exps))
         for nn in range(1, 5):
-            remainder = abs(hk(f, p, nn, config=Config()).value - c * p**nn)
+            remainder = abs(hk(f, p, nn).value - c * p**nn)
             assert remainder <= 4 * (maxexp + 1) ** 2, (f, p, nn, remainder)
         checked += 1
     assert checked > 0

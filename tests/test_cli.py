@@ -1,7 +1,11 @@
 import json
 import math
+import os
+import signal
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -100,16 +104,16 @@ def test_json_error_on_stderr(capsys):
 
 
 def test_resource_exit_code(capsys):
-    base = ["hk", "--poly", "x1^3*x2 - x1*x2", "--p", "3", "--n", "1",
-            "--enum-cap", "2", "--oracle-cap", "2"]
+    # q^m = 3^16 is over both enumerating engines' budgets; auto needs neither
+    base = ["hk", "--poly", "x1^3*x2 - x1*x2", "--p", "3", "--n", "8"]
     code, out, _ = run_cli(capsys, base + ["--format", "json"])
     assert code == 0
     data = json.loads(out)["data"]
-    assert (data["value"], data["engine"], data["guard_notes"]) == ("5", "monomial", [])
+    assert (data["value"], data["engine"], data["guard_notes"]) == ("13121", "monomial", [])
     for engine in ("direct", "oracle"):
         code, out, _ = run_cli(capsys, base + ["--engine", engine])
         assert code == 3 and out == ""
-        code, out, _ = run_cli(capsys, base[:7] + ["--engine", engine])
+        code, out, _ = run_cli(capsys, base[:6] + ["1", "--engine", engine])
         assert (code, out.strip()) == (0, "5")
 
 
@@ -290,7 +294,7 @@ def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
 @pytest.mark.parametrize(
     "argv,required,budget",
     [
-        (["--engine", "direct", "--enum-cap", "5", "--n", "1"], 5**3, 5),
+        (["--engine", "oracle", "--n", "3"], 5**9, 10**6),
         (["--n", "6200"], "digits of the value", sys.get_int_max_str_digits()),
         (["--engine", "direct", "--n", "2500"], None, 10**7),  # 5^7500: too long to write
     ],
@@ -486,8 +490,7 @@ _BASE_ARGV = {
 _UNREAD_FLAGS = [
     *[(cmd, ["--workers", "1"]) for cmd in ("hk", "table", "mult", "classify", "trace")],
     *[(cmd, ["--verbose"]) for cmd in ("table", "mult", "classify", "trace", "check")],
-    *[(cmd, [cap, "5"]) for cmd in ("mult", "classify", "trace")
-      for cap in ("--enum-cap", "--oracle-cap")],
+    *[(cmd, [cap, "5"]) for cmd in _BASE_ARGV for cap in ("--enum-cap", "--oracle-cap")],
     *[(cmd, ["--format", "csv"]) for cmd in ("hk", "mult", "classify", "trace", "check")],
     ("mult", ["--n-range", "1..2"]),
     ("hk", ["--format", "xml"]),
@@ -510,15 +513,46 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
-def test_bad_budget_is_a_usage_error_in_the_requested_format(capsys, fmt):
-    argv = ["hk"] + _BASE_ARGV["hk"] + ["--enum-cap", "0", "--format", fmt]
+def test_bad_budget_is_a_usage_error_in_the_requested_format(tmp_path, capsys, fmt):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n')
+    argv = ["check", "--corpus", str(corpus), "--workers", "0", "--format", fmt]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
-    message = "enum_cap must be a positive integer, got 0"
+    message = "workers must be a positive integer, got 0"
     if fmt == "json":
         assert json.loads(err) == {"error": {"type": "DomainError", "message": message}}
     else:
         assert err == f"error: {message}\n"
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize(
+    "argv",
+    [["table", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..300"],  # about 60 KB
+     ["mult", "--poly", "x1^2*x2 - x2^860", "--p", "3"]],  # period 858: about 34 KB
+    ids=["table", "mult"],
+)
+def test_closed_stdout_ends_hkb_as_it_ends_any_filter(argv):
+    # `hkb table ... | head -1` printed "error: [Errno 32] Broken pipe" and exited 2;
+    # now SIGPIPE ends it with nothing on stderr (shell status 141), as it ends `seq`.
+    # The pipe is cut to one page so that the output cannot all fit in it before the close
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe's size cannot be set on this platform")
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(read_end, fcntl.F_SETPIPE_SZ, 4096)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    hkb = [sys.executable, "-c", "from hkbinomial.cli import main; main()"]
+    proc = subprocess.Popen(hkb + argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    line = b""
+    while not line.endswith(b"\n"):
+        line += os.read(read_end, 1)
+    os.close(read_end)
+    _, err = proc.communicate(timeout=60)
+    assert line.startswith((b"n=1 q=5 hk=10 ", b"e_HK = "))
+    assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
 
 @pytest.mark.parametrize("p", ["0", "1", "-5"])
@@ -611,6 +645,22 @@ def test_corpus_line_with_an_over_long_int_is_a_resource_error(tmp_path, capsys)
     assert (error["type"], error["required"], error["budget"]) == (
         "ResourceError", 4401, sys.get_int_max_str_digits())
     assert error["message"].startswith(f"{corpus}:1: bad corpus entry: an integer literal of 4401")
+
+
+@pytest.mark.parametrize("digits, code", [(4300, 2), (4301, 3)])
+def test_corpus_sign_is_not_a_digit(tmp_path, capsys, digits, code):
+    # int() takes "-" and 4300 digits, so only 4301 is over the limit; n < 1 is refused
+    # as the line is read, with its prefix, not later by the engines without one
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": -' + "1" * digits + "}\n")
+    prefix = f"{corpus}:1: bad corpus entry: "
+    message = {2: "exponent n must be positive, got -11",
+               3: "an integer literal of 4301 decimal digits"}[code]
+    for fmt in ("plain", "json"):
+        got, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", fmt])
+        assert (got, out, len(err.splitlines())) == (code, "", 1)
+        text = json.loads(err)["error"]["message"] if fmt == "json" else err.removeprefix("error: ")
+        assert text.startswith(prefix + message)
 
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])

@@ -291,3 +291,22 @@ def test_closed_form_is_the_length_at_every_integer_q():
             oracle = hk_oracle_report(f, SimpleNamespace(p=f.p, n=1, q=Q)).length
             assert value == oracle, (f, Q)
     assert closed > 1000
+
+
+def test_closed_form_is_both_enumerations_at_every_q_from_13_to_40():
+    # past the small Q above, where more scan bounds and cuts are live, the body
+    # (or the trail complement count) is both the oracle's and the direct count
+    drawn = [f for f, _, _ in random_binomials(1603, 40, ms=(2, 3), ns=(1,), max_exp=6)]
+    assert len(set(drawn)) == 40 and sum(f.m == 3 for f in drawn) >= 10
+    closed = 0
+    for f in drawn:
+        cls = classify(f)
+        for Q in range(13, 41):
+            if is_monomial_shape(cls, Q):
+                value = trail_complement_count(Q, f.trail.exps)
+            else:
+                value, closed = closed_form_at(cls, Q)[0], closed + 1
+            stand_in = SimpleNamespace(p=f.p, n=1, q=Q)
+            assert value == hk_oracle_report(f, stand_in).length == hk_direct_count(f, stand_in), (
+                f, Q)
+    assert closed > 500

@@ -5,7 +5,6 @@ import pytest
 
 from hkbinomial import engines, keycheck, oracle
 from hkbinomial import (
-    Config,
     DomainError,
     HKError,
     NotApplicableError,
@@ -31,6 +30,7 @@ from hkbinomial import (
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 F_T0 = parse_binomial("x1^3*x2 - x1*x2", 3)  # trail divides lead: no growing variable
+OVER = 8  # F_T0 at q = 3^8: q^m = 3^16 is over both budgets, and auto answers 2q - 1
 
 
 def test_auto_prefers_closed():
@@ -64,30 +64,36 @@ def test_explicit_engine_errors_propagate():
 
 def test_auto_oracle_fallback():
     # a direct budget below q^m binds only the direct engine
-    cfg = Config(enum_cap=5, oracle_cap=10**6)
-    rep = hk(F_T0, 3, 1, config=cfg)
+    q = PrimePower(3, 1)
+    rep = hk(F_T0, 3, 1)
     assert (rep.value, rep.engine) == (5, "monomial")
     with pytest.raises(ResourceError):
-        hk(F_T0, 3, 1, engine="direct", config=cfg)
-    orc = hk(F_T0, 3, 1, engine="oracle", config=cfg)
-    assert orc.value == rep.value == hk(F_T0, 3, 1, engine="direct").value
-    assert (orc.oracle.length, orc.oracle.nodes) == (orc.value, 9)
+        hk_direct_count(F_T0, q, enum_cap=5)
+    orc = hk_oracle_report(F_T0, q, node_cap=9)
+    assert orc.length == rep.value == hk(F_T0, 3, 1, engine="direct").value
+    assert orc.nodes == 9 and hk(F_T0, 3, 1, engine="oracle").oracle == orc
 
 
 def test_all_engines_exhausted():
     # budgets below q^m refuse both enumerating engines, never auto
-    cfg = Config(enum_cap=5, oracle_cap=6)
+    q = PrimePower(3, 1)
     with pytest.raises(ResourceError) as direct:
-        hk(F_T0, 3, 1, engine="direct", config=cfg)
+        hk_direct_count(F_T0, q, enum_cap=5)
     assert (direct.value.required, direct.value.budget) == (9, 5)
     assert str(direct.value) == "direct count needs 3^2 membership tests, budget is 5"
     with pytest.raises(ResourceError) as oracle:
-        hk(F_T0, 3, 1, engine="oracle", config=cfg)
+        hk_oracle_report(F_T0, q, node_cap=6)
     assert (oracle.value.required, oracle.value.budget) == (9, 6)
     assert str(oracle.value) == "oracle needs 3^2 nodes, budget is 6"
-    rep = hk(F_T0, 3, 1, config=cfg)
-    assert (rep.value, rep.engine) == (5, "monomial")
-    assert rep.value == hk(F_T0, 3, 1, engine="direct").value == hk(F_T0, 3, 1, engine="oracle").value
+    # hk's named engines meet their own budgets, never auto
+    refusals = {"direct": "direct count needs 3^16 membership tests, budget is 10000000",
+                "oracle": "oracle needs 3^16 nodes, budget is 1000000"}
+    for engine, message in refusals.items():
+        with pytest.raises(ResourceError) as refusal:
+            hk(F_T0, 3, OVER, engine=engine)
+        assert str(refusal.value) == message
+    rep = hk(F_T0, 3, OVER)
+    assert (rep.value, rep.engine) == (2 * 3**OVER - 1, "monomial")
 
 
 def test_value_over_digit_limit():
@@ -129,11 +135,11 @@ def test_cross_check_agrees(corpus_small):
 
 
 def test_cross_check_budget_skip_noted():
-    cfg = Config(oracle_cap=5)
-    report = cross_check([(F1, 5, 1)], cfg)
+    # q^m = 5^10 is under the direct budget and over the oracle's
+    report = cross_check([(F1, 5, 5)])
     entry = report.entries[0]
-    assert "oracle" in entry["skipped"]
-    assert {"closed", "direct"} <= set(entry["values"])
+    assert entry["skipped"] == {"oracle": "budget: oracle needs 5^10 nodes, budget is 1000000"}
+    assert entry["values"] == {"closed": str(2 * 5**5), "direct": str(2 * 5**5)}
     assert entry["agree"]
 
 
@@ -144,8 +150,8 @@ def test_cross_check_empty():
 
 def test_cross_check_workers_deterministic(corpus_small):
     items = corpus_small[:8]
-    seq = cross_check(items, Config(workers=1))
-    par = cross_check(items, Config(workers=4))
+    seq = cross_check(items, workers=1)
+    par = cross_check(items, workers=4)
     assert seq.entries == par.entries
 
 
@@ -191,11 +197,12 @@ def test_load_corpus_rejects_bad_fields(tmp_path, line):
 
 @pytest.mark.parametrize(
     "fields",
-    [{"workers": "4"}, {"enum_cap": 0}, {"oracle_cap": True}, {"workers": 0}],
+    [{"workers": "4"}, {"workers": 2.0}, {"workers": True}, {"workers": 0}],
 )
 def test_config_rejects_bad_values(fields):
-    with pytest.raises(DomainError):
-        Config(**fields)
+    # cross_check's thread count is the one setting left; it is checked before any work
+    with pytest.raises(DomainError, match="^workers must be a positive integer, got "):
+        cross_check([(F1, 5, 1)], **fields)
 
 
 def test_hk_takes_p_from_the_binomial_and_checks_it_and_the_engine():
@@ -255,5 +262,8 @@ def test_entries_given_a_prime_power_check_its_p_without_building_it_again(monke
 
 
 def test_budget_defaults_are_the_engines_own():
-    assert Config().enum_cap == keycheck.ENUM_CAP == 10**7
-    assert Config().oracle_cap == oracle.ORACLE_CAP == 10**6
+    for engine, budget in (("direct", keycheck.ENUM_CAP), ("oracle", oracle.ORACLE_CAP)):
+        with pytest.raises(ResourceError) as refusal:
+            hk(F_T0, 3, OVER, engine=engine)
+        assert (refusal.value.required, refusal.value.budget) == (3**16, budget)
+    assert (keycheck.ENUM_CAP, oracle.ORACLE_CAP) == (10**7, 10**6)

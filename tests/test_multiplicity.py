@@ -1,3 +1,4 @@
+import gc
 import random
 import time
 from fractions import Fraction
@@ -198,6 +199,7 @@ def test_over_budget_refuses_before_evaluating(monkeypatch):
     calls = []
     monkeypatch.setattr(multiplicity, "closed_form_at", lambda *a: calls.append(a))
     f = parse_binomial("x1 - x3000", 5)
+    gc.collect()  # earlier tests' garbage: a full pass over it is not the refusal's cost
     started = time.perf_counter()
     with pytest.raises(ResourceError) as exc:
         hk_quasi_polynomial(f, 5)

@@ -14,9 +14,9 @@ read as an attribute (`x.field`) or named in a string constant somewhere in
 `src/`, `bench/` or `demos/`: a field that is only ever written is dead
 weight.  Passing it by keyword does not count.
 
-Every field of `engines.Config` must likewise be read as an attribute in
-`src/` outside the class itself and outside `cli.py`: a setting that only
-the command line reads is a flag of its subcommand, not library config.
+Every flag of `hkb` must be read as `args.<dest>` in `cli.py`, so a flag
+cannot outlive the code that used it, and the flags README names are the
+flags `hkb` takes, no more and no fewer.
 
 JSON is written in one place: `json.dumps` is called only in
 `cli._dump_json`, which applies the 2^53 integer rule to every payload, and
@@ -32,10 +32,13 @@ Every library attribute that the benchmark's tracer replaces by name
 so a rename that would break `bench/run.py --trace 1` fails here.
 """
 
+import argparse
 import ast
 import importlib
 import re
 from pathlib import Path
+
+from hkbinomial import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "hkbinomial"
@@ -132,20 +135,35 @@ def test_every_field_is_read_outside_tests():
     assert len(fields) >= 40 and unread == [], f"fields only ever written: {unread}"
 
 
-def test_every_config_field_is_read_by_the_library():
-    engines = ast.parse((PACKAGE / "engines.py").read_text(encoding="utf-8"))
-    config = next(n for n in engines.body if isinstance(n, ast.ClassDef) and n.name == "Config")
-    names = [n.target.id for n in config.body if isinstance(n, ast.AnnAssign)]
-    read = set()
-    for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "cli.py":
-            continue
-        tree = engines if path.name == "engines.py" else ast.parse(path.read_text(encoding="utf-8"))
-        for top in tree.body:
-            if top is not config:
-                read.update(n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute))
-    unread = [name for name in names if name not in read]
-    assert names and unread == [], f"Config fields read only by the CLI or by Config: {unread}"
+def cli_actions():
+    """Every argparse action of `hkb` and of each of its subcommands."""
+    parser = cli._build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return parser._actions + [a for cmd in sub.choices.values() for a in cmd._actions]
+
+
+def test_every_cli_flag_is_read():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    read = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "args"
+    }
+    dests = {a.dest for a in cli_actions() if not isinstance(a, argparse._HelpAction)}
+    unread = sorted(dests - read)
+    assert "workers" in dests and unread == [], f"hkb flags cli.py never reads: {unread}"
+
+
+def test_readme_names_every_flag_and_only_those():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sections = readme.split("\n## ")
+    cli_text = "\n".join(sec for sec in sections if not sec.startswith("Install"))  # pip's flags
+    named = set(re.findall(r"--[a-z][a-z-]*", cli_text))
+    taken = {flag for a in cli_actions() for flag in a.option_strings if flag.startswith("--")}
+    taken.discard("--help")
+    assert "--workers" in named and named == taken, (
+        f"named in README only: {sorted(named - taken)}; taken by hkb only: {sorted(taken - named)}"
+    )
 
 
 def test_every_attribute_the_bench_traces_exists():
