@@ -4,8 +4,8 @@ Three routes compute the same exact length:
 
 * closed: the iterative closed form (fast, guarded by applicability)
 * direct: the membership criterion over all q^m standard monomials,
-  counted a row of x_m exponents at a time (refused past q^m =
-  `keycheck.ENUM_CAP`, 10^7)
+  counted in O(m*q) by the state of each row's head, with no monomial
+  tested alone (refused past q^m = `keycheck.ENUM_CAP`, 10^7)
 * oracle: a bit-parallel count of the relation graph's live paths
   (refused past `oracle.ORACLE_CAP`, 10^6 nodes)
 
@@ -34,7 +34,7 @@ from .algebra import Binomial, _literal, check_field, parse_binomial, render
 from .classify import Classification, classify, classification_summary
 from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape
 from .closedform import trail_complement_count
-from .errors import DomainError, HKError, NotApplicableError, ResourceError
+from .errors import DomainError, HKError, NotApplicableError, ParseError, ResourceError
 from .keycheck import hk_direct_count
 from .oracle import OracleReport, hk_oracle_report
 
@@ -197,8 +197,9 @@ def cross_check(instances, workers: int = 1) -> CheckReport:
 
 
 def load_corpus(path: str) -> list:
-    """Read a corpus file: one JSON object {"poly", "p", "n"} per line.  A line is
-    refused as `refuse_unwritable` refuses it, and an over-long int as the parser does."""
+    """Read a corpus file: one JSON object {"poly", "p", "n"} per line.  A bad line
+    raises its own error class with the `path:line` prefix; a ResourceError keeps
+    its keys."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -206,18 +207,33 @@ def load_corpus(path: str) -> list:
             if not line:
                 continue
             try:
-                obj = json.loads(line, parse_int=_literal)
-                p, n = obj["p"], obj["n"]
-                if type(p) is not int or type(n) is not int:
-                    raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")
-                if n < 1:  # before Kunz's bound, which refuses nothing at n < 1
-                    raise DomainError(f"exponent n must be positive, got {n}")
-                f = parse_binomial(obj["poly"], p)
-                refuse_unwritable(f.m, p, n)  # before anything is computed
-                out.append((f, p, n))
-            except (KeyError, TypeError, ValueError, HKError) as exc:
-                msg = f"{path}:{lineno}: bad corpus entry: {exc}"
-                if isinstance(exc, ResourceError):  # keeps its type and keys: exit 3, not 2
-                    raise ResourceError(msg, exc.required, exc.budget) from exc
-                raise HKError(msg) from exc
+                out.append(_corpus_entry(line))
+            except HKError as exc:
+                keys = (exc.required, exc.budget) if isinstance(exc, ResourceError) else ()
+                raise type(exc)(f"{path}:{lineno}: bad corpus entry: {exc}", *keys) from exc
     return out
+
+
+def _corpus_entry(line: str) -> tuple:
+    """(f, p, n) from one corpus line.  The line is refused as `refuse_unwritable`
+    refuses it, and an over-long int as the parser does; a line that is not a
+    JSON object with the three keys is a ParseError."""
+    try:
+        obj = json.loads(line, parse_int=_literal)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"not JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    for key in ("poly", "p", "n"):
+        if key not in obj:
+            raise ParseError(f"missing key {key!r}")
+    poly, p, n = obj["poly"], obj["p"], obj["n"]
+    if type(poly) is not str:
+        raise DomainError(f"poly must be a string, got {poly!r}")
+    if type(p) is not int or type(n) is not int:
+        raise DomainError(f"p and n must be integers, got p={p!r} n={n!r}")
+    if n < 1:  # before Kunz's bound, which refuses nothing at n < 1
+        raise DomainError(f"exponent n must be positive, got {n}")
+    f = parse_binomial(poly, p)
+    refuse_unwritable(f.m, p, n)  # before anything is computed
+    return f, p, n

@@ -8,9 +8,11 @@ generators and each step of `member_scan` against it.
 A, or the lead term does and some growing exponent reaches q within the
 scan bound.  `direct_count_per_monomial` applies that test to each of
 the q^m standard monomials in turn, with what depends only on the first
-m - 1 exponents worked out once per row.  The library's `member_scan`
-performs the literal scan, and `hk_direct_count` counts each row's
-non-members in closed form; the tests check that all of them agree.
+m - 1 exponents worked out once per row.  `direct_count_by_heads` visits
+each head and counts the row above it by its state.  The library's
+`member_scan` performs the literal scan, and `hk_direct_count` counts the
+heads by state without visiting them; the tests check that all of them
+agree.
 """
 
 import itertools
@@ -139,3 +141,41 @@ def direct_count_per_monomial(f: Binomial, q: PrimePower, enum_cap: int = 10**7)
             if mw > mm:
                 count += 1  # the scan runs out of lead divisibility first
     return count
+
+
+def direct_count_by_heads(f: Binomial, q: PrimePower) -> int:
+    """The direct count with every head (first m - 1 exponents) visited.
+
+    The heads are walked depth first, carrying the state (trail, lead, mm,
+    mw) from coordinate to coordinate, and each row of x_m exponents above
+    a head is counted in O(1), by the row formula of `hk_direct_count`,
+    which counts the heads by state instead of visiting them.
+    """
+    qq = q.q
+    e2, e1 = f.lead.exps, f.trail.exps
+    no_mm, no_mw = qq + 1, qq + 2
+    # tables[i][a]: whether x_i^a admits the trail and the lead factor, and
+    # x_i's terms of mm and mw.  m = 1 has no head: one row, the empty state.
+    tables = [
+        [(a >= lo1, a >= lo2, 1 + (a - lo2) // (lo2 - lo1) if lo2 > lo1 else no_mm,
+          -((a - qq) // (lo1 - lo2)) if lo1 > lo2 else no_mw) for a in range(qq)]
+        for lo1, lo2 in zip(e1[:-1], e2[:-1])
+    ] or [[(True, True, no_mm, no_mw)]]
+    inner, t2, t1 = len(tables) - 1, e2[-1], e1[-1]
+    shrink, grow, trail_end = max(t2 - t1, 0), max(t1 - t2, 0), min(t1, qq)
+
+    def walk(i, trail, lead, mm, mw):
+        if i < inner:
+            return sum(walk(i + 1, trail and tr, lead and ld, min(mm, mm_i), min(mw, mw_i))
+                       for tr, ld, mm_i, mw_i in tables[i])
+        count = 0
+        for tr, ld, mm_i, mw_i in tables[i]:
+            end = trail_end if trail and tr else qq
+            if lead and ld:
+                mm_h, mw_h = min(mm, mm_i), min(mw, mw_i)
+                stop = qq - grow * mm_h if mw_h > mm_h else t2 + shrink * (mw_h - 1)
+                count += min(t2, end) + max(0, min(stop, end) - t2)
+            else:
+                count += end
+        return count
+    return walk(0, True, True, no_mm, no_mw)

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -582,12 +583,28 @@ def test_classify_past_the_primality_bound_is_a_resource_error(capsys):
     assert error["required"] == error["budget"] == "3317044064679887385961981"
 
 
-def test_corpus_entry_with_p_0_is_a_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "line,error_type,message",
+    [
+        ('{"poly": "x1^3 - x2^2", "p": 0, "n": 1}', "DomainError", "0 is not prime"),
+        ('{"poly": "x1^3 - x2^2", "p": 5, "n": 0}', "DomainError", "exponent n must be positive"),
+        ('{"poly": "x1^3 - x2^2", "p": 5}', "ParseError", "missing key 'n'"),
+        ('{"poly": "x1^3 +", "p": 5, "n": 1}', "ParseError", "empty factor in term"),
+        ('{"poly": "x1^3 - x2^2", "p": 5, "n": 1', "ParseError", "not JSON: "),
+    ],
+    ids=["p-0", "n-0", "missing-key", "bad-poly", "bad-json"],
+)
+def test_bad_corpus_line_is_a_usage_error_of_its_own_class(tmp_path, capsys, line, error_type,
+                                                           message):
+    # the class the fault has outside a corpus (classify --p 0 is a DomainError), not HKError
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(json.dumps({"poly": "x1^3 - x2^2", "p": 0, "n": 1}) + "\n")
-    code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus)])
-    assert (code, out) == (2, "")
-    assert ":1: bad corpus entry: 0 is not prime" in err
+    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n' + line + "\n")
+    prefix = f"{corpus}:2: bad corpus entry: "
+    code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", "json"])
+    assert (code, out, len(err.splitlines())) == (2, "", 1)
+    error = json.loads(err)["error"]
+    assert error["type"] == error_type and error["message"].startswith(prefix + message)
+    assert run_cli(capsys, ["check", "--corpus", str(corpus)])[:2] == (2, "")
 
 
 def test_table_json(capsys):
@@ -621,6 +638,7 @@ def test_mult_over_budget_is_a_resource_error(capsys, monkeypatch):
     calls = []
     monkeypatch.setattr(multiplicity, "closed_form_at", lambda *a: calls.append(a))
     argv = ["mult", "--poly", "x1 - x3000", "--p", "5", "--format", "json"]
+    gc.collect()  # earlier tests' garbage: a full pass over it is not the refusal's cost
     started = time.perf_counter()
     code, out, err = run_cli(capsys, argv)
     assert time.perf_counter() - started < 0.1

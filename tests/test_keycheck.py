@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -16,6 +17,7 @@ from hkbinomial import (
     PrimePower,
     ResourceError,
     Term,
+    hk,
     hk_direct_count,
     hk_oracle,
     member_scan,
@@ -23,8 +25,9 @@ from hkbinomial import (
     parse_binomial,
 )
 from hkbinomial.classify import classify
-from hkbinomial.keycheck import _check_standard
+from hkbinomial.keycheck import ENUM_CAP, _check_standard
 from tests.keycheck_reference import (
+    direct_count_by_heads,
     direct_count_per_monomial,
     is_convergent,
     is_member,
@@ -265,5 +268,43 @@ def direct_cases(draw):
 def test_row_count_equals_per_monomial_count(case):
     f, q, permuted, scaled = case
     value = hk_direct_count(f, q)
-    assert value == direct_count_per_monomial(f, q)
+    assert value == direct_count_per_monomial(f, q) == direct_count_by_heads(f, q)
     assert hk_direct_count(permuted, q) == hk_direct_count(scaled, q) == value
+
+
+# (m, p, n) with 10^6 <= q^m <= ENUM_CAP: the direct count's own budget edge,
+# where visiting each head took up to a third of a second; at m = 1 the one
+# row is q long
+BUDGET_EDGE = [(2, 3, 7), (2, 5, 5), (3, 5, 3), (3, 2, 7), (4, 7, 2), (4, 2, 5),
+               (5, 2, 4), (5, 5, 2), (6, 11, 1), (7, 2, 3), (7, 3, 2), (1, 5, 10)]
+
+
+def budget_edge_cases():
+    """One seeded binomial per size, exponents 0..6; every third has t = 0
+    (the trail divides the lead), which auto `hk` counts as a monomial ideal."""
+    rng = random.Random(20261019)
+    out = []
+    for i, (m, p, n) in enumerate(BUDGET_EDGE):
+        while len(out) == i:
+            e2 = tuple(rng.randint(0, 6) for _ in range(m))
+            e1 = tuple(rng.randint(0, e if i % 3 == 2 else 6) for e in e2)
+            try:
+                out.append((normalize(p, Term(1, e2), Term(rng.randint(1, p - 1), e1)), p, n))
+            except HKError:  # equal terms or a constant term: redraw
+                pass
+    return out
+
+
+def test_direct_count_at_its_budget_edge_is_auto_hk():
+    engines = set()
+    for f, p, n in budget_edge_cases():
+        q = PrimePower(p, n)
+        size = q.q**f.m
+        assert 10**6 <= size <= ENUM_CAP
+        report = hk(f, p, n)
+        engines.add(report.engine)
+        assert hk_direct_count(f, q) == report.value, (f, p, n)
+        with pytest.raises(ResourceError) as err:
+            hk_direct_count(f, q, enum_cap=size - 1)
+        assert (err.value.required, err.value.budget) == (size, size - 1)
+    assert engines == {"closed", "monomial"}
