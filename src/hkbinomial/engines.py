@@ -4,7 +4,7 @@ Three routes compute the same exact length:
 
 * closed: the iterative closed form (fast, guarded by applicability)
 * direct: the membership criterion over all q^m standard monomials,
-  counted in O(m*q) by the state of each row's head, with no monomial
+  counted in O(m*q) as one sum over the scan bound, with no monomial
   tested alone (refused past q^m = `keycheck.ENUM_CAP`, 10^7)
 * oracle: a bit-parallel count of the relation graph's live paths
   (refused past `oracle.ORACLE_CAP`, 10^6 nodes)
@@ -200,28 +200,33 @@ def load_corpus(path: str) -> list:
     """Read a corpus file: one JSON object {"poly", "p", "n"} per line.  A bad line
     raises its own error class with the `path:line` prefix; a ResourceError keeps
     its keys."""
+    with open(path, "rb") as fh:  # each line decoded alone, so a bad byte keeps its number
+        lines = fh.read().splitlines()
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                out.append(_corpus_entry(line))
-            except HKError as exc:
-                keys = (exc.required, exc.budget) if isinstance(exc, ResourceError) else ()
-                raise type(exc)(f"{path}:{lineno}: bad corpus entry: {exc}", *keys) from exc
-    return out
+    for lineno, line in enumerate(lines, 1):
+        try:
+            out.append(_corpus_entry(line))
+        except HKError as exc:
+            keys = (exc.required, exc.budget) if isinstance(exc, ResourceError) else ()
+            raise type(exc)(f"{path}:{lineno}: bad corpus entry: {exc}", *keys) from exc
+    return [entry for entry in out if entry]  # a blank line gives ()
 
 
-def _corpus_entry(line: str) -> tuple:
-    """(f, p, n) from one corpus line.  The line is refused as `refuse_unwritable`
-    refuses it, and an over-long int as the parser does; a line that is not a
-    JSON object with the three keys is a ParseError."""
+def _corpus_entry(raw: bytes) -> tuple:
+    """(f, p, n) from one corpus line, or () when it is blank.  The line is refused
+    as `refuse_unwritable` refuses it, and an over-long int as the parser does; a
+    line that is not UTF-8, or not a JSON object with the three keys, is a ParseError."""
     try:
-        obj = json.loads(line, parse_int=_literal)
+        line = raw.decode("utf-8").strip()
+        obj = json.loads(line, parse_int=_literal) if line else None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"not JSON: {exc}") from exc
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise ParseError("not JSON: nested too deeply to decode") from None
+    if not line:
+        return ()
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     for key in ("poly", "p", "n"):

@@ -2,9 +2,8 @@
 
 Every standard monomial A (all exponents <= q-1) gets a monomial key ideal
 A_c; the length of the quotient equals the number of standard monomials NOT
-lying in A_c + (f).  `hk_direct_count` counts them without testing each:
-the non-members in a row of x_m exponents depend only on the state of the
-row's head (its first m - 1 exponents), and the heads are counted by state.
+lying in A_c + (f).  `hk_direct_count` counts them without testing each,
+as one sum over the scan bound across all m coordinates at once.
 For a binomial f the membership test reduces to divisibility by the trail
 term, or a finite scan that trades one lead factor for one trail factor
 per step until the running monomial either leaves the standard range (some
@@ -17,15 +16,16 @@ decreases at every step, which rules out the lexicographic route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import prod
-from operator import mul, sub
 
 from .algebra import Binomial, PrimePower, require_field
 from .errors import ContractError, DomainError, ResourceError
 
 # hk_direct_count's default budget on q^m, the monomials it counts.  It is a
-# contract on q^m, not the engine's cost, which is O(m*q): past it `check`
-# skips the direct engine and `--engine direct` refuses.
+# contract on q^m, not the engine's cost, which is O(m*top) for a top scan
+# bound top <= q: past it `check` skips the direct engine and `--engine
+# direct` refuses.
 ENUM_CAP = 10**7
 
 
@@ -91,11 +91,12 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = ENUM_CAP) -> int
 
     This equals the length of the quotient by the Frobenius power plus (f):
     the filtration over standard monomials has a one-dimensional slice
-    exactly at each non-member.  Each head (first m - 1 exponents) has a
-    state, and the row of x_m exponents above it has a number of
-    non-members that depends on that state alone.  The heads are counted
-    by state, a product of interval lengths over their coordinates, and
-    never visited: O(m*q) arithmetic and O(q) memory.
+    exactly at each non-member.  A non-member is one the trail term does
+    not divide, and either the lead term does not divide it or no growing
+    exponent reaches q within the scan bound.  The monomials are counted by
+    their scan bounds, products of interval lengths over the coordinates,
+    and never visited: O(m*top) arithmetic and O(top) memory, for the
+    smaller top scan bound top <= q.
     """
     require_field(f, q.p)
     qq, m = q.q, f.m
@@ -106,66 +107,28 @@ def hk_direct_count(f: Binomial, q: PrimePower, enum_cap: int = ENUM_CAP) -> int
             required=total,
             budget=enum_cap,
         )
-    e2, e1 = f.lead.exps, f.trail.exps
-    heads, t2, t1 = list(zip(e1[:-1], e2[:-1])), e2[-1], e1[-1]
-    shrink, grow, trail_end = max(t2 - t1, 0), max(t1 - t2, 0), min(t1, qq)
-    # A head's state is (trail, lead, mm, mw): whether the trail and the lead
-    # term divide it, the trades the lead allows (mm) and the trades until an
-    # exponent reaches q (mw).  Above it, x_m^a is a member iff trail and
-    # a >= t1, or lead and a >= t2 and mw(a) <= mm(a), with mm(a) = min(mm,
-    # 1 + (a - t2) // shrink) and mw(a) = min(mw, ceil((qq - a) / grow)), a
-    # term only at a nonzero rate.  So the non-members are the a < end
-    # (trail_end if trail, else qq) if lead fails, else the a < min(end,
-    # max(t2, stop)):
-    # - mw > mm: if grow = 0, every a (mw(a) = mw > mm >= mm(a)); else mm(a) = mm,
-    #   and ceil((qq - a) / grow) > mm iff a < qq - grow*mm = stop.
-    # - mw <= mm: if shrink = 0, no a (mw(a) <= mw <= mm = mm(a)); else mw(a) = mw,
-    #   and 1 + (a - t2) // shrink < mw iff a < t2 + shrink*(mw - 1) = stop.
-    # Heads the lead does not divide, by inclusion-exclusion over the heads
-    # the trail, the lead and both divide:
-    n_trail = prod(max(qq - lo1, 0) for lo1, _ in heads)
-    n_lead = prod(max(qq - lo2, 0) for _, lo2 in heads)
-    n_both = prod(max(qq - max(lo1, lo2), 0) for lo1, lo2 in heads)
-    count = (n_trail - n_both) * trail_end + (qq ** (m - 1) - n_lead - n_trail + n_both) * qq
-    # Heads the lead divides.  A shrinking coordinate x_i^a (e2_i > e1_i) has
-    # mm_i = 1 + (a - e2_i) // (e2_i - e1_i), a growing one (e1_i > e2_i) has
-    # mw_i = ceil((qq - a) / (e1_i - e2_i)) and the trail bit a >= e1_i, and
-    # the lead implies the trail bit on every other coordinate; mm and mw are
-    # the min over the coordinates.  Each finite mm_i and mw_i is at most
-    # top <= qq.  An empty min takes a sentinel: no_mm = top + 1 (scan
-    # unbounded) > any mw, and no_mw = top + 2 (never escapes) > any mm.
-    # no_mm enters a row only through stop = qq - grow*mm, and grow = 0 there:
-    # a normalized binomial has a shrinking variable, so x_m shrinks when no
-    # head coordinate does.  The survival lists count the heads by z =
-    # 0..no_mw + 1: s_mm[z] those with mm >= z, s_mw[z] those with mw >= z
-    # and s_trail[z] those of them with the trail bit.  Each is a product over
-    # the coordinates of interval lengths: mm_i >= z iff a >= e2_i + (e2_i -
-    # e1_i)*(z - 1), and mw_i >= z iff a < qq - (e1_i - e2_i)*(z - 1).
-    top = max((-(-max(qq - lo2, 0) // abs(lo2 - lo1)) for lo1, lo2 in heads if lo1 != lo2),
-              default=0)
+    pairs = list(zip(f.lead.exps, f.trail.exps))
+    # Non-members: those outside both the trail's and the lead's ideal, by
+    # inclusion-exclusion, and those the lead divides but not the trail whose
+    # scan runs out of lead divisibility first (mw > mm).  Where the lead
+    # divides, mm (the trades it allows) depends only on the shrinking
+    # coordinates and mw (the trades until an exponent reaches q) only on the
+    # growing ones, and the trail bit holds on every shrinking and fixed one.
+    # A run counts, for z = 1, 2, ..., one coordinate's exponents a >= e2 with
+    # mm_i >= z (a >= e2 + (e2 - e1)*(z - 1)), with mw_i >= z (a < qq - (e1 -
+    # e2)*(z - 1)), or with that and a >= e1.  A normalized binomial has a
+    # shrinking coordinate; with no growing one the lead implies the trail.
+    count = (total - prod(max(qq - b, 0) for _, b in pairs)
+             - prod(max(qq - a, 0) for a, _ in pairs) + prod(max(qq - max(pair), 0) for pair in pairs))
+    shrink = [range(qq - a, 0, b - a) for a, b in pairs if a > b]
+    grow = [range(qq - a, 0, a - b) for a, b in pairs if a < b]
+    trail = [range(qq - b, 0, a - b) for a, b in pairs if a < b]
+    fixed = prod(max(qq - a, 0) for a, b in pairs if a == b)
+    top = min(map(len, shrink + grow)) if grow else 0
 
-    def lengths(room, rate):  # max(room - rate*max(z - 1, 0), 0) for each z
-        run = [room, *range(room, 0, -rate)] if room > 0 else []
-        return run + [0] * (top + 4 - len(run))
+    def survivors(runs):  # tuples with every bound >= z, for z = 1..top + 1
+        return list(map(prod, zip(repeat(1, top + 1), *(chain(r, repeat(0)) for r in runs))))
 
-    s_mm = [1] * (top + 2) + [0, 0]
-    s_mw = [1] * (top + 3) + [0]
-    s_trail, fixed = s_mw, 1
-    for lo1, lo2 in heads:
-        if lo2 > lo1:
-            s_mm = list(map(mul, s_mm, lengths(qq - lo2, lo2 - lo1)))
-        elif lo1 > lo2:
-            s_mw = list(map(mul, s_mw, lengths(qq - lo2, lo1 - lo2)))
-            s_trail = list(map(mul, s_trail, lengths(qq - lo1, lo1 - lo2)))
-        else:
-            fixed *= max(qq - lo2, 0)
-    lead = 0
-    by_mm = list(map(sub, s_mm, s_mm[1:]))  # heads with mm = x
-    for s_w, end in ((s_trail, trail_end), (list(map(sub, s_mw, s_trail)), qq)):
-        by_mw = list(map(sub, s_w, s_w[1:]))
-        # the heads with mw > mm, by mm = x, then those with mw <= mm, by mw = y
-        lead += sum(n * s_w[x + 1] * min(max(qq - grow * x, t2), end)
-                    for x, n in enumerate(by_mm) if n)
-        lead += sum(n * s_mm[y] * min(t2 + shrink * (y - 1), end)
-                    for y, n in enumerate(by_mw) if n)
-    return count + fixed * lead
+    mm, g, gt = survivors(shrink), survivors(grow), survivors(trail)
+    # by mm = x: those with mw >= x + 1 less those the trail divides
+    return count + fixed * sum((mm[x - 1] - mm[x]) * (g[x] - gt[x]) for x in range(1, top + 1))

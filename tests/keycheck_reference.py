@@ -9,10 +9,10 @@ A, or the lead term does and some growing exponent reaches q within the
 scan bound.  `direct_count_per_monomial` applies that test to each of
 the q^m standard monomials in turn, with what depends only on the first
 m - 1 exponents worked out once per row.  `direct_count_by_heads` visits
-each head and counts the row above it by its state.  The library's
-`member_scan` performs the literal scan, and `hk_direct_count` counts the
-heads by state without visiting them; the tests check that all of them
-agree.
+each head and counts the row of x_m exponents above it by the head's
+state.  The library's `member_scan` performs the literal scan, and
+`hk_direct_count` sums over the scan bound with no monomial, head or row
+visited; the tests check that all of them agree.
 """
 
 import itertools
@@ -148,8 +148,13 @@ def direct_count_by_heads(f: Binomial, q: PrimePower) -> int:
 
     The heads are walked depth first, carrying the state (trail, lead, mm,
     mw) from coordinate to coordinate, and each row of x_m exponents above
-    a head is counted in O(1), by the row formula of `hk_direct_count`,
-    which counts the heads by state instead of visiting them.
+    a head is counted in O(1).  Above a head, x_m^a is a member iff the
+    trail divides and a >= t1, or the lead divides, a >= t2 and mw(a) <=
+    mm(a), where x_m's own term joins the min at a nonzero rate.  So the
+    non-members are the a < end (t1 if the trail divides, else q) when the
+    lead fails, else those below t2 and those in [t2, min(end, stop)):
+    with mw > mm, stop = q - grow*mm (every a when x_m does not grow); with
+    mw <= mm, stop = t2 + shrink*(mw - 1) (no a when x_m does not shrink).
     """
     qq = q.q
     e2, e1 = f.lead.exps, f.trail.exps

@@ -591,14 +591,17 @@ def test_classify_past_the_primality_bound_is_a_resource_error(capsys):
         ('{"poly": "x1^3 - x2^2", "p": 5}', "ParseError", "missing key 'n'"),
         ('{"poly": "x1^3 +", "p": 5, "n": 1}', "ParseError", "empty factor in term"),
         ('{"poly": "x1^3 - x2^2", "p": 5, "n": 1', "ParseError", "not JSON: "),
+        ("[" * 100_000, "ParseError", "not JSON: nested too deeply"),
+        ('{"poly": "x1\udcff", "p": 5, "n": 1}', "ParseError", "not UTF-8: "),  # byte 0xff
     ],
-    ids=["p-0", "n-0", "missing-key", "bad-poly", "bad-json"],
+    ids=["p-0", "n-0", "missing-key", "bad-poly", "bad-json", "deep-json", "not-utf8"],
 )
 def test_bad_corpus_line_is_a_usage_error_of_its_own_class(tmp_path, capsys, line, error_type,
                                                            message):
     # the class the fault has outside a corpus (classify --p 0 is a DomainError), not HKError
     corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n' + line + "\n")
+    text = '{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n' + line + "\n"
+    corpus.write_bytes(text.encode("utf-8", "surrogateescape"))
     prefix = f"{corpus}:2: bad corpus entry: "
     code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", "json"])
     assert (code, out, len(err.splitlines())) == (2, "", 1)

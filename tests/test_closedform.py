@@ -23,6 +23,7 @@ from hkbinomial import closedform
 from hkbinomial.classify import classify
 from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain, is_monomial_shape
 from hkbinomial.closedform import trail_complement_count
+from hkbinomial.oracle import ORACLE_CAP
 from tests.conftest import random_binomials
 from tests.closedform_reference import (
     g_complement,
@@ -310,3 +311,25 @@ def test_closed_form_is_both_enumerations_at_every_q_from_13_to_40():
             assert value == hk_oracle_report(f, stand_in).length == hk_direct_count(f, stand_in), (
                 f, Q)
     assert closed > 500
+
+
+def test_closed_form_is_both_enumerations_at_every_q_past_three_variables():
+    # m = 4 and 5 at every Q from 9 to 40: the body (or the trail complement
+    # count) is the direct count at every Q, and the oracle's where Q^m is
+    # within the oracle's budget
+    drawn = [f for f, _, _ in random_binomials(1604, 40, ms=(4, 5), ns=(1,), max_exp=10)]
+    assert len(set(drawn)) == 40 and sum(f.m == 5 for f in drawn) >= 10
+    closed = oracles = 0
+    for f in drawn:
+        cls = classify(f)
+        for Q in range(9, 41):
+            if is_monomial_shape(cls, Q):
+                value = trail_complement_count(Q, f.trail.exps)
+            else:
+                value, closed = closed_form_at(cls, Q)[0], closed + 1
+            stand_in = SimpleNamespace(p=f.p, n=1, q=Q)
+            assert value == hk_direct_count(f, stand_in, enum_cap=Q**f.m), (f, Q)
+            if Q**f.m <= ORACLE_CAP:
+                assert value == hk_oracle_report(f, stand_in).length, (f, Q)
+                oracles += 1
+    assert closed > 1000 and oracles > 500

@@ -27,6 +27,10 @@ The closed form is one body on an integer q: in `closedform.py` only the
 public (p, n) wrappers name `PrimePower` or `check_field`, and
 `multiplicity.py` interpolates that body, never the engine dispatcher `hk`.
 
+The enumerating engines stand alone: `keycheck.py` and `oracle.py` import
+from no module of the package but `algebra` and `errors`, so the direct count
+cannot grow into the closed form it checks.
+
 Every library attribute that the benchmark's tracer replaces by name
 (`tracer.interpose(module, "attr", ...)` in `bench/worker.py`) must exist,
 so a rename that would break `bench/run.py --trace 1` fails here.
@@ -221,3 +225,25 @@ def test_the_closed_form_body_takes_q_alone():
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     ]
     assert "hk" not in reached and "engines" not in reached, "multiplicity.py reaches engines.hk"
+
+
+def package_imports(path):
+    """The modules of the package that a module imports from."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level or module.split(".")[0] == "hkbinomial":
+                inner = module.removeprefix("hkbinomial").strip(".")
+                out |= {inner} if inner else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.removeprefix("hkbinomial.") for alias in node.names
+                    if alias.name.split(".")[0] == "hkbinomial"}
+    return out
+
+
+def test_the_enumerating_engines_stand_alone():
+    for name in ("keycheck", "oracle"):
+        reached = package_imports(PACKAGE / f"{name}.py")
+        assert "algebra" in reached and reached <= {"algebra", "errors"}, (
+            f"{name}.py imports from {sorted(reached - {'algebra', 'errors'})}")
