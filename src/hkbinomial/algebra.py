@@ -168,7 +168,11 @@ _TERM_SPLIT_RE = re.compile(r"([+-])")
 def _literal(text: str) -> int:
     """int(text) for a run of decimal digits, signed in a JSON corpus, or a
     ResourceError where int() would raise ValueError: more digits, the sign
-    not counted, than the interpreter's `sys.get_int_max_str_digits`."""
+    not counted, than the interpreter's `sys.get_int_max_str_digits`.  No limit
+    but 0 is below `sys.int_info.str_digits_check_threshold`, so a shorter text
+    needs no check."""
+    if len(text) < sys.int_info.str_digits_check_threshold:
+        return int(text)
     limit, digits = sys.get_int_max_str_digits(), len(text.lstrip("-"))
     if 0 < limit < digits:
         raise ResourceError(f"an integer literal of {digits} decimal digits is over the "

@@ -62,49 +62,36 @@ class Classification:
     lead_exps: tuple  # original-frame exponents of the lead term
 
 
-@lru_cache(maxsize=4096)
 def classify(f: Binomial) -> Classification:
     """Compute the sorted difference classification of a binomial.
 
-    The sort is stable with the original index as tie-break, so the
+    The sort is stable, so ties keep the original index order and the
     resulting permutation is deterministic.  Degenerate shapes (t = 0,
-    s = 0) are representable; closed-form callers guard on them.
+    s = 0) are representable; closed-form callers guard on them.  The
+    classification reads only the exponents, so it is cached on the pair
+    (lead exponents, trail exponents): binomials that differ only in p or
+    in their coefficients share one entry.
     """
-    e2, e1 = f.lead.exps, f.trail.exps
-    delta_orig = [e1[i] - e2[i] for i in range(f.m)]
-    order = sorted(range(f.m), key=lambda i: (delta_orig[i], i))
-    delta = tuple(delta_orig[i] for i in order)
-    r = sum(1 for d in delta if d < 0)
-    s = sum(1 for d in delta if d == 0)
-    t = f.m - r - s
+    return _classify(f.lead.exps, f.trail.exps)
 
-    neg = []
-    for i in range(1, r + 1):  # N_i sits at sorted position r+1-i (1-based)
-        orig = order[r - i]
-        lo, hi = min(e1[orig], e2[orig]), max(e1[orig], e2[orig])
-        neg.append(NegVar(var=orig + 1, a=-delta_orig[orig], b=lo, nmin=lo, nmax=hi))
-    zero = []
-    for i in range(1, s + 1):  # Z_i at sorted position r+s+1-i
-        orig = order[r + s - i]
-        zero.append(ZeroVar(var=orig + 1, zmin=e1[orig], zmax=e1[orig]))
-    pos = []
-    for q in range(1, t + 1):  # P_q at sorted position r+s+q
-        orig = order[r + s + q - 1]
-        lo, hi = min(e1[orig], e2[orig]), max(e1[orig], e2[orig])
-        pos.append(PosVar(var=orig + 1, dp=delta_orig[orig], pmin=lo, pmax=hi))
 
-    return Classification(
-        m=f.m,
-        r=r,
-        s=s,
-        t=t,
-        perm=tuple(order),
-        delta=delta,
-        neg=tuple(neg),
-        zero=tuple(zero),
-        pos=tuple(pos),
-        lead_exps=e2,
-    )
+@lru_cache(maxsize=4096)
+def _classify(e2: tuple, e1: tuple) -> Classification:
+    delta = [e1[i] - e2[i] for i in range(len(e2))]
+    order = sorted(range(len(e2)), key=delta.__getitem__)
+    neg, zero, pos = [], [], []
+    for i in order:  # ascending delta; N_i and Z_i count down from the zero block
+        d = delta[i]
+        if d < 0:
+            neg.append(NegVar(i + 1, -d, e1[i], e1[i], e2[i]))
+        elif d:
+            pos.append(PosVar(i + 1, d, e2[i], e1[i]))
+        else:
+            zero.append(ZeroVar(i + 1, e1[i], e1[i]))
+    neg.reverse()
+    zero.reverse()
+    return Classification(len(e2), len(neg), len(zero), len(pos), tuple(order),
+                          tuple(sorted(delta)), tuple(neg), tuple(zero), tuple(pos), e2)
 
 
 def classification_summary(cls: Classification) -> dict:

@@ -20,6 +20,9 @@ of the computation, all in the delta-sorted frame:
   non-members by scan bound M = 1..V, V ~ q/a, are one PiecewisePoly whose
   `total` costs O(t * (t + r)) evaluations, so the value takes time
   independent of q; an O(m) inclusion-exclusion term adds the rest.
+  Each evaluation multiplies r precomputed linear factors and stops at
+  the first one <= 0; the classification it reads is cached on the
+  exponents (`classify`), so a value's fixed cost is a few such points.
 * trail_complement_count: the length for the shapes the closed form
   excludes (`is_monomial_shape`), where the ideal is a monomial ideal.
 
@@ -83,28 +86,27 @@ def _mmax_at(cls: Classification, qq: int) -> tuple:
 # phi: counts over the zero/growing block at a fixed scan bound
 
 
-def _minc(M, P, qq):
-    """Escape threshold width for one growing variable: min(q - pmin, M*dp)."""
-    cap = qq - P.pmin
-    grow = M * P.dp
-    return cap if grow >= cap else grow
-
-
 def _phi_value(M: int, cls: Classification, qq: int) -> int:
     """Chain evaluation of the block count at scan bound M (t >= 1).
 
     One step per growing variable, P_t down to P_1; Dt after P_1 is the
-    count over the growing block.  A capped minc leaves rest = 0 and so
-    h = 0 (pmin < pmax), which drops the rest and h terms.
+    count over the growing block.  minc = min(q - pmin, M*dp) is the escape
+    threshold width.  A capped minc leaves rest = 0 and so h = 0 (pmin <
+    pmax), which drops the rest and h terms.
     """
     A, C, D, Dt = 0, 1, 1, 0
     for P in reversed(cls.pos):
-        minc = _minc(M, P, qq)
-        rest = qq - P.pmin - minc
-        h = max(0, qq - minc - P.pmax)
+        cap = qq - P.pmin
+        minc = M * P.dp
+        if minc > cap:
+            minc = cap
+        rest = cap - minc
+        h = qq - minc - P.pmax
+        if h < 0:
+            h = 0
         base = minc * A + P.pmin * C
         A, C, D, Dt = (
-            (qq - P.pmin) * A + P.pmin * C,
+            cap * A + P.pmin * C,
             C * qq,
             base + rest * D,
             base + h * Dt + (rest - h) * D,
@@ -211,7 +213,7 @@ class PiecewisePoly:
         self.length = length
         self.starts = cuts[:-1]
         self.diffs = []
-        self.total = 0
+        total = 0
         for lo, hi in zip(cuts, cuts[1:]):
             row = [fn(x) for x in range(lo, min(lo + degree + 1, hi))]
             diffs = []
@@ -223,7 +225,8 @@ class PiecewisePoly:
                     f"not a polynomial of degree <= {degree} on [{lo}, {hi}): a cut is missing"
                 )
             self.diffs.append(diffs)
-            self.total += _newton(diffs, hi - lo, 1)
+            total += _newton(diffs, hi - lo, 1)
+        self.total = total
 
     def __call__(self, x: int) -> int:
         if not 0 <= x < self.length:
@@ -283,8 +286,16 @@ def closed_form_at(cls: Classification, qq: int):
     if V < 1:
         raise FormulaDomainError("top scan bound below 1")
 
+    factors = [(qq - prm.nmax + prm.a, prm.a) for prm in params]  # factor c - a*M at M
+
     def at_least(M):
-        return prod(max(0, qq - prm.nmax - prm.a * (M - 1)) for prm in params)
+        value = 1
+        for c, a in factors:
+            c -= a * M
+            if c <= 0:
+                return 0
+            value *= c
+        return value
 
     by_bound = PiecewisePoly(
         lambda x: _phi_value(x + 1, cls, qq) * (at_least(x + 1) - at_least(x + 2)),

@@ -26,7 +26,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -61,8 +60,12 @@ def decimal_str(x: int) -> str:
 def refuse_unwritable(m: int, p: int, n: int):
     """Refuse before computing, whatever the engine, when Kunz's bound
     HK(q) >= q^(m-1), or q itself for m = 1 (which a trace passes: its scan
-    writes exponents >= q), has more decimal digits than the interpreter converts."""
+    writes exponents >= q), has more decimal digits than the interpreter converts.
+    Since log10(2) < 1/3, q^power has at most limit digits whenever
+    3*(limit - 1) >= n*power*bits(p), which needs no logarithm."""
     limit, power = sys.get_int_max_str_digits(), max(m - 1, 1)
+    if limit == 0 or 3 * (limit - 1) >= n * power * p.bit_length():
+        return
     below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))  # past float error
     digits = math.floor(n * power * below_log10_p) + 1
     if 0 < limit < digits:
@@ -84,7 +87,7 @@ class HKReport:
     mmax_params: tuple | None = None  # MmaxParams per shrinking variable
     oracle: OracleReport | None = None
     by_bound: PiecewisePoly | None = None  # the closed form's non-members by scan bound
-    timing_ms: float = 0.0
+    timing_ms: float = 0.0  # from entry to `hk`, the field check and classification included
 
     def data_dict(self) -> dict:
         """Deterministic payload, formatted here from the engines' records;
@@ -128,11 +131,11 @@ def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> H
     """
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
+    started = time.perf_counter()
     if p is None:
         p = f.p
     q = check_field(f, p, n)
     cls = classify(f)
-    started = time.perf_counter()
 
     def report(value, used, **records):
         return HKReport(p=p, n=n, q=q.q, m=f.m, value=value, engine=used, classification=cls,
@@ -189,6 +192,8 @@ def cross_check(instances, workers: int = 1) -> CheckReport:
         raise DomainError(f"workers must be a positive integer, got {workers!r}")
     items = list(instances)
     if workers > 1 and len(items) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # its import costs every start-up
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             entries = list(pool.map(_check_instance, items))
     else:

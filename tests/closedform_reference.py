@@ -12,17 +12,55 @@ count's single formula in the simple case, `mmax_three_branch` the
 first bracket of a scan-bound table in its three-branch form, and
 `mmax_closed` the scan bound of one monomial read off the bracket tables,
 whose widths `brackets` derives from a variable's drop and q.
+`classify_reference` is the classification built by sign block, with
+the `(delta, index)` sort key and the 1-based N_i, Z_i, P_q positions
+written out, which the library's one-pass `classify` must match.
 """
 
 import itertools
 from dataclasses import dataclass
 
 from hkbinomial.algebra import check_field
-from hkbinomial.classify import Classification, classify
+from hkbinomial.classify import Classification, NegVar, PosVar, ZeroVar, classify
 from hkbinomial.closedform import (
-    MmaxParams, _minc, _phi_value, ceil_div, g_chain, is_monomial_shape, mmax_params,
+    MmaxParams, _phi_value, ceil_div, g_chain, is_monomial_shape, mmax_params,
 )
 from hkbinomial.errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
+
+
+def classify_reference(f) -> Classification:
+    """The classification of f: variables sorted by (delta, index), then
+    N_i at sorted position r+1-i, Z_i at r+s+1-i and P_q at r+s+q (1-based)."""
+    e2, e1 = f.lead.exps, f.trail.exps
+    delta_orig = [e1[i] - e2[i] for i in range(f.m)]
+    order = sorted(range(f.m), key=lambda i: (delta_orig[i], i))
+    delta = tuple(delta_orig[i] for i in order)
+    r = sum(1 for d in delta if d < 0)
+    s = sum(1 for d in delta if d == 0)
+    t = f.m - r - s
+    neg = []
+    for i in range(1, r + 1):
+        orig = order[r - i]
+        lo, hi = min(e1[orig], e2[orig]), max(e1[orig], e2[orig])
+        neg.append(NegVar(var=orig + 1, a=-delta_orig[orig], b=lo, nmin=lo, nmax=hi))
+    zero = []
+    for i in range(1, s + 1):
+        orig = order[r + s - i]
+        zero.append(ZeroVar(var=orig + 1, zmin=e1[orig], zmax=e1[orig]))
+    pos = []
+    for q in range(1, t + 1):
+        orig = order[r + s + q - 1]
+        lo, hi = min(e1[orig], e2[orig]), max(e1[orig], e2[orig])
+        pos.append(PosVar(var=orig + 1, dp=delta_orig[orig], pmin=lo, pmax=hi))
+    return Classification(m=f.m, r=r, s=s, t=t, perm=tuple(order), delta=delta,
+                          neg=tuple(neg), zero=tuple(zero), pos=tuple(pos), lead_exps=e2)
+
+
+def _minc(M, P, qq):
+    """Escape threshold width for one growing variable: min(q - pmin, M*dp)."""
+    cap = qq - P.pmin
+    grow = M * P.dp
+    return cap if grow >= cap else grow
 
 
 def brackets(prm: MmaxParams, qq: int):

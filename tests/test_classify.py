@@ -2,6 +2,7 @@ import random
 
 from hkbinomial import HKError, Term, classify, normalize, parse_binomial
 from hkbinomial.classify import classification_summary
+from tests.closedform_reference import classify_reference
 from tests.conftest import random_binomials
 
 
@@ -71,3 +72,20 @@ def test_summary_shape():
     assert s["neg"][0]["var"] == "x1"
     assert s["pos"][0] == {"var": "x2", "dp": 2, "pmin": 0, "pmax": 2}
     assert s["perm"] == [1, 2]
+
+
+def test_one_pass_matches_the_reference_classification():
+    corpus = random_binomials(29, 300, ms=(1, 2, 3, 4, 5, 6), qm_cap=10**9)
+    assert {f.m for f, _, _ in corpus} == {1, 2, 3, 4, 5, 6}
+    for f, _, _ in corpus:
+        assert classify(f) == classify_reference(f), f
+
+
+def test_cache_is_keyed_on_the_exponents_alone():
+    f = normalize(5, Term(2, (3, 1, 0)), Term(4, (0, 1, 2)))
+    g = normalize(7, Term(6, (3, 1, 0)), Term(1, (0, 1, 2)))
+    assert f != g
+    assert classify(f) is classify(g)
+    h = normalize(5, Term(2, (3, 1, 0)), Term(4, (0, 0, 2)))  # f's lead, another trail
+    assert h.lead.exps == f.lead.exps
+    assert classify(h).zero == () and len(classify(f).zero) == 1

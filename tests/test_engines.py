@@ -1,5 +1,9 @@
 import json
+import math
+import random
 import sys
+import time
+from fractions import Fraction
 
 import pytest
 
@@ -267,3 +271,41 @@ def test_budget_defaults_are_the_engines_own():
             hk(F_T0, 3, OVER, engine=engine)
         assert (refusal.value.required, refusal.value.budget) == (3**16, budget)
     assert (keycheck.ENUM_CAP, oracle.ORACLE_CAP) == (10**7, 10**6)
+
+
+def test_report_timing_includes_the_classification(monkeypatch):
+    def slow_classify(f):
+        time.sleep(0.005)
+        return classify(f)
+
+    monkeypatch.setattr(engines, "classify", slow_classify)
+    rep = hk(parse_binomial("x1^3 - x2^2", 5), 5, 4)
+    assert rep.engine == "closed" and rep.timing_ms >= 5
+
+
+def _kunz_digits(m, p, n):
+    """Decimal digits of Kunz's bound q^max(m-1, 1) read through a Fraction of
+    log10(p) shaded below float error: the check every input once took."""
+    below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))
+    return math.floor(n * max(m - 1, 1) * below_log10_p) + 1
+
+
+@pytest.mark.parametrize("limit", [0, 640, 4300, 10**5])
+def test_kunz_refusal_near_the_limit_matches_the_fraction_bound(limit):
+    rng = random.Random(limit + 7)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for _ in range(3000):
+            m, p = rng.randint(1, 6), rng.choice((2, 3, 5, 7, 101, 65537, 1000003, 2**61 - 1))
+            edge = max(limit, 640) / (max(m - 1, 1) * math.log10(p))  # n where the digits pass it
+            n = max(1, int(edge * rng.uniform(0.85, 1.02)) + rng.randint(-2, 2))
+            digits = _kunz_digits(m, p, n)
+            try:
+                engines.refuse_unwritable(m, p, n)
+            except ResourceError as exc:
+                assert (exc.required, exc.budget) == (digits, limit), (m, p, n)
+            else:
+                assert not 0 < limit < digits, (m, p, n)
+    finally:
+        sys.set_int_max_str_digits(saved)
