@@ -87,8 +87,9 @@ class Term:
     exps: tuple
 
     def __post_init__(self):
-        if any(e < 0 for e in self.exps):
-            raise DomainError(f"negative exponent in {self.exps}")
+        for e in self.exps:
+            if e < 0:
+                raise DomainError(f"negative exponent in {self.exps}")
 
     @property
     def degree(self) -> int:
@@ -155,13 +156,17 @@ def require_field(f: Binomial, p: int):
 
 
 def check_field(f: Binomial, p: int, n: int) -> PrimePower:
-    """q = p^n for f, which must be a binomial over F_p."""
+    """q = p^n for f, which must be a binomial over F_p.  The PrimePower is
+    built once per (p, n) and shared (it is frozen); a bad p or n raises on
+    every call, since a raising call is not cached."""
     require_field(f, p)
-    return PrimePower(p, n)
+    return _prime_power(p, n)
 
 
-_FACTOR_RE = re.compile(r"x(\d+)(?:\^(\d+))?$")
-_INT_RE = re.compile(r"\d+$")
+_prime_power = lru_cache(maxsize=256, typed=True)(PrimePower)  # typed: 2.0 is not 2
+
+
+_FACTOR_RE = re.compile(r"(\d+)$|x(\d+)(?:\^(\d+))?$")  # an integer, or x<index>[^<power>]
 _TERM_SPLIT_RE = re.compile(r"([+-])")
 
 
@@ -181,26 +186,26 @@ def _literal(text: str) -> int:
 
 
 def _parse_term(chunk: str, sign: int):
-    """Parse one signed term into (coeff, {var_index: exp})."""
-    parts = chunk.split("*")
+    """Parse one signed term into (coeff, {var_index: exp}), matching each
+    factor once."""
     coeff = sign
     exps = {}
-    for k, part in enumerate(parts):
-        if not part:
-            raise ParseError(f"empty factor in term {chunk!r}")
-        if _INT_RE.match(part):
+    for k, part in enumerate(chunk.split("*")):
+        mt = _FACTOR_RE.match(part)
+        if mt is None:
+            if not part:
+                raise ParseError(f"empty factor in term {chunk!r}")
+            raise ParseError(f"bad factor {part!r} in term {chunk!r}")
+        integer, var, exp = mt.groups()
+        if integer is not None:
             if k != 0:
                 raise ParseError(f"integer factor must come first in {chunk!r}")
-            coeff *= _literal(part)
+            coeff *= _literal(integer)
             continue
-        mt = _FACTOR_RE.match(part)
-        if not mt:
-            raise ParseError(f"bad factor {part!r} in term {chunk!r}")
-        idx = _literal(mt.group(1))
+        idx = _literal(var)
         if idx < 1:
             raise ParseError(f"variables are 1-indexed, got x{idx}")
-        exp = _literal(mt.group(2)) if mt.group(2) else 1
-        exps[idx] = exps.get(idx, 0) + exp
+        exps[idx] = exps.get(idx, 0) + (_literal(exp) if exp else 1)
     return coeff, exps
 
 
@@ -208,23 +213,24 @@ def parse_binomial(text: str, p: int, num_vars: int | None = None) -> Binomial:
     """Parse ASCII polynomial text into a normalized Binomial.
 
     Grammar: term := [int "*"] factor ("*" factor)*; factor := var ["^" int];
-    var := "x" int (1-indexed); poly := term (("+"|"-") term)*.  Whitespace is
-    ignored.  Like terms are combined mod p; exactly two distinct monomials
-    with nonzero coefficients must remain.
+    var := "x" int (1-indexed); poly := term (("+"|"-") term)*.  Whitespace
+    (`str.isspace`) is ignored.  Like terms are combined mod p; exactly two
+    distinct monomials with nonzero coefficients must remain.  Their
+    coefficients are reduced by then, so each Term is built once, the two
+    are ordered by `deglex_compare`, and the Binomial, built here rather
+    than through `normalize`, checks the rest.
     """
     require_prime(p)
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial")
     if s[0] not in "+-":
         s = "+" + s
-    pieces = _TERM_SPLIT_RE.split(s)[1:]  # sign, chunk, sign, chunk, ...
-    if len(pieces) % 2 != 0:
-        raise ParseError(f"dangling sign in {text!r}")
+    pieces = _TERM_SPLIT_RE.split(s)  # "", sign, chunk, sign, chunk, ...
     raw = []
     max_var = 0
-    for sgn, chunk in zip(pieces[::2], pieces[1::2]):
-        coeff, exps = _parse_term(chunk, 1 if sgn == "+" else -1)
+    for k in range(1, len(pieces), 2):
+        coeff, exps = _parse_term(pieces[k + 1], 1 if pieces[k] == "+" else -1)
         raw.append((coeff, exps))
         if exps:
             max_var = max(max_var, max(exps))
@@ -235,15 +241,20 @@ def parse_binomial(text: str, p: int, num_vars: int | None = None) -> Binomial:
         raise ParseError(f"variable x{max_var} exceeds declared count {m}")
     combined = {}
     for coeff, exps in raw:
-        vec = tuple(exps.get(i, 0) for i in range(1, m + 1))
+        vec = [0] * m
+        for i, e in exps.items():
+            vec[i - 1] = e
+        vec = tuple(vec)
         combined[vec] = (combined.get(vec, 0) + coeff) % p
-    monomials = [(vec, c) for vec, c in combined.items() if c != 0]
+    monomials = [Term(c, vec) for vec, c in combined.items() if c != 0]
     if len(monomials) != 2:
         raise DegenerateBinomialError(
             f"expected exactly 2 distinct monomials after combining, got {len(monomials)}"
         )
-    (va, ca), (vb, cb) = monomials
-    return normalize(p, Term(ca, va), Term(cb, vb))
+    lead, trail = monomials
+    if deglex_compare(lead.exps, trail.exps) == LESS:
+        lead, trail = trail, lead
+    return Binomial(p, m, lead, trail)
 
 
 def render_term(t: Term) -> str:
@@ -267,7 +278,7 @@ def render(b: Binomial) -> str:
 
 def parse_monomial(text: str, num_vars: int | None = None) -> tuple:
     """Parse a single monomial ("x1^4*x2") or a comma list ("4,1") of exponents."""
-    s = re.sub(r"\s+", "", text)
+    s = "".join(text.split())
     if not s:
         raise ParseError("empty monomial")
     if re.match(r"^\d+(,\d+)*$", s):

@@ -270,13 +270,14 @@ def closed_form_at(cls: Classification, qq: int):
 
     Sums the non-members by scan bound M = 1..V, V the least top value.
     at_least(M) counts the shrinking tuples past the lead powers whose every
-    bound is >= M: a product of r factors linear in M for M <= V, and 0 at
-    M = V + 1.  Bound M holds phi(M) * (at_least(M) - at_least(M + 1))
-    non-members, a polynomial of degree t + r - 1 in M between phi's cuts,
-    with one more cut at M = V, where at_least(M + 1) is 0.  The other
-    monomials are those whose shrinking part the lead does not divide: a
-    non-member exactly when the trail does not divide it, counted by
-    inclusion-exclusion.
+    bound is >= M: a product of r factors c - a*M, linear in M for M <= V,
+    and 0 from the first factor <= 0 on (so at M = V + 1).  Bound M holds
+    phi(M) * drop(M) non-members, drop(M) = at_least(M) - at_least(M + 1):
+    a polynomial of degree t + r - 1 in M between phi's cuts, with one more
+    cut at M = V, where at_least(M + 1) is 0.  drop takes both products in
+    one pass over the factors.  The other monomials are those whose
+    shrinking part the lead does not divide: a non-member exactly when the
+    trail does not divide it, counted by inclusion-exclusion.
     """
     if is_monomial_shape(cls, qq):
         raise NotApplicableError("no growing variable, or a lead exponent is >= q: "
@@ -288,20 +289,22 @@ def closed_form_at(cls: Classification, qq: int):
 
     factors = [(qq - prm.nmax + prm.a, prm.a) for prm in params]  # factor c - a*M at M
 
-    def at_least(M):
-        value = 1
+    def drop(M):
+        now = after = 1
         for c, a in factors:
             c -= a * M
             if c <= 0:
                 return 0
-            value *= c
-        return value
+            now *= c
+            after *= c - a if c > a else 0  # factor at M + 1; <= 0 makes at_least(M + 1) 0
+        return now - after
 
     by_bound = PiecewisePoly(
-        lambda x: _phi_value(x + 1, cls, qq) * (at_least(x + 1) - at_least(x + 2)),
+        lambda x: _phi_value(x + 1, cls, qq) * drop(x + 1),
         V, [x for _, x in scan_cuts(cls, qq)], cls.t + cls.r - 1,
     )
-    past_lead, past_trail = at_least(1), prod(qq - N.nmin for N in cls.neg)
+    past_lead = prod(qq - N.nmax for N in cls.neg)  # at_least(1); each q - nmax > 0 (`_mmax_at`)
+    past_trail = prod(qq - N.nmin for N in cls.neg)
     rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]
     lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)  # less those the trail divides
     lead_fails -= prod(max(0, qq - e) for e in rest_trail) * (past_trail - past_lead)

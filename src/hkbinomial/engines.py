@@ -136,23 +136,20 @@ def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> H
         p = f.p
     q = check_field(f, p, n)
     cls = classify(f)
-
-    def report(value, used, **records):
-        return HKReport(p=p, n=n, q=q.q, m=f.m, value=value, engine=used, classification=cls,
-                        timing_ms=(time.perf_counter() - started) * 1000.0, **records)
-
+    params = by_bound = orc = None
     if engine == "auto" and is_monomial_shape(cls, q.q):
-        return report(trail_complement_count(q.q, f.trail.exps), "monomial")
-
-    if engine in ("auto", "closed"):
+        value, used = trail_complement_count(q.q, f.trail.exps), "monomial"
+    elif engine in ("auto", "closed"):
         value, by_bound, params = hk_closed_form_tables(f, p, n)
-        return report(value, "closed", mmax_params=params, by_bound=by_bound)
-
-    if engine == "direct":
-        return report(hk_direct_count(f, q), "direct")
-
-    rep = hk_oracle_report(f, q)
-    return report(rep.length, "oracle", oracle=rep)
+        used = "closed"
+    elif engine == "direct":
+        value, used = hk_direct_count(f, q), "direct"
+    else:
+        orc = hk_oracle_report(f, q)
+        value, used = orc.length, "oracle"
+    return HKReport(p=p, n=n, q=q.q, m=f.m, value=value, engine=used, classification=cls,
+                    mmax_params=params, oracle=orc, by_bound=by_bound,
+                    timing_ms=(time.perf_counter() - started) * 1000.0)
 
 
 @dataclass
@@ -217,13 +214,19 @@ def load_corpus(path: str) -> list:
     return [entry for entry in out if entry]  # a blank line gives ()
 
 
+_DECODER = json.JSONDecoder(parse_int=_literal)  # json.loads(..., parse_int=) builds one per line
+
+
 def _corpus_entry(raw: bytes) -> tuple:
     """(f, p, n) from one corpus line, or () when it is blank.  The line is refused
     as `refuse_unwritable` refuses it, and an over-long int as the parser does; a
-    line that is not UTF-8, or not a JSON object with the three keys, is a ParseError."""
+    line that is not UTF-8, or not a JSON object with the three keys, is a ParseError,
+    with json.loads's message (a leading BOM included, which it alone checks)."""
     try:
         line = raw.decode("utf-8").strip()
-        obj = json.loads(line, parse_int=_literal) if line else None
+        if line.startswith("\ufeff"):
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+        obj = _DECODER.decode(line) if line else None
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -20,7 +20,7 @@ from hkbinomial import (
     parse_monomial,
     render,
 )
-from hkbinomial.algebra import GREATER, LESS, EQUAL, MR_EXACT_BELOW, is_prime
+from hkbinomial.algebra import GREATER, LESS, EQUAL, MR_EXACT_BELOW, check_field, is_prime
 from tests.conftest import random_binomials
 
 
@@ -161,6 +161,16 @@ def test_prime_power():
     assert q.q == 125
     with pytest.raises(Exception):
         PrimePower(6, 2)
+
+
+def test_check_field_builds_each_prime_power_once_and_refuses_on_every_call():
+    f = parse_binomial("x1^3 - x2^2", 5)
+    assert check_field(f, 5, 3) is check_field(f, 5, 3) == PrimePower(5, 3)
+    assert check_field(f, 5, True) is not check_field(f, 5, 1)  # keys of another type are not shared
+    for _ in range(2):  # a refusal is not cached
+        for p, n, message in [(3, 1, "does not match"), (5, 0, "must be positive"), (5, -1, "got -1")]:
+            with pytest.raises(DomainError, match=message):
+                check_field(f, p, n)
 
 
 def test_binomial_rejects_unise_lead():

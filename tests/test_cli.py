@@ -593,8 +593,10 @@ def test_classify_past_the_primality_bound_is_a_resource_error(capsys):
         ('{"poly": "x1^3 - x2^2", "p": 5, "n": 1', "ParseError", "not JSON: "),
         ("[" * 100_000, "ParseError", "not JSON: nested too deeply"),
         ('{"poly": "x1\udcff", "p": 5, "n": 1}', "ParseError", "not UTF-8: "),  # byte 0xff
+        ('\ufeff{"poly": "x1^3 - x2^2", "p": 5, "n": 1}', "ParseError",
+         "not JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
     ],
-    ids=["p-0", "n-0", "missing-key", "bad-poly", "bad-json", "deep-json", "not-utf8"],
+    ids=["p-0", "n-0", "missing-key", "bad-poly", "bad-json", "deep-json", "not-utf8", "bom"],
 )
 def test_bad_corpus_line_is_a_usage_error_of_its_own_class(tmp_path, capsys, line, error_type,
                                                            message):
