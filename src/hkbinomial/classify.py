@@ -60,6 +60,7 @@ class Classification:
     zero: tuple  # ZeroVar records, Z_1 first
     pos: tuple  # PosVar records, P_1 first
     lead_exps: tuple  # original-frame exponents of the lead term
+    trail_exps: tuple  # original-frame exponents of the trail term
 
 
 def classify(f: Binomial) -> Classification:
@@ -91,7 +92,7 @@ def _classify(e2: tuple, e1: tuple) -> Classification:
     neg.reverse()
     zero.reverse()
     return Classification(len(e2), len(neg), len(zero), len(pos), tuple(order),
-                          tuple(sorted(delta)), tuple(neg), tuple(zero), tuple(pos), e2)
+                          tuple(sorted(delta)), tuple(neg), tuple(zero), tuple(pos), e2, e1)
 
 
 def classification_summary(cls: Classification) -> dict:

@@ -24,7 +24,8 @@ of the computation, all in the delta-sorted frame:
   the first one <= 0; the classification it reads is cached on the
   exponents (`classify`), so a value's fixed cost is a few such points.
 * trail_complement_count: the length for the shapes the closed form
-  excludes (`is_monomial_shape`), where the ideal is a monomial ideal.
+  excludes (`is_monomial_shape`, a test on the exponents alone), where the
+  ideal is a monomial ideal.
 
 Everything is exact integer arithmetic; no floating point.
 """
@@ -34,6 +35,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from math import prod
+from operator import le
 
 from .algebra import Binomial, PrimePower, check_field
 from .classify import Classification, classify
@@ -167,14 +169,17 @@ def g_chain(cls: Classification, p: int, n: int) -> GChains:
 # degenerate shapes: the ideal is a monomial ideal
 
 
-def is_monomial_shape(cls: Classification, qq: int) -> bool:
-    """True when (x_1^q, ..., x_m^q, f) = (x_1^q, ..., x_m^q, trail).
+def is_monomial_shape(lead_exps, trail_exps, qq: int) -> bool:
+    """True when (x_1^q, ..., x_m^q, f) = (x_1^q, ..., x_m^q, trail), for f
+    with these lead and trail exponents.
 
-    Either no variable grows (t = 0: the trail term divides the lead term,
-    so f = trail * unit in the Artinian local quotient), or some lead
-    exponent is >= q (the lead term lies in the Frobenius power).
+    Either no variable grows (every trail exponent is at most its lead
+    exponent, t = 0: the trail term divides the lead term, so f = trail *
+    unit in the Artinian local quotient), or some lead exponent is >= q (the
+    lead term lies in the Frobenius power).  It reads only the exponents, so
+    no route needs the classification to take it.
     """
-    return cls.t == 0 or max(cls.lead_exps) >= qq
+    return all(map(le, trail_exps, lead_exps)) or max(lead_exps) >= qq
 
 
 def trail_complement_count(qq: int, trail_exps) -> int:
@@ -279,7 +284,7 @@ def closed_form_at(cls: Classification, qq: int):
     shrinking part the lead does not divide: a non-member exactly when the
     trail does not divide it, counted by inclusion-exclusion.
     """
-    if is_monomial_shape(cls, qq):
+    if is_monomial_shape(cls.lead_exps, cls.trail_exps, qq):
         raise NotApplicableError("no growing variable, or a lead exponent is >= q: "
                                  "the length is the trail complement count")
     params = _mmax_at(cls, qq)

@@ -12,7 +12,9 @@ Three routes compute the same exact length:
 `hk` with engine="auto" answers every binomial without enumeration: the
 shapes the closed form excludes (no growing variable, or a lead exponent
 >= q) have a monomial ideal, whose length is a product ("monomial" route);
-every other shape goes to the closed form.  direct and oracle run only when
+every other shape goes to the closed form.  That test reads only the
+exponents, so only the closed route classifies the binomial; a report
+derives its classification on demand.  direct and oracle run only when
 asked for by name, and `cross_check` runs all three per corpus instance and
 treats any disagreement as a hard failure; the closed form's boundary
 conventions are only trusted because this gate exists.  The two budgets
@@ -82,12 +84,18 @@ class HKReport:
     m: int
     value: int
     engine: str  # "monomial", "closed", "direct" or "oracle"
-    classification: Classification
+    f: Binomial
     guard_notes: list = field(default_factory=list)  # no route adds notes; a payload key
     mmax_params: tuple | None = None  # MmaxParams per shrinking variable
     oracle: OracleReport | None = None
     by_bound: PiecewisePoly | None = None  # the closed form's non-members by scan bound
-    timing_ms: float = 0.0  # from entry to `hk`, the field check and classification included
+    timing_ms: float = 0.0  # from entry to `hk`: the field check and what the route computes
+
+    @property
+    def classification(self) -> Classification:
+        """f's sorted difference classification, computed when read (`classify`
+        is cached on the exponents); only the closed route computes it in `hk`."""
+        return classify(self.f)
 
     def data_dict(self) -> dict:
         """Deterministic payload, formatted here from the engines' records;
@@ -124,10 +132,12 @@ def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> H
     """Evaluate the length for q = p^n with the requested engine.
 
     engine="auto" returns the trail complement count (engine "monomial")
-    when `is_monomial_shape` holds and the closed form otherwise; it never
-    enumerates.  A named engine runs alone and raises NotApplicableError
-    or ResourceError (past its own budget) instead of switching routes.
-    A closed report keeps the closed form's count by scan bound, `by_bound`.
+    when `is_monomial_shape` holds on f's exponents and the closed form
+    otherwise; it never enumerates.  A named engine runs alone and raises
+    NotApplicableError or ResourceError (past its own budget) instead of
+    switching routes.  A closed report keeps the closed form's count by scan
+    bound, `by_bound`.  Only the closed route classifies f; `timing_ms`
+    covers the field check and what the route computes.
     """
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
@@ -135,9 +145,8 @@ def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> H
     if p is None:
         p = f.p
     q = check_field(f, p, n)
-    cls = classify(f)
     params = by_bound = orc = None
-    if engine == "auto" and is_monomial_shape(cls, q.q):
+    if engine == "auto" and is_monomial_shape(f.lead.exps, f.trail.exps, q.q):
         value, used = trail_complement_count(q.q, f.trail.exps), "monomial"
     elif engine in ("auto", "closed"):
         value, by_bound, params = hk_closed_form_tables(f, p, n)
@@ -147,7 +156,7 @@ def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> H
     else:
         orc = hk_oracle_report(f, q)
         value, used = orc.length, "oracle"
-    return HKReport(p=p, n=n, q=q.q, m=f.m, value=value, engine=used, classification=cls,
+    return HKReport(p=p, n=n, q=q.q, m=f.m, value=value, engine=used, f=f,
                     mmax_params=params, oracle=orc, by_bound=by_bound,
                     timing_ms=(time.perf_counter() - started) * 1000.0)
 

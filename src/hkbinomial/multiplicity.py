@@ -45,7 +45,7 @@ def hk_1dim(f: Binomial, p: int, n: int):
     """
     qq = check_field(f, p, n).q
     cls, label = _two_variable_case(f)
-    if is_monomial_shape(cls, qq):
+    if is_monomial_shape(f.lead.exps, f.trail.exps, qq):
         return trail_complement_count(qq, f.trail.exps), label
     neg, pos = cls.neg[0], cls.pos[0]
     a, dp = neg.a, pos.dp
@@ -134,8 +134,9 @@ def hk_quasi_polynomial(f: Binomial, p: int) -> QuasiPolynomial:
     classes = []
     for c in range(period):
         Qs = [pow(p, n0 + (c - n0) % period, L) + (bound // L + 1 + k) * L for k in range(m + 1)]
-        coeffs = _interpolate(Qs, [closed_form_at(cls, Q)[0] if cls.t else
-                                   trail_complement_count(Q, f.trail.exps) for Q in Qs])
+        coeffs = _interpolate(Qs, [trail_complement_count(Q, f.trail.exps)
+                                   if is_monomial_shape(f.lead.exps, f.trail.exps, Q)
+                                   else closed_form_at(cls, Q)[0] for Q in Qs])
         if coeffs[m]:
             raise ContractError(f"HK has a q^{m} term on the class {c} mod {period}")
         classes.append(tuple(coeffs[:m]))

@@ -59,8 +59,10 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> 
     top = (qq,) * f.m
     # edges by their trail end y = u + e1: the lead end y + e2 - e1 survives too
     starts = _box(e1, [min(qq, qq - a + b) for a, b in zip(e2, e1)], qq)
-    dead = _box(e1, top, qq) & ~starts  # only the trail end survives
-    dead |= _box(e2, top, qq) & ~_box(e2, [min(qq, qq - b + a) for a, b in zip(e2, e1)], qq)
+    # a box with the same lower corner and no higher upper corner lies inside
+    # the first, so x ^ y is x & ~y, with no negative int
+    dead = _box(e1, top, qq) ^ starts  # only the trail end survives
+    dead |= _box(e2, top, qq) ^ _box(e2, [min(qq, qq - b + a) for a, b in zip(e2, e1)], qq)
     step = node_index(e2, qq) - node_index(e1, qq)
     if step < 0:  # orient every edge toward the higher index
         step = -step
@@ -76,7 +78,7 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> 
         reach *= 2
     for span, reach in spans:
         dead |= span & (dead >> reach)
-    heads = ((1 << nodes) - 1) & ~(dead | starts << step)  # live, no incoming edge
+    heads = ((1 << nodes) - 1) ^ (dead | starts << step)  # live, no incoming edge (all in the grid)
     return OracleReport(
         length=heads.bit_count(),
         nodes=nodes,
@@ -88,8 +90,11 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> 
 
 def _box(lo, hi, qq: int) -> int:
     """Mask of the nodes A with lo[i] <= A[i] < hi[i] for every i."""
-    mask, width = 1, 1
-    for a, b in zip(reversed(lo), reversed(hi)):
+    a, b = lo[-1], hi[-1]
+    if a >= b:
+        return 0
+    mask, width = ((1 << (b - a)) - 1) << a, qq  # the last coordinate's run
+    for a, b in zip(reversed(lo[:-1]), reversed(hi[:-1])):
         if a >= b:
             return 0
         mask = _repeat(mask, width, b - a) << (a * width)

@@ -53,7 +53,8 @@ def classify_reference(f) -> Classification:
         lo, hi = min(e1[orig], e2[orig]), max(e1[orig], e2[orig])
         pos.append(PosVar(var=orig + 1, dp=delta_orig[orig], pmin=lo, pmax=hi))
     return Classification(m=f.m, r=r, s=s, t=t, perm=tuple(order), delta=delta,
-                          neg=tuple(neg), zero=tuple(zero), pos=tuple(pos), lead_exps=e2)
+                          neg=tuple(neg), zero=tuple(zero), pos=tuple(pos), lead_exps=e2,
+                          trail_exps=e1)
 
 
 def _minc(M, P, qq):
@@ -130,7 +131,7 @@ def levels_linear(cls, qq, params, p, n, naive=False):
 def hk_closed_form_linear(f, p, n, naive=False):
     """Closed-form total from the list fold; returns (total, outermost level)."""
     qq, cls = check_field(f, p, n).q, classify(f)
-    if is_monomial_shape(cls, qq):
+    if is_monomial_shape(f.lead.exps, f.trail.exps, qq):
         raise NotApplicableError("the length is the trail complement count")
     params = mmax_params(cls, p, n)
     r, s, t = cls.r, cls.s, cls.t

@@ -285,7 +285,7 @@ def test_closed_form_is_the_length_at_every_integer_q():
     for f, top in drawn.items():
         cls = classify(f)
         for Q in range(1, top + 1):
-            if is_monomial_shape(cls, Q):
+            if is_monomial_shape(f.lead.exps, f.trail.exps, Q):
                 value = trail_complement_count(Q, f.trail.exps)
             else:
                 value, closed = closed_form_at(cls, Q)[0], closed + 1
@@ -303,7 +303,7 @@ def test_closed_form_is_both_enumerations_at_every_q_from_13_to_40():
     for f in drawn:
         cls = classify(f)
         for Q in range(13, 41):
-            if is_monomial_shape(cls, Q):
+            if is_monomial_shape(f.lead.exps, f.trail.exps, Q):
                 value = trail_complement_count(Q, f.trail.exps)
             else:
                 value, closed = closed_form_at(cls, Q)[0], closed + 1
@@ -323,7 +323,7 @@ def test_closed_form_is_both_enumerations_at_every_q_past_three_variables():
     for f in drawn:
         cls = classify(f)
         for Q in range(9, 41):
-            if is_monomial_shape(cls, Q):
+            if is_monomial_shape(f.lead.exps, f.trail.exps, Q):
                 value = trail_complement_count(Q, f.trail.exps)
             else:
                 value, closed = closed_form_at(cls, Q)[0], closed + 1

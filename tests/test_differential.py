@@ -7,7 +7,9 @@ exponents <= 8, p <= 7, q^m <= 3*10^4) and check that the count equals both
 enumerating engines, that the closed form never raises on the remaining
 shapes and equals both engines on a seeded subset of them, that permuting
 the variables or scaling the coefficients leaves every engine's value
-unchanged, and that auto mode never enumerates.  A seeded set of 12
+unchanged, that auto mode never enumerates, and that only the closed route
+classifies.  `is_monomial_shape`, which reads only exponents, is checked
+against the rule as the classification states it.  A seeded set of 12
 larger binomials (q^m from 2*10^5 to 2*10^6, m = 2..5) checks that the
 closed form, where it applies, equals both engines.  The closed form's
 piecewise-polynomial sum by scan bound is also checked against the O(q)
@@ -31,6 +33,7 @@ from hkbinomial import (
     PrimePower,
     Term,
     classify,
+    closedform,
     engines,
     hk,
     hk_closed_form,
@@ -39,6 +42,7 @@ from hkbinomial import (
     normalize,
     parse_binomial,
 )
+from hkbinomial.classify import _classify
 from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
 from tests.closedform_reference import hk_closed_form_linear, phi_product
 from tests.test_keycheck import direct_cases
@@ -80,7 +84,7 @@ def _grid(seed, degenerate_count, closed_count):
         if (f, n) in seen:
             continue
         seen.add((f, n))
-        if is_monomial_shape(classify(f), p**n):
+        if is_monomial_shape(f.lead.exps, f.trail.exps, p**n):
             degenerate.append((f, p, n))
         else:
             closed.append((f, p, n))
@@ -99,6 +103,52 @@ def no_enumeration(monkeypatch):
 
     monkeypatch.setattr(engines, "hk_direct_count", refuse)
     monkeypatch.setattr(engines, "hk_oracle_report", refuse)
+
+
+@pytest.fixture
+def no_classification(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a route that does not read the classification computed it")
+
+    monkeypatch.setattr(engines, "classify", refuse)
+    monkeypatch.setattr(closedform, "classify", refuse)
+
+
+def test_only_the_closed_route_classifies(grid, no_classification, monkeypatch):
+    degenerate, _ = grid
+    reports = []
+    for f, p, n in degenerate:
+        value = hk_direct_count(f, PrimePower(p, n))
+        rep = hk(f, p, n)
+        assert (rep.engine, rep.value) == ("monomial", value), (f, p, n)
+        reports.append(rep)
+        for engine in ("direct", "oracle"):
+            rep = hk(f, p, n, engine=engine)
+            assert (rep.engine, rep.value) == (engine, value), (f, p, n)
+            reports.append(rep)
+    monkeypatch.undo()  # lifts the fixture: a report classifies when read
+    for rep in reports:
+        assert rep.classification == classify(rep.f)
+
+
+def test_shape_test_on_exponents_is_the_classification_rule():
+    # the old statement of the rule read the classification: t = 0 or a lead
+    # exponent >= q; q at the largest lead exponent - 1, + 0, + 1 and p^n draws
+    rng = random.Random(SEED + 3)
+    checked = Counter()
+    for _ in range(3000):
+        m = rng.randint(1, 6)
+        lead = tuple(rng.randint(0, 8) for _ in range(m))
+        trail = tuple(rng.randint(0, 8) for _ in range(m))
+        top = max(lead)
+        draws = [top - 1, top, top + 1] + [rng.choice((2, 3, 5, 7)) ** rng.randint(1, 4)]
+        for q in draws:
+            if q < 1:
+                continue
+            old = _classify(lead, trail).t == 0 or max(lead) >= q
+            assert is_monomial_shape(lead, trail, q) == old, (lead, trail, q)
+            checked[old] += 1
+    assert min(checked.values()) > 2000
 
 
 def test_degenerate_shapes_match_both_enumerations(grid, no_enumeration):
@@ -184,7 +234,7 @@ def test_piecewise_fold_equals_linear_fold(corpus200):
         (f, f.p, n)
         for f in dict.fromkeys(f for f, _, _ in corpus200)
         for n in range(1, LINEAR_MAX_N + 1)
-        if f.p**n <= LINEAR_MAX_Q and not is_monomial_shape(classify(f), f.p**n)
+        if f.p**n <= LINEAR_MAX_Q and not is_monomial_shape(f.lead.exps, f.trail.exps, f.p**n)
     ]
     assert len(cases) > 500
     cases += [(parse_binomial(poly, p), p, n) for poly, p, n in FOLD_CUT_CASES]

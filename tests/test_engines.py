@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from hkbinomial import engines, keycheck, oracle
+from hkbinomial import closedform, engines, keycheck, oracle
 from hkbinomial import (
     DomainError,
     HKError,
@@ -31,6 +31,7 @@ from hkbinomial import (
     phi_recursive,
     render,
 )
+from hkbinomial.classify import _classify
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 F_T0 = parse_binomial("x1^3*x2 - x1*x2", 3)  # trail divides lead: no growing variable
@@ -274,13 +275,37 @@ def test_budget_defaults_are_the_engines_own():
 
 
 def test_report_timing_includes_the_classification(monkeypatch):
+    # the closed route classifies inside `hk_closed_form_tables`
     def slow_classify(f):
         time.sleep(0.005)
         return classify(f)
 
-    monkeypatch.setattr(engines, "classify", slow_classify)
+    monkeypatch.setattr(closedform, "classify", slow_classify)
     rep = hk(parse_binomial("x1^3 - x2^2", 5), 5, 4)
     assert rep.engine == "closed" and rep.timing_ms >= 5
+
+
+def test_only_the_closed_route_classifies_once_per_exponent_pair(monkeypatch):
+    calls = []
+
+    def spy(f):
+        calls.append(f)
+        return classify(f)
+
+    monkeypatch.setattr(engines, "classify", spy)
+    monkeypatch.setattr(closedform, "classify", spy)
+    for engine in ("auto", "direct", "oracle"):  # auto takes the monomial route on F_T0
+        hk(F_T0, 3, 2, engine=engine)
+    for engine in ("direct", "oracle"):
+        hk(F1, 5, 2, engine=engine)
+    assert calls == []
+    _classify.cache_clear()
+    for n in (2, 3):  # one exponent pair at two q: one miss, then one hit
+        assert hk(F1, 5, n).engine == "closed"
+    assert calls == [F1, F1]
+    assert _classify.cache_info()[:2] == (1, 1)  # (hits, misses)
+    rep = hk(F1, 5, 1, engine="direct")
+    assert rep.classification == classify(F1) and len(calls) == 3  # read on demand
 
 
 def _kunz_digits(m, p, n):
