@@ -9,8 +9,9 @@ shell status 141 and nothing on stderr.
 
 Each subcommand takes only the flags it reads: all take --format (csv
 for table only); hk --verbose (the engine on stderr, or the closed form's
-count by scan bound in JSON); check --workers (default 1).  Any other flag
-is a usage error.  The direct and oracle engines' budgets are constants
+count by scan bound in JSON); check --workers (accepted for the benchmark
+harness: at least 1, and without effect).  Any other flag is a usage
+error.  The direct and oracle engines' budgets are constants
 (`keycheck.ENUM_CAP`, `oracle.ORACLE_CAP`), not flags.
 
 Identical invocations produce byte-identical JSON payloads: ordering is
@@ -29,7 +30,7 @@ from fractions import Fraction
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
 from .engines import ENGINES, cross_check, decimal_str, hk, load_corpus, refuse_unwritable
-from .errors import HKError, ResourceError
+from .errors import DomainError, HKError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import hk_quasi_polynomial
 
@@ -217,7 +218,10 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = cross_check(load_corpus(args.corpus), args.workers)
+    instances = load_corpus(args.corpus)  # read first: a bad corpus line outranks a bad flag
+    if args.workers < 1:  # kept only for bench/worker.py's `--workers 1`; ROADMAP item 2 drops it
+        raise DomainError(f"workers must be a positive integer, got {args.workers}")
+    report = cross_check(instances)
     if args.format == "json":
         _dump_json({"data": report.entries, "all_agree": report.all_agree})
     else:

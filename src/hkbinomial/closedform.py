@@ -20,9 +20,9 @@ of the computation, all in the delta-sorted frame:
   non-members by scan bound M = 1..V, V ~ q/a, are one PiecewisePoly whose
   `total` costs O(t * (t + r)) evaluations, so the value takes time
   independent of q; an O(m) inclusion-exclusion term adds the rest.
-  Each evaluation multiplies r precomputed linear factors and stops at
-  the first one <= 0; the classification it reads is cached on the
-  exponents (`classify`), so a value's fixed cost is a few such points.
+  Each evaluation multiplies r precomputed linear factors, each >= 1 on
+  M = 1..V; the classification it reads is cached on the exponents
+  (`classify`), so a value's fixed cost is a few such points.
 * trail_complement_count: the length for the shapes the closed form
   excludes (`is_monomial_shape`, a test on the exponents alone), where the
   ideal is a monomial ideal.
@@ -275,8 +275,8 @@ def closed_form_at(cls: Classification, qq: int):
 
     Sums the non-members by scan bound M = 1..V, V the least top value.
     at_least(M) counts the shrinking tuples past the lead powers whose every
-    bound is >= M: a product of r factors c - a*M, linear in M for M <= V,
-    and 0 from the first factor <= 0 on (so at M = V + 1).  Bound M holds
+    bound is >= M: a product of r factors c - a*M, each >= 1 for M <= V, and
+    0 from M = V + 1 on, where the first factor is <= 0.  Bound M holds
     phi(M) * drop(M) non-members, drop(M) = at_least(M) - at_least(M + 1):
     a polynomial of degree t + r - 1 in M between phi's cuts, with one more
     cut at M = V, where at_least(M + 1) is 0.  drop takes both products in
@@ -297,9 +297,7 @@ def closed_form_at(cls: Classification, qq: int):
     def drop(M):
         now = after = 1
         for c, a in factors:
-            c -= a * M
-            if c <= 0:
-                return 0
+            c -= a * M  # >= 1, as M <= V
             now *= c
             after *= c - a if c > a else 0  # factor at M + 1; <= 0 makes at_least(M + 1) 0
         return now - after

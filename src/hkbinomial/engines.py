@@ -188,22 +188,10 @@ def _check_instance(item):
     }
 
 
-def cross_check(instances, workers: int = 1) -> CheckReport:
-    """Run every applicable engine on each (binomial, p, n) instance.
-
-    Instances are evaluated on up to `workers` threads; results keep input
-    order, so reports are deterministic.
-    """
-    if type(workers) is not int or workers < 1:
-        raise DomainError(f"workers must be a positive integer, got {workers!r}")
-    items = list(instances)
-    if workers > 1 and len(items) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # its import costs every start-up
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_check_instance, items))
-    else:
-        entries = [_check_instance(it) for it in items]
+def cross_check(instances) -> CheckReport:
+    """Run every applicable engine on each (binomial, p, n) instance, in input
+    order, so reports are deterministic."""
+    entries = [_check_instance(item) for item in instances]
     return CheckReport(entries=entries, all_agree=all(e["agree"] for e in entries))
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, log
+from math import lcm
 
 from .algebra import Binomial, check_field
 from .classify import classify
@@ -119,9 +119,9 @@ def hk_quasi_polynomial(f: Binomial, p: int) -> QuasiPolynomial:
     for i, r1 in enumerate(rates):
         for r2 in rates[i + 1 :]:
             bound = max(bound, ((E + 1) * (r1 + r2) + 4 * r1 * r2) // (r2 - r1))
-    n0 = max(1, int(log(bound, p)) - 1)  # then the least n with p^n > bound
-    while p**n0 <= bound:
-        n0 += 1
+    n0, qn = 1, p  # then the least n >= 1 with p^n > bound
+    while qn <= bound:
+        n0, qn = n0 + 1, qn * p
     L = lcm(*rates)  # its p-part divides p^n0, as it is at most the largest rate
     # a class's work: m + 1 evaluations, each priced by m and the bits of the largest Q^m
     unit = (m + 1) * (m + 40) * (4000 + m * (bound + L * (m + 2)).bit_length()) ** 2

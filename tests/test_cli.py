@@ -5,6 +5,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -464,6 +465,29 @@ def test_check_roundtrip(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["all_agree"] is True
     assert len(payload["data"]) == 2
+
+
+def test_check_runs_one_loop_whatever_workers_says(tmp_path, capsys, monkeypatch):
+    # --workers is accepted and does nothing: no value starts a thread, and the
+    # entries keep input order, byte for byte the same at every value
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"poly": "x1^3*x2 - x1*x2", "p": 3, "n": 1}\n'
+        '{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n'
+    )
+
+    def no_thread(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    outs = []
+    for workers in ("1", "4", str(10**9)):
+        argv = ["check", "--corpus", str(corpus), "--format", "json", "--workers", workers]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+    assert [(e["p"], e["n"]) for e in json.loads(outs[0])["data"]] == [(3, 1), (5, 1)]
 
 
 def test_check_mismatch_exit_code(tmp_path, capsys, monkeypatch):

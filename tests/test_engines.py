@@ -153,13 +153,6 @@ def test_cross_check_empty():
     assert report.all_agree and report.entries == []
 
 
-def test_cross_check_workers_deterministic(corpus_small):
-    items = corpus_small[:8]
-    seq = cross_check(items, workers=1)
-    par = cross_check(items, workers=4)
-    assert seq.entries == par.entries
-
-
 def test_report_payload_deterministic():
     a = hk(F1, 5, 1).json_dict()
     b = hk(F1, 5, 1).json_dict()
@@ -198,16 +191,6 @@ def test_load_corpus_rejects_bad_fields(tmp_path, line):
     path.write_text(json.dumps(line) + "\n")
     with pytest.raises(HKError, match=":1: bad corpus entry"):
         load_corpus(str(path))
-
-
-@pytest.mark.parametrize(
-    "fields",
-    [{"workers": "4"}, {"workers": 2.0}, {"workers": True}, {"workers": 0}],
-)
-def test_config_rejects_bad_values(fields):
-    # cross_check's thread count is the one setting left; it is checked before any work
-    with pytest.raises(DomainError, match="^workers must be a positive integer, got "):
-        cross_check([(F1, 5, 1)], **fields)
 
 
 def test_hk_takes_p_from_the_binomial_and_checks_it_and_the_engine():

@@ -33,7 +33,10 @@ cannot grow into the closed form it checks.
 
 Every library attribute that the benchmark's tracer replaces by name
 (`tracer.interpose(module, "attr", ...)` in `bench/worker.py`) must exist,
-so a rename that would break `bench/run.py --trace 1` fails here.
+so a rename that would break `bench/run.py --trace 1` fails here.  So must
+everything else the benchmark reads of the library: the `hkb check` argv it
+runs parses, every report attribute it reads exists, and every name it
+imports from `hkbinomial` exists.
 """
 
 import argparse
@@ -42,6 +45,7 @@ import importlib
 import re
 from pathlib import Path
 
+import hkbinomial
 from hkbinomial import cli
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -185,6 +189,31 @@ def test_every_attribute_the_bench_traces_exists():
         if not hasattr(importlib.import_module(f"hkbinomial.{module}"), attr)
     ]
     assert len(traced) >= 10 and missing == [], f"bench/worker.py traces missing names: {missing}"
+
+
+def test_the_bench_reads_only_what_the_library_has(tmp_path):
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "bench").glob("*.py"))}
+    funcs = {node.name: node for node in ast.walk(trees["worker.py"])
+             if isinstance(node, ast.FunctionDef)}
+    (argv,) = [node.value for node in ast.walk(funcs["run_cli"]) if isinstance(node, ast.Assign)
+               and [getattr(t, "id", None) for t in node.targets] == ["argv"]]
+    corpus = str(tmp_path / "corpus.jsonl")
+    words = [corpus if isinstance(e, ast.Name) else ast.literal_eval(e) for e in argv.elts]
+    args = cli._build_parser().parse_args(words)  # SystemExit on a flag hkb no longer takes
+    assert (args.command, args.corpus) == ("check", corpus)
+
+    rep = hkbinomial.hk(hkbinomial.parse_binomial("x1^3 - x2^2", 5), 5, 2)
+    read = {node.attr for name in ("hk_info", "run_values") for node in ast.walk(funcs[name])
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "rep"}
+    missing = sorted(attr for attr in read if not hasattr(rep, attr))
+    assert {"value", "engine"} <= read and missing == [], f"bench reads missing: {missing}"
+
+    imported = {(name, alias.name) for name, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module == "hkbinomial"
+                for alias in node.names}
+    missing = sorted(f"{name}: {attr}" for name, attr in imported if not hasattr(hkbinomial, attr))
+    assert len(imported) >= 10 and missing == [], f"bench imports missing names: {missing}"
 
 
 def test_json_is_written_in_one_place():
