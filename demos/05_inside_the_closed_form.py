@@ -33,7 +33,7 @@ print("\nblock counts by scan bound:")
 for M in (1, 2):
     print(f"  bound {M}: {phi_recursive(M, cls, 3, 1)}")
 
-value, by_bound, _ = hk_closed_form_tables(f, 3, 1)
+value, by_bound = hk_closed_form_tables(f, 3, 1)
 counts = tuple(by_bound(x) for x in range(by_bound.length))
 print(f"\nby_bound (non-members at bound 1..V): {counts}")
 print(f"assembled value                     : {value}")

@@ -258,14 +258,13 @@ def parse_binomial(text: str, p: int, num_vars: int | None = None) -> Binomial:
 
 
 def render_term(t: Term) -> str:
+    """A term of a Binomial, which has degree >= 1 (`ConstantTermError`)."""
     facs = []
     for i, e in enumerate(t.exps):
         if e == 1:
             facs.append(f"x{i + 1}")
         elif e > 1:
             facs.append(f"x{i + 1}^{e}")
-    if not facs:
-        return str(t.coeff)
     if t.coeff != 1:
         facs.insert(0, str(t.coeff))
     return "*".join(facs)

@@ -6,8 +6,10 @@ q = p^n, which the (p, n) wrappers build after checking the field.  Layout
 of the computation, all in the delta-sorted frame:
 
 * mmax_params: per shrinking variable with drop a and minimum power b,
-  the top scan bound V = floor((q - 1 - b)/a), the most trades a
-  monomial at that variable's top exponent q - 1 allows.
+  the top scan bound floor((q - 1 - b)/a), the most trades a monomial at
+  that variable's top exponent q - 1 allows.  Not on the value path,
+  which reads a and b from the classification: a closed report derives
+  it for its payload.
 * phi_recursive: for a fixed scan bound, counts the non-members among
   monomials whose shrinking exponents are fixed while the zero and
   growing exponents range freely.  Built from suffix chains over the
@@ -17,9 +19,10 @@ of the computation, all in the delta-sorted frame:
   divisibility); a single descending product chain.  Not on the value
   path: kept only for the benchmark's trace until it moves to the tests.
 * closed_form_at, the one body (hk_closed_form_tables at q = p^n): the
-  non-members by scan bound M = 1..V, V ~ q/a, are one PiecewisePoly whose
-  `total` costs O(t * (t + r)) evaluations, so the value takes time
-  independent of q; an O(m) inclusion-exclusion term adds the rest.
+  non-members by scan bound M = 1..V, V ~ q/a the least top scan bound,
+  are one PiecewisePoly whose `total` costs O(t * (t + r)) evaluations, so
+  the value takes time independent of q; an O(m) inclusion-exclusion term
+  adds the rest.
   Each evaluation multiplies r precomputed linear factors, each >= 1 on
   M = 1..V; the classification it reads is cached on the exponents
   (`classify`), so a value's fixed cost is a few such points.
@@ -57,7 +60,6 @@ class MmaxParams:
     var: int  # original 1-based variable index
     a: int
     b: int
-    nmax: int
     top_value: int  # floor((q - 1 - b)/a): the scan bound at exponent q - 1
 
 
@@ -79,7 +81,7 @@ def _mmax_at(cls: Classification, qq: int) -> tuple:
             raise NotApplicableError(f"q = {qq} does not exceed the max power {rec.nmax} "
                                      f"of x{rec.var}")
     return tuple(
-        MmaxParams(rec.var, rec.a, rec.b, rec.nmax, (qq - 1 - rec.b) // rec.a)
+        MmaxParams(rec.var, rec.a, rec.b, (qq - 1 - rec.b) // rec.a)
         for rec in cls.neg
     )
 
@@ -265,34 +267,34 @@ def scan_cuts(cls: Classification, qq: int) -> list:
 
 
 def hk_closed_form_tables(f: Binomial, p: int, n: int):
-    """`closed_form_at` for f at q = p^n, after checking the field."""
+    """(value, by_bound) of `closed_form_at` for f at q = p^n, after checking
+    the field; a closed report derives `mmax_params` from f when read."""
     return closed_form_at(classify(f), check_field(f, p, n).q)
 
 
 def closed_form_at(cls: Classification, qq: int):
-    """(value, by_bound, params) at an integer q >= 1: the closed-form value, the
-    non-members by scan bound (x -> those at bound x + 1, on [0, V)) and the MmaxParams.
+    """(value, by_bound) at an integer q >= 1: the closed-form value and the
+    non-members by scan bound (x -> those at bound x + 1, on [0, V)).
 
-    Sums the non-members by scan bound M = 1..V, V the least top value.
-    at_least(M) counts the shrinking tuples past the lead powers whose every
-    bound is >= M: a product of r factors c - a*M, each >= 1 for M <= V, and
-    0 from M = V + 1 on, where the first factor is <= 0.  Bound M holds
-    phi(M) * drop(M) non-members, drop(M) = at_least(M) - at_least(M + 1):
-    a polynomial of degree t + r - 1 in M between phi's cuts, with one more
-    cut at M = V, where at_least(M + 1) is 0.  drop takes both products in
-    one pass over the factors.  The other monomials are those whose
-    shrinking part the lead does not divide: a non-member exactly when the
-    trail does not divide it, counted by inclusion-exclusion.
+    Sums the non-members by scan bound M = 1..V, V the least top scan bound
+    floor((q - 1 - b)/a), read from the classification's shrinking
+    variables.  at_least(M) counts the shrinking tuples past the lead powers
+    whose every bound is >= M: a product of r factors q - b - a*M, each >= 1
+    for M <= V, and 0 from M = V + 1 on, where the first factor is <= 0.
+    Bound M holds phi(M) * drop(M) non-members, drop(M) = at_least(M) -
+    at_least(M + 1): a polynomial of degree t + r - 1 in M between phi's
+    cuts, with one more cut at M = V, where at_least(M + 1) is 0.  drop
+    takes both products in one pass over the factors.  The other monomials
+    are those whose shrinking part the lead does not divide: a non-member
+    exactly when the trail does not divide it, counted by inclusion-exclusion.
     """
     if is_monomial_shape(cls.lead_exps, cls.trail_exps, qq):
         raise NotApplicableError("no growing variable, or a lead exponent is >= q: "
                                  "the length is the trail complement count")
-    params = _mmax_at(cls, qq)
-    V = min(prm.top_value for prm in params)
+    factors = [(qq - N.b, N.a) for N in cls.neg]  # factor c - a*M at M
+    V = min((c - 1) // a for c, a in factors)
     if V < 1:
         raise FormulaDomainError("top scan bound below 1")
-
-    factors = [(qq - prm.nmax + prm.a, prm.a) for prm in params]  # factor c - a*M at M
 
     def drop(M):
         now = after = 1
@@ -306,12 +308,12 @@ def closed_form_at(cls: Classification, qq: int):
         lambda x: _phi_value(x + 1, cls, qq) * drop(x + 1),
         V, [x for _, x in scan_cuts(cls, qq)], cls.t + cls.r - 1,
     )
-    past_lead = prod(qq - N.nmax for N in cls.neg)  # at_least(1); each q - nmax > 0 (`_mmax_at`)
+    past_lead = prod(qq - N.nmax for N in cls.neg)  # at_least(1); each q - nmax > 0 (shape test)
     past_trail = prod(qq - N.nmin for N in cls.neg)
     rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]
     lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)  # less those the trail divides
     lead_fails -= prod(max(0, qq - e) for e in rest_trail) * (past_trail - past_lead)
-    return by_bound.total + lead_fails, by_bound, params
+    return by_bound.total + lead_fails, by_bound
 
 
 def hk_closed_form(f: Binomial, p: int, n: int) -> int:

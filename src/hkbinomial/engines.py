@@ -14,12 +14,13 @@ shapes the closed form excludes (no growing variable, or a lead exponent
 >= q) have a monomial ideal, whose length is a product ("monomial" route);
 every other shape goes to the closed form.  That test reads only the
 exponents, so only the closed route classifies the binomial; a report
-derives its classification on demand.  direct and oracle run only when
-asked for by name, and `cross_check` runs all three per corpus instance and
-treats any disagreement as a hard failure; the closed form's boundary
-conventions are only trusted because this gate exists.  The two budgets
-are constants here; only the engine functions take another (`enum_cap=`,
-`node_cap=`).
+keeps what its route computed and derives the rest (p, m, the
+classification, a closed report's `mmax_params`) on demand.  direct and
+oracle run only when asked for by name, and `cross_check` runs all three
+per corpus instance and treats any disagreement as a hard failure; the
+closed form's boundary conventions are only trusted because this gate
+exists.  The two budgets are constants here; only the engine functions
+take another (`enum_cap=`, `node_cap=`).
 """
 
 from __future__ import annotations
@@ -28,12 +29,12 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import Binomial, _literal, check_field, parse_binomial, render
 from .classify import Classification, classify, classification_summary
-from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape
+from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape, mmax_params
 from .closedform import trail_complement_count
 from .errors import DomainError, HKError, NotApplicableError, ParseError, ResourceError
 from .keycheck import hk_direct_count
@@ -78,24 +79,39 @@ def refuse_unwritable(m: int, p: int, n: int):
 
 @dataclass
 class HKReport:
-    p: int
     n: int
     q: int
-    m: int
     value: int
     engine: str  # "monomial", "closed", "direct" or "oracle"
     f: Binomial
-    guard_notes: list = field(default_factory=list)  # no route adds notes; a payload key
-    mmax_params: tuple | None = None  # MmaxParams per shrinking variable
     oracle: OracleReport | None = None
     by_bound: PiecewisePoly | None = None  # the closed form's non-members by scan bound
     timing_ms: float = 0.0  # from entry to `hk`: the field check and what the route computes
+
+    @property
+    def p(self) -> int:
+        return self.f.p
+
+    @property
+    def m(self) -> int:
+        return self.f.m
 
     @property
     def classification(self) -> Classification:
         """f's sorted difference classification, computed when read (`classify`
         is cached on the exponents); only the closed route computes it in `hk`."""
         return classify(self.f)
+
+    @property
+    def mmax_params(self) -> tuple | None:
+        """MmaxParams per shrinking variable on a closed report, else None; the
+        closed value reads the same top scan bounds from the classification."""
+        return mmax_params(self.classification, self.p, self.n) if self.engine == "closed" else None
+
+    @property
+    def guard_notes(self) -> list:
+        """Always empty: no route adds notes.  Kept as a payload key."""
+        return []
 
     def data_dict(self) -> dict:
         """Deterministic payload, formatted here from the engines' records;
@@ -109,10 +125,10 @@ class HKReport:
             "m": self.m,
             "value": value,
             "engine": self.engine,
-            "guard_notes": list(self.guard_notes),
+            "guard_notes": self.guard_notes,
             "classification": classification_summary(self.classification),
         }
-        if self.mmax_params is not None:
+        if self.engine == "closed":
             out["mmax_params"] = [
                 {"var": f"x{prm.var}", "a": prm.a, "b": prm.b, "top_value": prm.top_value}
                 for prm in self.mmax_params
@@ -135,9 +151,11 @@ def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> H
     when `is_monomial_shape` holds on f's exponents and the closed form
     otherwise; it never enumerates.  A named engine runs alone and raises
     NotApplicableError or ResourceError (past its own budget) instead of
-    switching routes.  A closed report keeps the closed form's count by scan
-    bound, `by_bound`.  Only the closed route classifies f; `timing_ms`
-    covers the field check and what the route computes.
+    switching routes.  A report keeps only what its route computed: the
+    value, a closed report's count by scan bound (`by_bound`) and an oracle
+    report's counts; p, m, the classification and a closed report's
+    `mmax_params` are derived when read.  Only the closed route classifies
+    f; `timing_ms` covers the field check and what the route computes.
     """
     if engine not in ENGINES:
         raise DomainError(f"unknown engine {engine!r}")
@@ -145,19 +163,18 @@ def hk(f: Binomial, p: int | None = None, n: int = 1, engine: str = "auto") -> H
     if p is None:
         p = f.p
     q = check_field(f, p, n)
-    params = by_bound = orc = None
+    by_bound = orc = None
     if engine == "auto" and is_monomial_shape(f.lead.exps, f.trail.exps, q.q):
         value, used = trail_complement_count(q.q, f.trail.exps), "monomial"
     elif engine in ("auto", "closed"):
-        value, by_bound, params = hk_closed_form_tables(f, p, n)
+        value, by_bound = hk_closed_form_tables(f, p, n)
         used = "closed"
     elif engine == "direct":
         value, used = hk_direct_count(f, q), "direct"
     else:
         orc = hk_oracle_report(f, q)
         value, used = orc.length, "oracle"
-    return HKReport(p=p, n=n, q=q.q, m=f.m, value=value, engine=used, f=f,
-                    mmax_params=params, oracle=orc, by_bound=by_bound,
+    return HKReport(n=n, q=q.q, value=value, engine=used, f=f, oracle=orc, by_bound=by_bound,
                     timing_ms=(time.perf_counter() - started) * 1000.0)
 
 

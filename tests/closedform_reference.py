@@ -73,7 +73,7 @@ def brackets(prm: MmaxParams, qq: int):
     less; ktilde_last is the index of the last bracket (>= 1 by
     convention) and a_prime its width, possibly zero.
     """
-    K = qq - prm.nmax
+    K = qq - prm.b - prm.a  # q - nmax
     excess = (qq - 1 - prm.b) % prm.a
     kt = max(1, ceil_div(K - 1 - excess, prm.a))
     return excess, kt, K - (1 + excess + prm.a * (kt - 1))
@@ -112,7 +112,7 @@ def levels_linear(cls, qq, params, p, n, naive=False):
                 for j in range(Vr)
             ]
             continue
-        K = qq - prm.nmax
+        K = qq - rec.nmax
         lo = max(0, -delta)
         suffix = [0] * (L + 1)
         for jp in range(L - 1, lo - 1, -1):

@@ -60,7 +60,7 @@ def test_hk_verbose_level_top_is_piecewise(capsys):
     assert isinstance(tables["by_bound"]["length"], str)  # V > 2^53 stays exact
     # the pieces' Newton forms give back every value of a count by scan bound of four pieces
     poly = "x1^2*x2^2 - x3^3"
-    _, ref, _ = hk_closed_form_tables(parse_binomial(poly, 5), 5, 3)
+    _, ref = hk_closed_form_tables(parse_binomial(poly, 5), 5, 3)
     code, out, _ = run_cli(
         capsys, ["hk", "--poly", poly, "--p", "5", "--n", "3", "--verbose", "--format", "json"]
     )
@@ -103,6 +103,79 @@ def test_json_error_on_stderr(capsys):
     assert out == ""
     payload = json.loads(err)
     assert payload["error"]["type"] == "DegenerateBinomialError"
+
+
+_CLS_ONE_OF_EACH = {  # x1^2*x2 - x2*x3: one variable of each kind
+    "delta": [-2, 0, 1], "m": 3, "neg": [{"a": 2, "b": 0, "nmax": 2, "nmin": 0, "var": "x1"}],
+    "perm": [1, 2, 3], "pos": [{"dp": 1, "pmax": 1, "pmin": 0, "var": "x3"}],
+    "r": 1, "s": 1, "t": 1, "zero": [{"var": "x2", "zmax": 1, "zmin": 1}],
+}
+_NEG_X2_X1 = [{"a": 2, "b": 0, "nmax": 2, "nmin": 0, "var": "x2"},
+              {"a": 2, "b": 0, "nmax": 2, "nmin": 0, "var": "x1"}]
+HK_GOLDEN = [  # (poly, p, n, engine, the `data` of `hk --format json --verbose`)
+    ("x1^3*x2 - x1*x2", 3, 2, "auto", {
+        "classification": {
+            "delta": [-2, 0], "m": 2, "neg": [{"a": 2, "b": 1, "nmax": 3, "nmin": 1, "var": "x1"}],
+            "perm": [1, 2], "pos": [], "r": 1, "s": 1, "t": 0,
+            "zero": [{"var": "x2", "zmax": 1, "zmin": 1}]},
+        "engine": "monomial", "guard_notes": [], "m": 2, "n": 2, "p": 3, "q": 9, "value": "17"}),
+    ("x1^3 - x2^2", 5, 2, "auto", {
+        "classification": {
+            "delta": [-3, 2], "m": 2, "neg": [{"a": 3, "b": 0, "nmax": 3, "nmin": 0, "var": "x1"}],
+            "perm": [1, 2], "pos": [{"dp": 2, "pmax": 2, "pmin": 0, "var": "x2"}],
+            "r": 1, "s": 0, "t": 1, "zero": []},
+        "engine": "closed", "guard_notes": [], "m": 2,
+        "mmax_params": [{"a": 3, "b": 0, "top_value": 8, "var": "x1"}],
+        "n": 2, "p": 5, "q": 25,
+        "tables": {"by_bound": {"diffs": [[6, 0], [2]], "length": 8, "starts": [0, 7]}},
+        "value": "50"}),
+    ("x1^2*x2^2 - x3^3", 5, 2, "auto", {
+        "classification": {
+            "delta": [-2, -2, 3], "m": 3, "neg": _NEG_X2_X1, "perm": [1, 2, 3],
+            "pos": [{"dp": 3, "pmax": 3, "pmin": 0, "var": "x3"}],
+            "r": 2, "s": 0, "t": 1, "zero": []},
+        "engine": "closed", "guard_notes": [], "m": 3,
+        "mmax_params": [{"a": 2, "b": 0, "top_value": 12, "var": "x2"},
+                        {"a": 2, "b": 0, "top_value": 12, "var": "x1"}],
+        "n": 2, "p": 5, "q": 25,
+        "tables": {"by_bound": {"diffs": [[264, -24, 0], [32], [0, 0, 0], [0]], "length": 12,
+                                "starts": [0, 7, 8, 11]}},
+        "value": "1664"}),
+    ("x1^3*x2^3*x3 - x3^2*x4^4", 3, 2, "auto", {
+        "classification": {
+            "delta": [-3, -3, 1, 4], "m": 4,
+            "neg": [{"a": 3, "b": 0, "nmax": 3, "nmin": 0, "var": "x2"},
+                    {"a": 3, "b": 0, "nmax": 3, "nmin": 0, "var": "x1"}],
+            "perm": [1, 2, 3, 4],
+            "pos": [{"dp": 1, "pmax": 2, "pmin": 1, "var": "x3"},
+                    {"dp": 4, "pmax": 4, "pmin": 0, "var": "x4"}],
+            "r": 2, "s": 0, "t": 2, "zero": []},
+        "engine": "closed", "guard_notes": [], "m": 4,
+        "mmax_params": [{"a": 3, "b": 0, "top_value": 2, "var": "x2"},
+                        {"a": 3, "b": 0, "top_value": 2, "var": "x1"}],
+        "n": 2, "p": 3, "q": 9,
+        "tables": {"by_bound": {"diffs": [[1026], [135]], "length": 2, "starts": [0, 1]}},
+        "value": "3231"}),
+    ("x1^2*x2 - x2*x3", 3, 2, "direct", {
+        "classification": _CLS_ONE_OF_EACH, "engine": "direct", "guard_notes": [], "m": 3,
+        "n": 2, "p": 3, "q": 9, "value": "153"}),
+    ("x1^2*x2 - x2*x3", 3, 2, "oracle", {
+        "classification": _CLS_ONE_OF_EACH, "engine": "oracle", "guard_notes": [], "m": 3,
+        "n": 2, "oracle": {"dead": 448, "live_merged_classes": 56, "merges": 448, "nodes": 729},
+        "p": 3, "q": 9, "value": "153"}),
+]
+
+
+@pytest.mark.parametrize("poly,p,n,engine,data", HK_GOLDEN,
+                         ids=["monomial", "closed-m2", "closed-m3", "closed-m4", "direct", "oracle"])
+def test_hk_verbose_payload_is_golden_on_every_route(capsys, poly, p, n, engine, data):
+    # p, m, mmax_params and guard_notes are derived when read; the payload keeps its bytes
+    argv = ["hk", "--poly", poly, "--p", str(p), "--n", str(n), "--engine", engine,
+            "--format", "json", "--verbose"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    golden = '{"data": ' + json.dumps(data, sort_keys=True) + ', "timing": {"ms": '
+    assert out.startswith(golden) and list(json.loads(out)) == ["data", "timing"]
 
 
 def test_resource_exit_code(capsys):

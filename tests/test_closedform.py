@@ -213,10 +213,10 @@ def test_regression_offset_and_large_b_instances():
 
 
 def test_tables_shape():
-    value, by_bound, params = hk_closed_form_tables(F1, 5, 1)
+    value, by_bound = hk_closed_form_tables(F1, 5, 1)
     assert value == 10
     assert by_bound.length == 1 and by_bound(0) == 4  # phi(1) = 2, times x1 = 3, 4
-    assert params[0].top_value == 1
+    assert mmax_params(classify(F1), 5, 1)[0].top_value == 1
 
 
 def test_piecewise_poly_values_and_prefix_sums():

@@ -239,7 +239,7 @@ def test_piecewise_fold_equals_linear_fold(corpus200):
     assert len(cases) > 500
     cases += [(parse_binomial(poly, p), p, n) for poly, p, n in FOLD_CUT_CASES]
     for f, p, n in cases:
-        total, by_bound, _ = hk_closed_form_tables(f, p, n)
+        total, by_bound = hk_closed_form_tables(f, p, n)
         assert total == hk_closed_form_linear(f, p, n)[0], (f, p, n)
         assert [by_bound(x) for x in range(by_bound.length)] == _by_bound_brute(f, p, n), (f, p, n)
 

@@ -291,6 +291,36 @@ def test_only_the_closed_route_classifies_once_per_exponent_pair(monkeypatch):
     assert rep.classification == classify(F1) and len(calls) == 3  # read on demand
 
 
+SPY_CASES = [("x1^3 - x2^2", 5, 2), ("x1^2*x2^2 - x3^3", 5, 2), ("x1^3*x2^3*x3 - x3^2*x4^4", 3, 2)]
+
+
+def test_the_value_path_builds_no_mmax_params(monkeypatch):
+    cases = [(parse_binomial(poly, p), p, n) for poly, p, n in SPY_CASES]
+    expected = [hk(f, p, n, engine="oracle").value for f, p, n in cases]
+
+    def refuse(*args):
+        raise AssertionError("an MmaxParams was built on the value path")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(closedform, "_mmax_at", refuse)
+        patch.setattr(closedform, "MmaxParams", refuse)
+        for engine in ("auto", "closed"):
+            got = [hk(f, p, n, engine=engine) for f, p, n in cases]
+            assert [(rep.engine, rep.value) for rep in got] == [("closed", v) for v in expected]
+    for f, p, n in cases + [(F_T0, 3, 2)]:  # F_T0: the monomial route
+        for engine in engines.ENGINES:
+            try:
+                rep = hk(f, p, n, engine=engine)
+            except NotApplicableError:  # closed, on F_T0
+                continue
+            params = mmax_params(classify(f), p, n) if rep.engine == "closed" else None
+            assert rep.mmax_params == params, (f, engine)
+            assert (rep.p, rep.m, rep.guard_notes) == (f.p, f.m, []), (f, engine)
+    for derived in ({"mmax_params": ()}, {"guard_notes": []}):
+        with pytest.raises(TypeError):
+            engines.HKReport(n=2, q=25, value=50, engine="closed", f=F1, **derived)
+
+
 def _kunz_digits(m, p, n):
     """Decimal digits of Kunz's bound q^max(m-1, 1) read through a Fraction of
     log10(p) shaded below float error: the check every input once took."""

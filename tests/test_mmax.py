@@ -95,7 +95,7 @@ def test_bracket_partition_exact(corpus_small):
             excess, _, a_prime = brackets(prm, qq)
             assert 0 <= excess < prm.a
             assert 0 <= a_prime <= prm.a
-            K = qq - prm.nmax
+            K = qq - prm.b - prm.a  # q - nmax
             # brackets tile [1, K] with the predicted widths
             widths = {}
             for k in range(1, K + 1):
