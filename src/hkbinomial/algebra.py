@@ -57,7 +57,10 @@ def is_prime(p: int) -> bool:
 
 
 def require_prime(p: int):
-    """DomainError unless p is prime: checked before anything reduces mod p."""
+    """DomainError unless p is a prime int (a bool or a float is refused before
+    `is_prime`, whose cache takes 5.0 for 5): checked before anything reduces mod p."""
+    if type(p) is not int:
+        raise DomainError(f"p must be an integer, got {p!r}")
     if not is_prime(p):
         raise DomainError(f"{p} is not prime")
 
@@ -106,6 +109,8 @@ class PrimePower:
 
     def __post_init__(self):
         require_prime(self.p)
+        if type(self.n) is not int:
+            raise DomainError(f"exponent n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise DomainError(f"exponent n must be positive, got {self.n}")
         object.__setattr__(self, "q", self.p**self.n)
@@ -221,6 +226,8 @@ def parse_binomial(text: str, p: int, num_vars: int | None = None) -> Binomial:
     than through `normalize`, checks the rest.
     """
     require_prime(p)
+    if num_vars is not None and type(num_vars) is not int:
+        raise DomainError(f"num_vars must be an integer, got {num_vars!r}")
     s = "".join(text.split())
     if not s:
         raise ParseError("empty polynomial")
@@ -277,6 +284,8 @@ def render(b: Binomial) -> str:
 
 def parse_monomial(text: str, num_vars: int | None = None) -> tuple:
     """Parse a single monomial ("x1^4*x2") or a comma list ("4,1") of exponents."""
+    if num_vars is not None and type(num_vars) is not int:
+        raise DomainError(f"num_vars must be an integer, got {num_vars!r}")
     s = "".join(text.split())
     if not s:
         raise ParseError("empty monomial")

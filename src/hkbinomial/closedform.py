@@ -12,8 +12,8 @@ of the computation, all in the delta-sorted frame:
   it for its payload.
 * phi_recursive: for a fixed scan bound, counts the non-members among
   monomials whose shrinking exponents are fixed while the zero and
-  growing exponents range freely.  Built from suffix chains over the
-  growing variables followed by a fold over the zero variables.
+  growing exponents range freely.  Four products of linear factors, one
+  over the zero variables and three over the growing ones.
 * g_chain: counts, per shrinking variable, the non-members that arise
   once the lead term stops dividing (membership then reduces to trail
   divisibility); a single descending product chain.  Not on the value
@@ -91,38 +91,26 @@ def _mmax_at(cls: Classification, qq: int) -> tuple:
 
 
 def _phi_value(M: int, cls: Classification, qq: int) -> int:
-    """Chain evaluation of the block count at scan bound M (t >= 1).
-
-    One step per growing variable, P_t down to P_1; Dt after P_1 is the
-    count over the growing block.  minc = min(q - pmin, M*dp) is the escape
-    threshold width.  A capped minc leaves rest = 0 and so h = 0 (pmin <
-    pmax), which drops the rest and h terms.
-    """
-    A, C, D, Dt = 0, 1, 1, 0
-    for P in reversed(cls.pos):
-        cap = qq - P.pmin
-        minc = M * P.dp
-        if minc > cap:
-            minc = cap
-        rest = cap - minc
-        h = qq - minc - P.pmax
-        if h < 0:
-            h = 0
-        base = minc * A + P.pmin * C
-        A, C, D, Dt = (
-            cap * A + P.pmin * C,
-            C * qq,
-            base + rest * D,
-            base + h * Dt + (rest - h) * D,
-        )
-    S = Dt
-    for j, z in enumerate(cls.zero):
-        S = S * (qq - z.zmin) + qq ** (cls.t + j) * z.zmin
-    return S
+    """The block count at scan bound M, the paper's chain over P_t, ..., P_1
+    and fold over the fixed variables multiplied out: q^(s+t) less the members
+    prod_Z (q - zmin) * (prod_G (q - pmin) - prod_G (q - pmin - dp*M)+
+    + prod_G (q - pmax - dp*M)+), the tuples the lead divides, less those
+    whose every growing exponent stays below q through all M trades, unless
+    the trail divides them."""
+    lead = low = high = 1
+    for P in cls.pos:
+        w = qq - P.dp * M
+        lead *= qq - P.pmin
+        low *= w - P.pmin if w > P.pmin else 0
+        high *= w - P.pmax if w > P.pmax else 0
+    fixed = 1
+    for z in cls.zero:
+        fixed *= qq - z.zmin
+    return qq ** (cls.s + cls.t) - fixed * (lead - low + high)
 
 
 def phi_recursive(M: int, cls: Classification, p: int, n: int) -> int:
-    """Non-member count over the zero/growing block at scan bound M."""
+    """Non-member count over the zero/growing block at scan bound M, q = p^n."""
     if cls.t == 0:
         raise NotApplicableError("no growing variable: the block count is undefined")
     if M < 1:
@@ -257,7 +245,8 @@ def _newton(diffs, u: int, shift: int) -> int:
 
 def scan_cuts(cls: Classification, qq: int) -> list:
     """(rate, x = M - 1) per cut of the count by scan bound: V_i - 1 per
-    shrinking variable, where minc caps and where h hits 0 per growing one.
+    shrinking variable, and per growing one where each of its two clamped
+    factors in the block count reaches 0.
     x is q/rate plus an offset, constant on a class of q mod rate and at
     most (E + 1)/rate + 2 in size, E the largest exponent."""
     cuts = [(N.a, (qq - 1 - N.b) // N.a - 1) for N in cls.neg]

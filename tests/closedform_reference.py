@@ -4,14 +4,17 @@
 Vr ~ q/a big integers and Vr calls of the block count, so O(q) time and
 memory.  With `naive=True` it also drops the running suffix sums, for a
 quadratic-time version.  The library's piecewise-polynomial fold must
-give the same totals.  `phi_product` and `g_complement` are independent
-product forms of the block count and of the chain values, and
-`phi_tables` runs the block count's chain recurrence keeping every
-intermediate value, for auditing.  `phi_closed_simple` is the block
-count's single formula in the simple case, `mmax_three_branch` the
-first bracket of a scan-bound table in its three-branch form, and
-`mmax_closed` the scan bound of one monomial read off the bracket tables,
-whose widths `brackets` derives from a variable's drop and q.
+give the same totals.  `phi_tables` runs the paper's chain recurrence
+for the block count, over P_t, ..., P_1 and then the zero variables,
+keeping every intermediate value: the library's product formula
+`_phi_value` is checked against it.  `phi_product` is a product form of
+the block count written with the chain's minc, rest and h, and
+`g_complement` a product form of the g-chain values.
+`phi_closed_simple` is the block count's single formula in the simple
+case, `mmax_three_branch` the first bracket of a scan-bound table in its
+three-branch form, and `mmax_closed` the scan bound of one monomial read
+off the bracket tables, whose widths `brackets` derives from a
+variable's drop and q.
 `classify_reference` is the classification built by sign block, with
 the `(delta, index)` sort key and the 1-based N_i, Z_i, P_q positions
 written out, which the library's one-pass `classify` must match.
@@ -148,9 +151,9 @@ def hk_closed_form_naive(f, p, n) -> int:
 
 
 def phi_product(M: int, cls: Classification, p: int, n: int) -> int:
-    """Independent product form of the block count (used to cross-check the
-    chains): escapees-by-small-exponent plus the window product minus the
-    all-windows-above-trail product, then the zero-variable fold."""
+    """Product form of the block count in the chain's terms: escapees by a
+    small exponent plus the window product minus the all-windows-above-trail
+    product, then the chain's zero-variable fold."""
     qq = p**n
     t, s = cls.t, cls.s
     prod_div = 1

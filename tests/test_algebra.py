@@ -14,10 +14,16 @@ from hkbinomial import (
     ResourceError,
     Term,
     ZeroCoefficientError,
+    classify,
     deglex_compare,
+    hk,
+    hk_1dim,
+    hk_quasi_polynomial,
+    mmax_params,
     normalize,
     parse_binomial,
     parse_monomial,
+    phi_recursive,
     render,
 )
 from hkbinomial.algebra import GREATER, LESS, EQUAL, MR_EXACT_BELOW, check_field, is_prime
@@ -166,11 +172,38 @@ def test_prime_power():
 def test_check_field_builds_each_prime_power_once_and_refuses_on_every_call():
     f = parse_binomial("x1^3 - x2^2", 5)
     assert check_field(f, 5, 3) is check_field(f, 5, 3) == PrimePower(5, 3)
-    assert check_field(f, 5, True) is not check_field(f, 5, 1)  # keys of another type are not shared
+    check_field(f, 5, 1)  # cached: an equal key of another type must not reach it
     for _ in range(2):  # a refusal is not cached
-        for p, n, message in [(3, 1, "does not match"), (5, 0, "must be positive"), (5, -1, "got -1")]:
+        for p, n, message in [(3, 1, "does not match"), (5, 0, "must be positive"), (5, -1, "got -1"),
+                              (5, True, "must be an integer"), (5.0, 1, "must be an integer")]:
             with pytest.raises(DomainError, match=message):
                 check_field(f, p, n)
+
+
+def test_a_p_n_or_variable_count_that_is_not_an_int_is_refused():
+    # a float equal to an int, or a bool, reached the engines as a float q or as n = 1
+    f = parse_binomial("x1^3 - x2^2", 5)
+    calls = [lambda e=e, p=p, n=n: hk(f, p, n, engine=e)
+             for e in ("auto", "closed", "direct", "oracle") for p, n in [(5.0, 2), (5, 2.0), (5, True)]]
+    calls += [
+        lambda: hk_quasi_polynomial(f, 5.0),
+        lambda: hk_1dim(f, 5, 2.0),
+        lambda: parse_binomial("x1^3 - x2^2", 5.0),
+        lambda: parse_binomial("x1^3 - x2^2", 5, 2.0),
+        lambda: parse_binomial("x1^3 - x2^2", 5, True),
+        lambda: parse_monomial("x1^2", 2.0),
+        lambda: PrimePower(5, 2.0),
+        lambda: PrimePower(5.0, 2),
+        lambda: PrimePower(True, 1),
+        lambda: phi_recursive(1, classify(f), 5, 2.0),
+        lambda: mmax_params(classify(f), 5, 2.0),
+        lambda: normalize(5.0, Term(1, (3, 0)), Term(4, (0, 2))),
+        lambda: Binomial(5.0, 2, Term(1, (3, 0)), Term(4, (0, 2))),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match="must be an integer"):
+            call()
+    assert hk(f, 5, 2).value == hk(f, 5, 2, engine="oracle").value == 50
 
 
 def test_binomial_rejects_unise_lead():

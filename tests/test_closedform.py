@@ -1,3 +1,4 @@
+import random
 import time
 from types import SimpleNamespace
 
@@ -6,8 +7,10 @@ import pytest
 from hkbinomial import (
     ContractError,
     DomainError,
+    HKError,
     NotApplicableError,
     PrimePower,
+    Term,
     hk,
     hk_1dim,
     hk_closed_form,
@@ -16,6 +19,7 @@ from hkbinomial import (
     hk_oracle,
     hk_oracle_report,
     mmax_params,
+    normalize,
     parse_binomial,
     phi_recursive,
 )
@@ -76,6 +80,32 @@ def test_phi_chain_equals_product(corpus_small):
         top = min(prm.top_value for prm in params)
         for M in range(1, top + 1):
             assert phi_recursive(M, cls, p, n) == phi_product(M, cls, p, n)
+            assert phi_recursive(M, cls, p, n) == phi_tables(M, cls, p, n).phi
+
+
+def test_phi_value_equals_the_papers_chain_on_a_grid():
+    # every integer Q, including Q at or below an exponent, and M past the top scan bound
+    rng = random.Random(20261019)
+    drawn = fixed = 0
+    while drawn < 150:
+        m = rng.randint(2, 6)
+        lead = [rng.randint(0, 5) for _ in range(m)]
+        trail = [rng.randint(0, 5) for _ in range(m)]
+        if rng.random() < 0.4:
+            k = rng.randrange(m)
+            trail[k] = lead[k]
+        try:
+            cls = classify(normalize(2, Term(1, tuple(lead)), Term(1, tuple(trail))))
+        except HKError:
+            continue
+        if cls.t == 0:
+            continue
+        drawn += 1
+        fixed += cls.s > 0
+        for Q in range(1, 17):
+            for M in range(1, Q + 3):
+                assert closedform._phi_value(M, cls, Q) == phi_tables(M, cls, Q, 1).phi, (cls, Q, M)
+    assert fixed >= 30
 
 
 def test_phi_simple_guard_and_agreement(corpus_small):
