@@ -1,9 +1,12 @@
 """Cross-validate the engines on a randomly generated corpus.
 
-Any disagreement between the closed form, the direct count, and the
-oracle is a bug by definition, so the cross-check harness treats it as a
-hard failure.  This script generates a small corpus, runs the harness,
-and prints the per-instance verdicts.
+The harness compares, per instance, the answer auto `hk` gives (the
+closed form, or the monomial count on the shapes the closed form
+excludes) with the direct count and the oracle.  Any disagreement is a
+bug by definition, so the harness treats it as a hard failure; it fails
+an instance that compared fewer than two values too.  This script
+generates a small corpus, runs the harness, and prints the per-instance
+verdicts.
 """
 
 import random

@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Subcommands: hk (single value), table (values over a range of n), mult
-(the exact quasi-polynomial and e_HK), classify, trace, check.  Exit codes:
-0 success, 1 computational mismatch from check, 2 usage error, 3 resource
-budget exceeded (including a value too long to write in decimal).  Under
-`main`, a closed stdout ends the process by SIGPIPE, as it ends any filter:
-shell status 141 and nothing on stderr.
+Subcommands: hk (single value), table (values over a range of n), mult (the
+exact quasi-polynomial and e_HK), classify, trace, check.  Exit codes: 0
+success, 1 check did not pass (a mismatch, or an entry with fewer than two
+values), 2 usage error, 3 resource budget exceeded (including a value too
+long to write in decimal).  Under `main`, a closed stdout ends the process
+by SIGPIPE, as it ends any filter: shell status 141 and nothing on stderr.
 
 Each subcommand takes only the flags it reads: all take --format (csv
 for table only); hk --verbose (the engine on stderr, or the closed form's
@@ -226,7 +226,8 @@ def _cmd_check(args) -> int:
         _dump_json({"data": report.entries, "all_agree": report.all_agree})
     else:
         for entry in report.entries:
-            status = "ok" if entry["agree"] else "MISMATCH"
+            compared = len(entry["values"]) > 1
+            status = "ok" if entry["agree"] else "MISMATCH" if compared else "UNCHECKED"
             vals = " ".join(f"{k}={v}" for k, v in entry["values"].items())
             print(f"{status} {entry['poly']} p={entry['p']} n={entry['n']} {vals}")
         print(f"{len(report.entries)} instances, all_agree={report.all_agree}")

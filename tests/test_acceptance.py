@@ -172,21 +172,29 @@ def test_criterion_6_zero_difference_family():
     print("\nPASS criterion 6: 20 zero-difference binomials match the affine form")
 
 
-def test_criterion_7_integer_multiplicity_dimension_one(corpus200):
-    # the exact e_HK is an integer, the case split's, on every m = 2 binomial
-    rng = random.Random(707)
+def _two_variable_draw(seed, primes, max_exp, lead_coefficient):
+    """50 seeded two-variable binomials, the lead coefficient 1 unless drawn."""
+    rng = random.Random(seed)
     drawn = []
     while len(drawn) < 50:
-        p = rng.choice([3, 5])
-        e2 = (rng.randint(0, 4), rng.randint(0, 4))
-        e1 = (rng.randint(0, 4), rng.randint(0, 4))
+        p = rng.choice(primes)
+        e2, e1 = (tuple(rng.randint(0, max_exp) for _ in range(2)) for _ in range(2))
+        c2 = rng.randint(1, p - 1) if lead_coefficient else 1
         try:
-            drawn.append(
-                normalize(p, Term(rng.randint(1, p - 1), e2), Term(rng.randint(1, p - 1), e1))
-            )
+            drawn.append(normalize(p, Term(c2, e2), Term(rng.randint(1, p - 1), e1)))
         except HKError:
             continue
-    fs = [f for f, _, _ in corpus200 if f.m == 2] + drawn
+    return drawn
+
+
+def test_criterion_7_integer_multiplicity_dimension_one(corpus200):
+    # the exact e_HK is an integer, the case split's, on every m = 2 binomial:
+    # corpus200's, 50 with small exponents and any lead coefficient, and 50
+    # with exponents up to 9 and p up to 7
+    fs = ([f for f, _, _ in corpus200 if f.m == 2]
+          + _two_variable_draw(707, (3, 5), 4, lead_coefficient=True)
+          + _two_variable_draw(1203, (2, 3, 5, 7), 9, lead_coefficient=False))
+    assert len(fs) > 150
     for f in fs:
         e_hk = hk_quasi_polynomial(f, f.p).e_hk
         assert e_hk.denominator == 1, (f, e_hk)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from hkbinomial import cli, closedform, engines, hk, multiplicity, parse_binomial
+from hkbinomial import cli, closedform, engines, hk, multiplicity, parse_binomial, render
 from hkbinomial.closedform import hk_closed_form_tables
 
 
@@ -427,7 +427,11 @@ def test_every_json_int_survives_a_double(tmp_path, capsys, argv):
     code, out, _ = run_cli(capsys, argv + ["--format", "json"])
     payload = json.loads(out)
     payload.pop("timing", None)
-    assert code == 0
+    if argv[0] == "check":  # q^2 = BIG_P^2 is over both budgets: one value, unchecked
+        (entry,) = payload["data"]
+        assert (code, entry["agree"], len(entry["values"])) == (1, False, 1)
+    else:
+        assert code == 0
     assert [x for x in _ints(payload) if not -(2**53) < x < 2**53] == []
     assert any(f'"{big}"' in out for big in (BIG_P, BIG_E, 3 * 2**53))  # as a string
 
@@ -575,6 +579,57 @@ def test_check_mismatch_exit_code(tmp_path, capsys, monkeypatch):
     code, out, _ = run_cli(capsys, ["check", "--corpus", str(corpus)])
     assert code == 1
     assert "MISMATCH" in out
+
+
+UNCHECKED_LINES = [
+    # a monomial shape at q^m = 5^16: direct and oracle are over budget
+    ("x1^2*x2 - x1", 8, "monomial", "390625"),
+    # the closed form at q^m = 5^24: the same
+    ("x1^3 - x2^2", 12, "closed", "488281250"),
+]
+
+
+@pytest.mark.parametrize("poly, n, engine, value", UNCHECKED_LINES)
+@pytest.mark.parametrize("fmt", ["plain", "json"])
+def test_check_entry_with_one_value_is_unchecked(tmp_path, capsys, fmt, poly, n, engine, value):
+    # one value compares nothing: the entry fails, as a mismatch does
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps({"poly": poly, "p": 5, "n": n}) + "\n")
+    code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", fmt])
+    assert (code, err) == (1, "")
+    if fmt == "json":
+        payload = json.loads(out)
+        (entry,) = payload["data"]
+        assert payload["all_agree"] is False
+        assert (entry["agree"], entry["values"]) == (False, {engine: value})
+        assert sorted(entry["skipped"]) == ["direct", "oracle"]
+    else:
+        line = f"UNCHECKED {render(parse_binomial(poly, 5))} p=5 n={n} {engine}={value}"
+        assert out == line + "\n1 instances, all_agree=False\n"
+
+
+def test_check_names_each_verdict_on_a_mixed_corpus(tmp_path, capsys, monkeypatch):
+    # direct is off by one at p = 3 only, so one line is a mismatch and one agrees
+    lines = [(poly, 5, n) for poly, n, _, _ in UNCHECKED_LINES]
+    lines += [("x1^3 - x2^2", 5, 1), ("x1^3*x2 - x1*x2", 3, 1)]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps({"poly": a, "p": p, "n": n}) + "\n" for a, p, n in lines))
+    real = engines.hk_direct_count
+
+    def broken(f, q, enum_cap=10**7):
+        return real(f, q, enum_cap=enum_cap) + (q.p == 3)
+
+    monkeypatch.setattr(engines, "hk_direct_count", broken)
+    code, out, _ = run_cli(capsys, ["check", "--corpus", str(corpus)])
+    assert code == 1
+    *rows, total = out.splitlines()
+    assert [row.split()[0] for row in rows] == ["UNCHECKED", "UNCHECKED", "ok", "MISMATCH"]
+    assert total == "4 instances, all_agree=False"
+    code, out, _ = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", "json"])
+    entries = json.loads(out)["data"]
+    assert code == 1
+    assert [(e["agree"], len(e["values"])) for e in entries] == [
+        (False, 1), (False, 1), (True, 3), (False, 3)]
 
 
 _BASE_ARGV = {

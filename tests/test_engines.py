@@ -136,7 +136,7 @@ def test_cross_check_agrees(corpus_small):
     assert report.all_agree
     for entry in report.entries:
         assert entry["agree"]
-        assert len(entry["values"]) >= 1
+        assert len(entry["values"]) >= 2
 
 
 def test_cross_check_budget_skip_noted():
@@ -151,6 +151,24 @@ def test_cross_check_budget_skip_noted():
 def test_cross_check_empty():
     report = cross_check([])
     assert report.all_agree and report.entries == []
+
+
+def test_cross_check_compares_the_route_auto_takes(corpus200):
+    # auto's value sits under its route, monomial exactly where the shape test
+    # holds; each value is that engine's, and only a budget skips an engine
+    report = cross_check(corpus200)
+    assert report.all_agree
+    for (f, p, n), entry in zip(corpus200, report.entries):
+        monomial = closedform.is_monomial_shape(f.lead.exps, f.trail.exps, p**n)
+        route = "monomial" if monomial else "closed"
+        assert set(entry["values"]) - {"direct", "oracle"} == {route}
+        for engine, value in entry["values"].items():
+            if engine == "monomial":
+                expected = closedform.trail_complement_count(p**n, f.trail.exps)
+            else:
+                expected = hk(f, p, n, engine=engine).value
+            assert value == str(expected), (render(f), p, n, engine)
+        assert all(note.startswith("budget: ") for note in entry["skipped"].values())
 
 
 def test_report_payload_deterministic():

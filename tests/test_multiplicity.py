@@ -178,23 +178,6 @@ def test_seeded_sweep_matches_hk_beyond_the_fit():
     assert {1, 2, 4, 6} <= periods
 
 
-def test_m2_multiplicity_is_the_case_split_integer(corpus200):
-    rng = random.Random(1203)
-    drawn = []
-    while len(drawn) < 50:
-        p = rng.choice((2, 3, 5, 7))
-        e2, e1 = (tuple(rng.randint(0, 9) for _ in range(2)) for _ in range(2))
-        try:
-            drawn.append(normalize(p, Term(1, e2), Term(rng.randint(1, p - 1), e1)))
-        except HKError:
-            continue
-    fs = [f for f, _, _ in corpus200 if f.m == 2] + drawn
-    assert len(fs) > 100
-    for f in fs:
-        e_hk = hk_quasi_polynomial(f, f.p).e_hk
-        assert e_hk.denominator == 1 and e_hk == hk_multiplicity_1dim(f)[0], f
-
-
 def test_over_budget_refuses_before_evaluating(monkeypatch):
     calls = []
     monkeypatch.setattr(multiplicity, "closed_form_at", lambda *a: calls.append(a))

@@ -276,3 +276,13 @@ def test_the_enumerating_engines_stand_alone():
         reached = package_imports(PACKAGE / f"{name}.py")
         assert "algebra" in reached and reached <= {"algebra", "errors"}, (
             f"{name}.py imports from {sorted(reached - {'algebra', 'errors'})}")
+
+
+def test_readme_lists_the_exit_codes_hkb_has():
+    # the codes after "Exit codes:" are exactly cli's, so neither changes alone
+    readme = " ".join((ROOT / "README.md").read_text(encoding="utf-8").split())
+    sentence = readme.split("Exit codes: ", 1)[1]
+    sentence = re.sub(r"\([^)]*\)", "", sentence).split(".", 1)[0]
+    listed = [int(re.match(r"\s*(\d+) ", item).group(1)) for item in sentence.split(",")]
+    codes = [cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_USAGE, cli.EXIT_RESOURCE]
+    assert listed == sorted(codes), f"README lists exit codes {listed}, hkb has {sorted(codes)}"
