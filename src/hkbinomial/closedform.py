@@ -18,17 +18,16 @@ of the computation, all in the delta-sorted frame:
   once the lead term stops dividing (membership then reduces to trail
   divisibility); a single descending product chain.  Not on the value
   path: kept only for the benchmark's trace until it moves to the tests.
-* closed_form_at, the one body (hk_closed_form_tables at q = p^n): the
-  non-members by scan bound M = 1..V, V ~ q/a the least top scan bound,
+* closed_form_at, the one body, HK at every q >= 1 on every shape (only
+  its wrapper hk_closed_form_tables, at q = p^n, refuses a monomial shape):
+  the non-members by scan bound M = 1..V, V ~ q/a the least top scan bound,
   are one PiecewisePoly whose `total` costs O(t * (t + r)) evaluations, so
   the value takes time independent of q; an O(m) inclusion-exclusion term
-  adds the rest.
-  Each evaluation multiplies r precomputed linear factors, each >= 1 on
-  M = 1..V; the classification it reads is cached on the exponents
-  (`classify`), so a value's fixed cost is a few such points.
-* trail_complement_count: the length for the shapes the closed form
-  excludes (`is_monomial_shape`, a test on the exponents alone), where the
-  ideal is a monomial ideal.
+  adds the rest.  Each evaluation multiplies r precomputed linear factors,
+  each >= 1 on M = 1..V; the classification it reads is cached on the
+  exponents (`classify`), so a value's fixed cost is a few such points.
+* trail_complement_count: the body's value where the ideal is a monomial
+  ideal, the shapes `is_monomial_shape` finds from the exponents alone.
 
 Everything is exact integer arithmetic; no floating point.
 """
@@ -256,14 +255,19 @@ def scan_cuts(cls: Classification, qq: int) -> list:
 
 
 def hk_closed_form_tables(f: Binomial, p: int, n: int):
-    """(value, by_bound) of `closed_form_at` for f at q = p^n, after checking
-    the field; a closed report derives `mmax_params` from f when read."""
-    return closed_form_at(classify(f), check_field(f, p, n).q)
+    """(value, by_bound) of `closed_form_at` for f at q = p^n after the field check, or
+    NotApplicableError where by_bound is None; a closed report derives `mmax_params` when read."""
+    value, by_bound = closed_form_at(classify(f), check_field(f, p, n).q)
+    if by_bound is None:
+        raise NotApplicableError("no growing variable, or a lead exponent is >= q: "
+                                 "the length is the trail complement count")
+    return value, by_bound
 
 
 def closed_form_at(cls: Classification, qq: int):
-    """(value, by_bound) at an integer q >= 1: the closed-form value and the
-    non-members by scan bound (x -> those at bound x + 1, on [0, V)).
+    """(value, by_bound) at an integer q >= 1, on every shape: the length and
+    the non-members by scan bound (x -> those at bound x + 1, on [0, V)), or
+    on a monomial shape (`is_monomial_shape`) the trail complement count and None.
 
     Sums the non-members by scan bound M = 1..V, V the least top scan bound
     floor((q - 1 - b)/a), read from the classification's shrinking
@@ -278,8 +282,7 @@ def closed_form_at(cls: Classification, qq: int):
     exactly when the trail does not divide it, counted by inclusion-exclusion.
     """
     if is_monomial_shape(cls.lead_exps, cls.trail_exps, qq):
-        raise NotApplicableError("no growing variable, or a lead exponent is >= q: "
-                                 "the length is the trail complement count")
+        return trail_complement_count(qq, cls.trail_exps), None
     factors = [(qq - N.b, N.a) for N in cls.neg]  # factor c - a*M at M
     V = min((c - 1) // a for c, a in factors)
     if V < 1:

@@ -3,8 +3,8 @@
 Past n0, HK(p^n) is a polynomial in q = p^n on each class of n modulo a
 period pi; its q^(m-1) coefficient, the same on every class, is the
 multiplicity e_HK, rational, and an integer when m = 2.  Each class is
-interpolated from the closed form at small integers Q, not at q = p^n;
-`hk_1dim` is the m = 2 length by the classical case split.
+interpolated from `closed_form_at`, HK on every shape at any integer Q,
+not at q = p^n; `hk_1dim` is the m = 2 length by the classical case split.
 """
 
 from __future__ import annotations
@@ -134,9 +134,7 @@ def hk_quasi_polynomial(f: Binomial, p: int) -> QuasiPolynomial:
     classes = []
     for c in range(period):
         Qs = [pow(p, n0 + (c - n0) % period, L) + (bound // L + 1 + k) * L for k in range(m + 1)]
-        coeffs = _interpolate(Qs, [trail_complement_count(Q, f.trail.exps)
-                                   if is_monomial_shape(f.lead.exps, f.trail.exps, Q)
-                                   else closed_form_at(cls, Q)[0] for Q in Qs])
+        coeffs = _interpolate(Qs, [closed_form_at(cls, Q)[0] for Q in Qs])
         if coeffs[m]:
             raise ContractError(f"HK has a q^{m} term on the class {c} mod {period}")
         classes.append(tuple(coeffs[:m]))

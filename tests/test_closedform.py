@@ -1,5 +1,6 @@
 import random
 import time
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -25,8 +26,7 @@ from hkbinomial import (
 )
 from hkbinomial import closedform
 from hkbinomial.classify import classify
-from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain, is_monomial_shape
-from hkbinomial.closedform import trail_complement_count
+from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain
 from hkbinomial.oracle import ORACLE_CAP
 from tests.conftest import random_binomials
 from tests.closedform_reference import (
@@ -305,61 +305,41 @@ def test_four_variable_value_at_5_14_is_fast():
     assert rep.engine == "closed" and 0 < rep.value < 5 ** (14 * 4)
 
 
-def test_closed_form_is_the_length_at_every_integer_q():
-    # p and n enter only through q: at every Q, prime power or not, the body
-    # (or the trail complement count on monomial shapes) is the oracle's count
-    # of S/(x_1^Q, ..., x_m^Q, f), run with a PrimePower stand-in carrying Q
-    drawn = {f: 12 for f, _, _ in random_binomials(1601, 240, ms=(2, 3), max_exp=6, qm_cap=10**9)}
-    drawn |= {f: 8 for f, _, _ in random_binomials(1602, 60, ms=(4,), max_exp=5, qm_cap=10**9)}
-    closed = 0
-    for f, top in drawn.items():
-        cls = classify(f)
-        for Q in range(1, top + 1):
-            if is_monomial_shape(f.lead.exps, f.trail.exps, Q):
-                value = trail_complement_count(Q, f.trail.exps)
-            else:
-                value, closed = closed_form_at(cls, Q)[0], closed + 1
-            oracle = hk_oracle_report(f, SimpleNamespace(p=f.p, n=1, q=Q)).length
-            assert value == oracle, (f, Q)
-    assert closed > 1000
+def _every_q(Qs, *draw, **kw):
+    """(f, qs) per distinct binomial of `random_binomials(*draw, **kw)`: each Q
+    in Qs as a PrimePower stand-in, as p and n enter only through q."""
+    drawn = dict.fromkeys(f for f, _, _ in random_binomials(*draw, **kw))
+    return [(f, [SimpleNamespace(p=f.p, n=1, q=Q) for Q in Qs]) for f in drawn]
 
 
-def test_closed_form_is_both_enumerations_at_every_q_from_13_to_40():
-    # past the small Q above, where more scan bounds and cuts are live, the body
-    # (or the trail complement count) is both the oracle's and the direct count
-    drawn = [f for f, _, _ in random_binomials(1603, 40, ms=(2, 3), ns=(1,), max_exp=6)]
-    assert len(set(drawn)) == 40 and sum(f.m == 3 for f in drawn) >= 10
-    closed = 0
-    for f in drawn:
-        cls = classify(f)
-        for Q in range(13, 41):
-            if is_monomial_shape(f.lead.exps, f.trail.exps, Q):
-                value = trail_complement_count(Q, f.trail.exps)
-            else:
-                value, closed = closed_form_at(cls, Q)[0], closed + 1
-            stand_in = SimpleNamespace(p=f.p, n=1, q=Q)
-            assert value == hk_oracle_report(f, stand_in).length == hk_direct_count(f, stand_in), (
-                f, Q)
-    assert closed > 500
+COMPARED = {  # an engine's count at q, or None where the row does not compare it
+    "oracle": lambda f, q: hk_oracle_report(f, q).length,
+    "capped oracle": lambda f, q: hk_oracle_report(f, q).length if q.q**f.m <= ORACLE_CAP else None,
+    "direct": lambda f, q: hk_direct_count(f, q, enum_cap=q.q**f.m),
+}
+EVERY_Q_ROWS = {  # id: (draw, engines compared, floors on the points or binomials counted)
+    "Q-1-to-12": (lambda: _every_q(range(1, 13), 1601, 240, ms=(2, 3), max_exp=6, qm_cap=10**9)
+                  + _every_q(range(1, 9), 1602, 60, ms=(4,), max_exp=5, qm_cap=10**9),
+                  ("oracle",), {"closed": 1001}),
+    "Q-13-to-40": (lambda: _every_q(range(13, 41), 1603, 40, ms=(2, 3), ns=(1,), max_exp=6),
+                   ("oracle", "direct"), {"closed": 501, "m=3": 10}),
+    "m4-5-Q-9-to-40": (lambda: _every_q(range(9, 41), 1604, 40, ms=(4, 5), ns=(1,), max_exp=10),
+                       ("direct", "capped oracle"), {"closed": 1001, "capped oracle": 501, "m=5": 10}),
+}
 
 
-def test_closed_form_is_both_enumerations_at_every_q_past_three_variables():
-    # m = 4 and 5 at every Q from 9 to 40: the body (or the trail complement
-    # count) is the direct count at every Q, and the oracle's where Q^m is
-    # within the oracle's budget
-    drawn = [f for f, _, _ in random_binomials(1604, 40, ms=(4, 5), ns=(1,), max_exp=10)]
-    assert len(set(drawn)) == 40 and sum(f.m == 5 for f in drawn) >= 10
-    closed = oracles = 0
-    for f in drawn:
-        cls = classify(f)
-        for Q in range(9, 41):
-            if is_monomial_shape(f.lead.exps, f.trail.exps, Q):
-                value = trail_complement_count(Q, f.trail.exps)
-            else:
-                value, closed = closed_form_at(cls, Q)[0], closed + 1
-            stand_in = SimpleNamespace(p=f.p, n=1, q=Q)
-            assert value == hk_direct_count(f, stand_in, enum_cap=Q**f.m), (f, Q)
-            if Q**f.m <= ORACLE_CAP:
-                assert value == hk_oracle_report(f, stand_in).length, (f, Q)
-                oracles += 1
-    assert closed > 1000 and oracles > 500
+@pytest.mark.parametrize("row", EVERY_Q_ROWS)
+def test_closed_form_is_the_length_at_every_q(row):
+    # at every Q, on every shape, the body is each engine's count of S/(x_1^Q, ..., x_m^Q, f)
+    draw, engines, floors = EVERY_Q_ROWS[row]
+    counts = Counter()
+    for f, qs in draw():
+        counts[f"m={f.m}"] += 1
+        for q in qs:
+            value, by_bound = closed_form_at(classify(f), q.q)  # classify is cached
+            counts["closed"] += by_bound is not None
+            for engine in engines:
+                count = COMPARED[engine](f, q)
+                assert count is None or value == count, (f, q.q, engine)
+                counts[engine] += count is not None
+    assert all(counts[k] >= floor for k, floor in floors.items()), counts
