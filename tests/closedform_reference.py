@@ -93,15 +93,16 @@ def widths(prm: MmaxParams, qq: int):
     return w
 
 
-def levels_linear(cls, qq, params, p, n, naive=False):
-    """Integral vectors per shrinking level, outermost last."""
+def levels_linear(cls, qq, params, p, n, naive=False, phis=None):
+    """Integral vectors per shrinking level, outermost last; phis[M] is the
+    block count at scan bound M = 1..Vr, `_phi_value` at each when None."""
     r, s, t = cls.r, cls.s, cls.t
     V = [prm.top_value for prm in params]
     Vr = V[r - 1]
     if Vr < 1:
         raise FormulaDomainError("top scan bound below 1")
     gch = g_chain(cls, p, n)
-    level = [_phi_value(Vr - j, cls, qq) for j in range(Vr)]
+    level = phis[Vr:0:-1] if phis else [_phi_value(Vr - j, cls, qq) for j in range(Vr)]
     for i in range(2, r + 1):
         prm = params[i - 2]
         rec = cls.neg[i - 2]
@@ -131,14 +132,15 @@ def levels_linear(cls, qq, params, p, n, naive=False):
     return level, gch, V
 
 
-def hk_closed_form_linear(f, p, n, naive=False):
-    """Closed-form total from the list fold; returns (total, outermost level)."""
+def hk_closed_form_linear(f, p, n, naive=False, phis=None):
+    """Closed-form total from the list fold; returns (total, outermost level).
+    phis as in `levels_linear`."""
     qq, cls = check_field(f, p, n).q, classify(f)
     if is_monomial_shape(f.lead.exps, f.trail.exps, qq):
         raise NotApplicableError("the length is the trail complement count")
     params = mmax_params(cls, p, n)
     r, s, t = cls.r, cls.s, cls.t
-    level, gch, _ = levels_linear(cls, qq, params, p, n, naive=naive)
+    level, gch, _ = levels_linear(cls, qq, params, p, n, naive=naive, phis=phis)
     rec = cls.neg[r - 1]
     total = sum(w * level[jp] for jp, w in enumerate(widths(params[r - 1], qq)))
     total += (rec.nmax - rec.nmin) * gch.g_n[r - 1] + rec.nmin * qq ** (s + t + r - 1)

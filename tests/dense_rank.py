@@ -1,5 +1,5 @@
 """Dense linear-algebra length, for the tests only: it guards the oracle's
-union-find.  The only user of numpy in the project."""
+union-find.  numpy is a test-only dependency."""
 
 import itertools
 

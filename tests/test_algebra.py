@@ -94,6 +94,13 @@ def test_normalize_and_parse_check_p_before_reducing(p):
         parse_binomial("x1^3 - x2^2", p)
 
 
+def test_term_and_binomial_refuse_bad_exponents():
+    with pytest.raises(DomainError, match=r"negative exponent in \(1, -2\)"):
+        Term(1, (1, -2))
+    with pytest.raises(DimensionError, match="term length does not match variable count"):
+        Binomial(5, 2, Term(1, (3, 0)), Term(1, (0, 2, 1)))
+
+
 def test_normalize_dimension_mismatch():
     with pytest.raises(DimensionError):
         normalize(5, Term(1, (3, 0)), Term(1, (0, 2, 1)))

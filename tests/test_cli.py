@@ -219,6 +219,23 @@ def test_classify_json(capsys):
     assert (data["r"], data["s"], data["t"]) == (1, 0, 1)
 
 
+def test_classify_plain_lists_a_fixed_variable(capsys):
+    code, out, _ = run_cli(capsys, ["classify", "--poly", "x1^3*x2 - x2*x3^2", "--p", "5"])
+    assert code == 0
+    assert "  fixed  x2: power=1" in out.splitlines()
+
+
+@pytest.mark.parametrize("monomial, message", [
+    ("", "empty monomial"),
+    ("4,1,2", "expected 2 exponents, got 3"),
+    ("x3^2", "variable x3 exceeds declared count 2"),
+], ids=["empty", "length", "variable"])
+def test_trace_refuses_a_bad_monomial(capsys, monomial, message):
+    argv = ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", monomial]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, err) == (cli.EXIT_USAGE, "", f"error: {message}\n")
+
+
 def test_trace_plain(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -312,10 +312,28 @@ def _every_q(Qs, *draw, **kw):
     return [(f, [SimpleNamespace(p=f.p, n=1, q=Q) for Q in Qs]) for f in drawn]
 
 
+def _large_q(seed, count):
+    """(f, [PrimePower(p, n)]) for count binomials with 2 <= m <= 8,
+    exponents <= 10 and 10^5 <= q = p^n <= 2^20."""
+    rng = random.Random(seed)
+    sizes = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 21) if 10**5 <= p**n <= 2**20]
+    out = []
+    while len(out) < count:
+        m, (p, n) = rng.randint(2, 8), rng.choice(sizes)
+        lead, trail = (tuple(rng.randint(0, 10) for _ in range(m)) for _ in range(2))
+        try:
+            f = normalize(p, Term(rng.randint(1, p - 1), lead), Term(rng.randint(1, p - 1), trail))
+        except HKError:
+            continue
+        out.append((f, [PrimePower(p, n)]))
+    return out
+
+
 COMPARED = {  # an engine's count at q, or None where the row does not compare it
     "oracle": lambda f, q: hk_oracle_report(f, q).length,
     "capped oracle": lambda f, q: hk_oracle_report(f, q).length if q.q**f.m <= ORACLE_CAP else None,
     "direct": lambda f, q: hk_direct_count(f, q, enum_cap=q.q**f.m),
+    "auto": lambda f, q: hk(f, q.p, q.n).value,
 }
 EVERY_Q_ROWS = {  # id: (draw, engines compared, floors on the points or binomials counted)
     "Q-1-to-12": (lambda: _every_q(range(1, 13), 1601, 240, ms=(2, 3), max_exp=6, qm_cap=10**9)
@@ -325,6 +343,10 @@ EVERY_Q_ROWS = {  # id: (draw, engines compared, floors on the points or binomia
                    ("oracle", "direct"), {"closed": 501, "m=3": 10}),
     "m4-5-Q-9-to-40": (lambda: _every_q(range(9, 41), 1604, 40, ms=(4, 5), ns=(1,), max_exp=10),
                        ("direct", "capped oracle"), {"closed": 1001, "capped oracle": 501, "m=5": 10}),
+    "m6-8": (lambda: _every_q([*range(1, 61), 97, 128, 243, 1000, 4096], 1605, 40, ms=(6, 7, 8),
+                              ns=(1,), max_exp=10),
+             ("direct",), {"closed": 2000, "m=8": 10}),
+    "large-q": (lambda: _large_q(1606, 12), ("auto", "direct"), {"closed": 8, "m=8": 1}),
 }
 
 

@@ -20,10 +20,12 @@ that its engine and value do not change under the drawn variable
 permutation or coefficient scaling.
 """
 
-import math
 import random
 from collections import Counter
+from functools import partial
+from itertools import accumulate
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -39,6 +41,7 @@ from hkbinomial import (
     hk_closed_form,
     hk_direct_count,
     hk_oracle,
+    mmax_params,
     normalize,
     parse_binomial,
 )
@@ -55,6 +58,8 @@ ENUMERATED_CLOSED_COUNT = 120  # closed shapes also enumerated twice
 INVARIANCE_COUNT = 40  # of each shape; three forms, each enumerated twice
 LINEAR_MAX_N, LINEAR_MAX_Q = 8, 2 * 10**4
 LARGE_QM, LARGE_COUNT = (2 * 10**5, 2 * 10**6), 12  # q^m range and instance count
+MONOMIAL_REFUSAL = ("no growing variable, or a lead exponent is >= q: "
+                    "the length is the trail complement count")
 # In the reference's level fold, an inner level of these changes formula
 # inside [0, Vr) (where a bracket width changes); about 1 random binomial in
 # 1000 is so.  The sum by scan bound must match the fold on them too.
@@ -159,8 +164,11 @@ def test_degenerate_shapes_match_both_enumerations(grid, no_enumeration):
         assert rep.engine == "monomial" and rep.guard_notes == []
         q = PrimePower(p, n)
         assert rep.value == hk_direct_count(f, q) == hk_oracle(f, q), (f, p, n)
-        with pytest.raises(NotApplicableError):
-            hk(f, p, n, engine="closed")
+        assert closedform.closed_form_at(classify(f), q.q) == (rep.value, None), (f, p, n)
+        for closed in (hk_closed_form, hk_closed_form_tables, partial(hk, engine="closed")):
+            with pytest.raises(NotApplicableError) as refusal:  # only the (p, n) wrappers refuse
+                closed(f, p, n)
+            assert str(refusal.value) == MONOMIAL_REFUSAL
 
 
 def test_closed_form_total_on_other_shapes(grid, no_enumeration):
@@ -239,31 +247,60 @@ def test_piecewise_fold_equals_linear_fold(corpus200):
     assert len(cases) > 500
     cases += [(parse_binomial(poly, p), p, n) for poly, p, n in FOLD_CUT_CASES]
     for f, p, n in cases:
+        cls, qq = classify(f), p**n
+        assert qq**f.m < 2**63  # every count below fits in numpy's int64
         total, by_bound = hk_closed_form_tables(f, p, n)
-        assert total == hk_closed_form_linear(f, p, n)[0], (f, p, n)
-        assert [by_bound(x) for x in range(by_bound.length)] == _by_bound_brute(f, p, n), (f, p, n)
+        phis = _phi_products(cls, p, n, max(prm.top_value for prm in mmax_params(cls, p, n)))
+        assert total == hk_closed_form_linear(f, p, n, phis=phis)[0], (f, p, n)
+        brute = _by_bound_brute(cls, qq, phis)
+        assert _values(by_bound) == brute and by_bound(len(brute) - 1) == brute[-1], (f, p, n)
 
 
-def _by_bound_brute(f, p, n):
-    """phi(M) times the shrinking tuples past the lead powers whose least
+def _phi_products(cls, p, n, top):
+    """[0, phi_product(1), ..., phi_product(top)]: `phi_product` on the array
+    M = 1..top at once, checked against it at both ends and around each cut."""
+    qq = p**n
+    M = np.arange(1, top + 1)
+    prod_div = prod_rest = prod_h = 1
+    for P in cls.pos:
+        minc = np.minimum(qq - P.pmin, M * P.dp)
+        prod_div *= max(0, qq - P.pmin)
+        prod_rest = prod_rest * (qq - P.pmin - minc)
+        prod_h = prod_h * np.maximum(0, qq - minc - P.pmax)
+    S = (qq**cls.t - prod_div) + (prod_rest - prod_h)
+    for j, z in enumerate(cls.zero, 1):
+        S = S * (qq - z.zmin) + qq ** (cls.t + j - 1) * z.zmin
+    phis = [0] + S.tolist()
+    spots = {1, top} | {x + d for _, x in closedform.scan_cuts(cls, qq) for d in (0, 1, 2)}
+    for at in spots:
+        if 1 <= at <= top:
+            assert phis[at] == phi_product(at, cls, p, n), (cls, qq, at)
+    return phis
+
+
+def _by_bound_brute(cls, qq, phis):
+    """phis[M] times the shrinking tuples past the lead powers whose least
     scan bound is M, for M = 1, 2, ... while any tuple has that bound.  The
     tuples are counted one exponent at a time: a tuple's bounds are its
     variables' bounds 1 + (e - nmax) // a, so at least M in every variable
     is a product of per-variable counts."""
-    cls = classify(f)
-    qq = p**n
-    tops = []  # tops[i][M]: the exponents of N_i whose bound is >= M
+    at_least = None
     for N in cls.neg:
-        count = Counter(1 + (e - N.nmax) // N.a for e in range(N.nmax, qq))
-        top = [0] * (max(count) + 2)
-        for M in range(len(top) - 2, 0, -1):
-            top[M] = top[M + 1] + count[M]
-        tops.append(top)
-    at_least = [math.prod(top[M] for top in tops) for M in range(min(map(len, tops)))]
-    return [
-        phi_product(M, cls, p, n) * (at_least[M] - at_least[M + 1])
-        for M in range(1, len(at_least) - 1)
-    ]
+        bound = 1 + (np.arange(N.nmax, qq) - N.nmax) // N.a  # each exponent's bound
+        top = np.append(np.cumsum(np.bincount(bound)[::-1])[::-1], 0)  # top[M]: bound >= M
+        at_least = top if at_least is None else at_least[: len(top)] * top[: len(at_least)]
+    return [phis[M] * d for M, d in enumerate((at_least[1:-1] - at_least[2:]).tolist(), 1)]
+
+
+def _values(poly):
+    """poly(x) at every x, each piece stepped from its forward differences."""
+    out = []
+    for lo, hi, diffs in zip(poly.starts, poly.starts[1:] + [poly.length], poly.diffs):
+        row = [diffs[-1]] * (hi - lo)
+        for d in reversed(diffs[:-1]):
+            row = list(accumulate(row[:-1], initial=d))
+        out += row
+    return out
 
 
 def test_auto_never_enumerates(corpus200, no_enumeration):

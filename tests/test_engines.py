@@ -46,7 +46,7 @@ def test_auto_prefers_closed():
     assert rep.classification.r == 1
 
 
-def test_auto_falls_back_to_direct():
+def test_auto_answers_a_degenerate_shape_as_direct_and_oracle_do():
     # auto answers the degenerate shape itself; direct and oracle agree
     rep = hk(F_T0, 3, 1)
     assert (rep.value, rep.engine, rep.guard_notes) == (5, "monomial", [])
@@ -67,7 +67,7 @@ def test_explicit_engine_errors_propagate():
         hk(F1, 5, 8, engine="oracle")
 
 
-def test_auto_oracle_fallback():
+def test_a_direct_budget_below_q_m_binds_only_direct():
     # a direct budget below q^m binds only the direct engine
     q = PrimePower(3, 1)
     rep = hk(F_T0, 3, 1)
@@ -79,7 +79,7 @@ def test_auto_oracle_fallback():
     assert orc.nodes == 9 and hk(F_T0, 3, 1, engine="oracle").oracle == orc
 
 
-def test_all_engines_exhausted():
+def test_budgets_refuse_the_enumerations_never_auto():
     # budgets below q^m refuse both enumerating engines, never auto
     q = PrimePower(3, 1)
     with pytest.raises(ResourceError) as direct:

@@ -70,6 +70,11 @@ def test_key_ideal_rejects_nonstandard():
         key_ideal_generators((5, 0), Q5)
 
 
+def test_member_scan_rejects_a_negative_exponent():
+    with pytest.raises(DomainError, match=r"monomial \(-1, 0\) has a negative exponent"):
+        member_scan((-1, 0), F1, Q5)
+
+
 def test_is_convergent_examples():
     assert is_convergent((0, 5), (4, 1), Q5) is True
     assert is_convergent((1, 3), (4, 1), Q5) is False

@@ -25,7 +25,8 @@ back to one field at a time.
 
 The closed form is one body on an integer q: in `closedform.py` only the
 public (p, n) wrappers name `PrimePower` or `check_field`, and
-`multiplicity.py` interpolates that body, never the engine dispatcher `hk`.
+`multiplicity.py` interpolates that body, never the engine dispatcher `hk`,
+and `hk_quasi_polynomial` leaves the monomial shapes to the body.
 
 The enumerating engines stand alone: `keycheck.py` and `oracle.py` import
 from no module of the package but `algebra` and `errors`, so the direct count
@@ -254,6 +255,11 @@ def test_the_closed_form_body_takes_q_alone():
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     ]
     assert "hk" not in reached and "engines" not in reached, "multiplicity.py reaches engines.hk"
+    (body,) = [top for top in tree.body
+               if isinstance(top, ast.FunctionDef) and top.name == "hk_quasi_polynomial"]
+    split = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    split &= {"is_monomial_shape", "trail_complement_count"}
+    assert not split, f"hk_quasi_polynomial splits the route itself: {sorted(split)}"
 
 
 def package_imports(path):
