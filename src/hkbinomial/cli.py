@@ -30,7 +30,7 @@ from fractions import Fraction
 from .algebra import parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
 from .engines import ENGINES, cross_check, decimal_str, hk, load_corpus, refuse_unwritable
-from .errors import DomainError, HKError, ResourceError
+from .errors import DomainError, HKError, ParseError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import hk_quasi_polynomial
 
@@ -100,9 +100,9 @@ def _parse_range(text: str):
         a, b = text.split("..")
         lo, hi = int(a), int(b)
     except ValueError as exc:
-        raise HKError(f"bad range {text!r}, expected a..b") from exc
+        raise ParseError(f"bad range {text!r}, expected a..b") from exc
     if lo < 1 or hi < lo:
-        raise HKError(f"bad range {text!r}")
+        raise DomainError(f"bad range {text!r}")
     return range(lo, hi + 1)
 
 

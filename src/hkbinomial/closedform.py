@@ -65,16 +65,16 @@ class MmaxParams:
 def mmax_params(cls: Classification, p: int, n: int) -> tuple:
     """One MmaxParams per shrinking variable (N_1 first).
 
-    Not applicable when there is no shrinking variable or when q <= nmax for
-    some shrinking variable (then no standard monomial is divisible by the
-    lead term and the whole closed-form route is vacuous).
+    Not applicable when q <= nmax for some shrinking variable (then no
+    standard monomial is divisible by the lead term and the whole
+    closed-form route is vacuous).  Every binomial has a shrinking
+    variable: its lead is deglex-greater, so some lead exponent exceeds
+    the trail's.
     """
     return _mmax_at(cls, PrimePower(p, n).q)
 
 
 def _mmax_at(cls: Classification, qq: int) -> tuple:
-    if cls.r == 0:
-        raise NotApplicableError("no shrinking variable")
     for rec in cls.neg:
         if qq <= rec.nmax:
             raise NotApplicableError(f"q = {qq} does not exceed the max power {rec.nmax} "
@@ -137,8 +137,8 @@ def g_chain(cls: Classification, p: int, n: int) -> GChains:
     Z_s, N_1, ..., N_r, so a variable's position in it is the number of
     variables above it, and each weight is the variable's trail exponent.
     """
-    if cls.r == 0 or cls.t == 0:
-        raise NotApplicableError("chain needs a shrinking and a growing variable")
+    if cls.t == 0:
+        raise NotApplicableError("chain needs a growing variable")
     qq = PrimePower(p, n).q
     t, s = cls.t, cls.s
     weights = [P.pmax for P in reversed(cls.pos)]

@@ -29,11 +29,11 @@ from .errors import ContractError, DomainError, ResourceError
 ENUM_CAP = 10**7
 
 
-def _check_standard(A, q: PrimePower, what="monomial"):
+def _check_standard(A, q: PrimePower):
     if any(e >= q.q for e in A):
-        raise DomainError(f"{what} {A} has an exponent >= q = {q.q}")
+        raise DomainError(f"monomial {A} has an exponent >= q = {q.q}")
     if any(e < 0 for e in A):
-        raise DomainError(f"{what} {A} has a negative exponent")
+        raise DomainError(f"monomial {A} has a negative exponent")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def is_convergent(C, A, q: PrimePower) -> bool:
     x_1^a_1 ... x_{i-1}^a_{i-1} x_i^(a_i+1) for a_i < q-1; the tests check
     the equivalence exhaustively.
     """
-    _check_standard(A, q, "key monomial")
+    _check_standard(A, q)
     if len(C) != len(A):
         raise DomainError("exponent vectors of different lengths")
     if any(c >= q.q for c in C):

@@ -883,13 +883,16 @@ def test_hk_verbose_names_the_engine_on_stderr(capsys):
 @pytest.mark.parametrize("command", ["table", "mult"])
 @pytest.mark.parametrize("n_range", ["1..", "3..2", "0..2"])
 def test_bad_n_range_is_a_usage_error(capsys, command, n_range):
-    code, out, err = run_cli(
-        capsys, [command, "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", n_range]
-    )
+    argv = [command, "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", n_range]
+    code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
     if command == "mult":  # its answer holds for every n, so it takes no range at all
         assert err.endswith(f"error: unrecognized arguments: --n-range {n_range}\n")
-    else:
-        assert err == f"error: bad range {n_range!r}" + (
-            ", expected a..b\n" if n_range == "1.." else "\n"
-        )
+        return
+    message = f"bad range {n_range!r}" + (", expected a..b" if n_range == "1.." else "")
+    assert err == f"error: {message}\n"
+    # text that is not a..b does not parse; an empty or non-positive range is out of domain
+    kind = "ParseError" if n_range == "1.." else "DomainError"
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": {"type": kind, "message": message}}

@@ -28,7 +28,7 @@ from hkbinomial import closedform
 from hkbinomial.classify import classify
 from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain
 from hkbinomial.oracle import ORACLE_CAP
-from tests.conftest import random_binomials
+from tests.conftest import CORPUS_SEED, random_binomials
 from tests.closedform_reference import (
     g_complement,
     hk_closed_form_naive,
@@ -164,7 +164,7 @@ def test_g_chain_matches_complement(corpus_small):
     kinds = set()
     for f, p, n in corpus_small:
         cls = classify(f)
-        if cls.t == 0 or cls.r == 0:
+        if cls.t == 0:
             continue
         gch = g_chain(cls, p, n)
         for kind, values in (("P", gch.g_p), ("Z", gch.g_z), ("N", gch.g_n)):
@@ -216,30 +216,6 @@ def test_monotone_sanity(corpus_small):
         except NotApplicableError:
             continue
         assert 0 <= v <= (p**n) ** f.m
-
-
-def test_agreement_with_enumeration(corpus_small):
-    for f, p, n in corpus_small:
-        q = PrimePower(p, n)
-        try:
-            v = hk_closed_form(f, p, n)
-        except NotApplicableError:
-            continue
-        assert v == hk_direct_count(f, q)
-
-
-def test_regression_offset_and_large_b_instances():
-    # outermost shrinking variable's top bound not minimal (negative level
-    # offsets), and minimum powers at or above the drop (the multiple-of-a
-    # shift branch); both must still match the oracle exactly
-    for poly, p, n in [
-        ("x1*x2^4*x3 + x1^2*x2^3", 5, 1),
-        ("x1^3*x3^2 + x2^3", 5, 1),
-        ("x1^3*x2^4*x3^4 + x1^4*x2^3*x3", 5, 1),
-        ("x1*x2^4*x3^4 + x1^4*x2*x3^2", 3, 2),
-    ]:
-        f = parse_binomial(poly, p)
-        assert hk_closed_form(f, p, n) == hk_oracle(f, PrimePower(p, n))
 
 
 def test_tables_shape():
@@ -312,27 +288,44 @@ def _every_q(Qs, *draw, **kw):
     return [(f, [SimpleNamespace(p=f.p, n=1, q=Q) for Q in Qs]) for f in drawn]
 
 
-def _large_q(seed, count):
-    """(f, [PrimePower(p, n)]) for count binomials with 2 <= m <= 8,
-    exponents <= 10 and 10^5 <= q = p^n <= 2^20."""
+def _sized(seed, count, pick_m, fits, top):
+    """(f, [PrimePower(p, n)]) for count distinct binomials: m = pick_m(rng,
+    binomials so far), q = p^n with fits(q, m) and exponents <= top."""
     rng = random.Random(seed)
-    sizes = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 21) if 10**5 <= p**n <= 2**20]
     out = []
     while len(out) < count:
-        m, (p, n) = rng.randint(2, 8), rng.choice(sizes)
-        lead, trail = (tuple(rng.randint(0, 10) for _ in range(m)) for _ in range(2))
+        m = pick_m(rng, len(out))
+        p, n = rng.choice([(p, n) for p in (2, 3, 5, 7) for n in range(1, 21) if fits(p**n, m)])
+        lead, trail = (tuple(rng.randint(0, top) for _ in range(m)) for _ in range(2))
         try:
             f = normalize(p, Term(rng.randint(1, p - 1), lead), Term(rng.randint(1, p - 1), trail))
         except HKError:
             continue
-        out.append((f, [PrimePower(p, n)]))
+        drawn = (f, [PrimePower(p, n)])
+        if drawn not in out:
+            out.append(drawn)
     return out
 
 
+HAND_PICKED = [
+    # outermost shrinking variable's top bound not minimal (negative level
+    # offsets), and minimum powers at or above the drop (the multiple-of-a
+    # shift branch)
+    ("x1*x2^4*x3 + x1^2*x2^3", 5, 1),
+    ("x1^3*x3^2 + x2^3", 5, 1),
+    ("x1^3*x2^4*x3^4 + x1^4*x2^3*x3", 5, 1),
+    ("x1*x2^4*x3^4 + x1^4*x2*x3^2", 3, 2),
+    # input frames that differ from the sorted frame
+    ("x1*x2^3 - x1^2*x2", 5, 1),
+    ("x2^3 - x1^2", 5, 1),
+    ("x1*x2^3 - x1^2*x2", 3, 2),
+    ("x2^3 - x1^2", 3, 2),
+]
 COMPARED = {  # an engine's count at q, or None where the row does not compare it
     "oracle": lambda f, q: hk_oracle_report(f, q).length,
     "capped oracle": lambda f, q: hk_oracle_report(f, q).length if q.q**f.m <= ORACLE_CAP else None,
     "direct": lambda f, q: hk_direct_count(f, q, enum_cap=q.q**f.m),
+    "uncapped oracle": lambda f, q: hk_oracle_report(f, q, node_cap=q.q**f.m).length,
     "auto": lambda f, q: hk(f, q.p, q.n).value,
 }
 EVERY_Q_ROWS = {  # id: (draw, engines compared, floors on the points or binomials counted)
@@ -346,7 +339,20 @@ EVERY_Q_ROWS = {  # id: (draw, engines compared, floors on the points or binomia
     "m6-8": (lambda: _every_q([*range(1, 61), 97, 128, 243, 1000, 4096], 1605, 40, ms=(6, 7, 8),
                               ns=(1,), max_exp=10),
              ("direct",), {"closed": 2000, "m=8": 10}),
-    "large-q": (lambda: _large_q(1606, 12), ("auto", "direct"), {"closed": 8, "m=8": 1}),
+    "large-q": (lambda: _sized(1606, 12, lambda rng, _: rng.randint(2, 8),
+                               lambda q, m: 10**5 <= q <= 2**20, 10),
+                ("auto", "direct"), {"closed": 8, "m=8": 1}),
+    "corpus-small": (lambda: [(f, [PrimePower(p, n)])
+                              for f, p, n in random_binomials(CORPUS_SEED + 1, 60)],
+                     ("direct", "oracle"), {"closed": 13, "direct": 60, "oracle": 60}),
+    "hand-picked": (lambda: [(parse_binomial(poly, p), [PrimePower(p, n)])
+                             for poly, p, n in HAND_PICKED],
+                    ("direct", "oracle"), {"closed": 8, "direct": 8, "oracle": 8}),
+    "2M": (lambda: _sized(20261020, 12, lambda _, i: 2 + i % 4,
+                          lambda q, m: 2 * 10**5 <= q**m <= 2 * 10**6, 6),
+           ("auto", "direct", "uncapped oracle"),
+           {"closed": 6, "m=2": 2, "m=3": 2, "m=4": 2, "m=5": 2,
+            "auto": 12, "direct": 12, "uncapped oracle": 12}),
 }
 
 

@@ -9,15 +9,13 @@ shapes and equals both engines on a seeded subset of them, that permuting
 the variables or scaling the coefficients leaves every engine's value
 unchanged, that auto mode never enumerates, and that only the closed route
 classifies.  `is_monomial_shape`, which reads only exponents, is checked
-against the rule as the classification states it.  A seeded set of 12
-larger binomials (q^m from 2*10^5 to 2*10^6, m = 2..5) checks that the
-closed form, where it applies, equals both engines.  The closed form's
+against the rule as the classification states it.  The closed form's
 piecewise-polynomial sum by scan bound is also checked against the O(q)
 list fold of `tests/closedform_reference.py`, and each of its terms
-against a count over the shrinking exponents.  Hypothesis draws of
-`direct_cases` check that auto `hk` equals both enumerating engines and
-that its engine and value do not change under the drawn variable
-permutation or coefficient scaling.
+against a count over the shrinking exponents.  On the 300 seeded
+`direct_cases`, the direct count equals its two references, auto `hk`
+and the oracle, and neither direct's value nor auto's engine and value
+changes under the drawn variable permutation or coefficient scaling.
 """
 
 import random
@@ -27,7 +25,6 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
 
 from hkbinomial import (
     HKError,
@@ -48,7 +45,8 @@ from hkbinomial import (
 from hkbinomial.classify import _classify
 from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
 from tests.closedform_reference import hk_closed_form_linear, phi_product
-from tests.test_keycheck import direct_cases
+from tests.conftest import direct_cases
+from tests.keycheck_reference import direct_count_by_heads, direct_count_per_monomial
 
 SEED = 20261018
 QM_CAP = 3 * 10**4
@@ -57,7 +55,6 @@ CLOSED_COUNT = 2000
 ENUMERATED_CLOSED_COUNT = 120  # closed shapes also enumerated twice
 INVARIANCE_COUNT = 40  # of each shape; three forms, each enumerated twice
 LINEAR_MAX_N, LINEAR_MAX_Q = 8, 2 * 10**4
-LARGE_QM, LARGE_COUNT = (2 * 10**5, 2 * 10**6), 12  # q^m range and instance count
 MONOMIAL_REFUSAL = ("no growing variable, or a lead exponent is >= q: "
                     "the length is the trail complement count")
 # In the reference's level fold, an inner level of these changes formula
@@ -205,38 +202,6 @@ def test_values_invariant_under_permutation_and_scaling(grid):
             assert hk(g, p, n).value == hk_direct_count(g, q) == hk_oracle(g, q) == value, (f, g)
 
 
-def _large_instances(seed, count):
-    """count distinct (binomial, p, n) with 2*10^5 <= q^m <= 2*10^6, m cycling 2..5."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        m = 2 + len(out) % 4
-        sizes = [(p, n) for p in (2, 3, 5, 7) for n in range(1, 20)
-                 if LARGE_QM[0] <= (p**n) ** m <= LARGE_QM[1]]
-        p, n = rng.choice(sizes)
-        e2 = tuple(rng.randint(0, 6) for _ in range(m))
-        e1 = tuple(rng.randint(0, 6) for _ in range(m))
-        try:
-            f = normalize(p, Term(rng.randint(1, p - 1), e2), Term(rng.randint(1, p - 1), e1))
-        except HKError:
-            continue
-        if (f, p, n) not in out:
-            out.append((f, p, n))
-    return out
-
-
-def test_three_engines_agree_up_to_two_million_monomials():
-    cases = _large_instances(SEED + 2, LARGE_COUNT)
-    assert all(sum(f.m == m for f, _, _ in cases) >= 2 for m in (2, 3, 4, 5))
-    routes = []
-    for f, p, n in cases:
-        q = PrimePower(p, n)
-        rep = hk(f, p, n)  # the closed form wherever it applies
-        routes.append(rep.engine)
-        assert rep.value == hk_direct_count(f, q) == hk_oracle(f, q, node_cap=q.q**f.m), (f, p, n)
-    assert routes.count("closed") >= LARGE_COUNT // 2
-
-
 def test_piecewise_fold_equals_linear_fold(corpus200):
     cases = [
         (f, f.p, n)
@@ -303,17 +268,18 @@ def _values(poly):
     return out
 
 
-def test_auto_never_enumerates(corpus200, no_enumeration):
-    for f, p, n in corpus200:
-        assert hk(f, p, n).engine in ("monomial", "closed")
-
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
-@given(direct_cases())
-def test_auto_closed_and_oracle_agree_on_drawn_cases(case):
-    f, q, permuted, scaled = case
-    rep = hk(f, q.p, q.n)
-    assert rep.value == hk_oracle(f, q) == hk_direct_count(f, q)
-    for g in (permuted, scaled):
-        moved = hk(g, q.p, q.n)
-        assert (moved.engine, moved.value) == (rep.engine, rep.value)
+def test_auto_closed_and_oracle_agree_on_drawn_cases():
+    shapes, ms = Counter(), Counter()
+    for shape, f, q, permuted, scaled in direct_cases():
+        shapes[shape] += 1
+        ms[f.m] += 1
+        value = hk_direct_count(f, q)
+        assert value == direct_count_per_monomial(f, q) == direct_count_by_heads(f, q), (f, q.q)
+        rep = hk(f, q.p, q.n)
+        assert rep.value == hk_oracle(f, q) == value, (f, q.q)
+        assert rep.engine == ("closed" if shape == "closed" else "monomial"), (f, q.q)
+        for g in (permuted, scaled):
+            moved = hk(g, q.p, q.n)
+            assert hk_direct_count(g, q) == value, (f, g, q.q)
+            assert (moved.engine, moved.value) == (rep.engine, value), (f, g, q.q)
+    assert min(shapes.values()) >= 80 and ms[1] >= 20, (shapes, ms)

@@ -38,12 +38,18 @@ so a rename that would break `bench/run.py --trace 1` fails here.  So must
 everything else the benchmark reads of the library: the `hkb check` argv it
 runs parses, every report attribute it reads exists, and every name it
 imports from `hkbinomial` exists.
+
+The test extra is what the tests import: the top-level modules imported
+under `tests/`, less the standard library, `hkbinomial` and `tests`, are
+the names `pyproject.toml` lists in its `test` extra, so a test
+dependency can be neither left undeclared nor declared after its last use.
 """
 
 import argparse
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import hkbinomial
@@ -292,3 +298,17 @@ def test_readme_lists_the_exit_codes_hkb_has():
     listed = [int(re.match(r"\s*(\d+) ", item).group(1)) for item in sentence.split(",")]
     codes = [cli.EXIT_OK, cli.EXIT_MISMATCH, cli.EXIT_USAGE, cli.EXIT_RESOURCE]
     assert listed == sorted(codes), f"README lists exit codes {listed}, hkb has {sorted(codes)}"
+
+
+def test_the_test_extra_is_what_the_tests_import():
+    imported = set()
+    for path in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    imported -= set(sys.stdlib_module_names) | {"hkbinomial", "tests"}
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    extra = ast.literal_eval(re.search(r"^test = (\[.*\])$", pyproject, re.M).group(1))
+    assert imported == {re.match(r"[\w.-]+", req).group() for req in extra}, (imported, extra)
