@@ -1,5 +1,6 @@
 import math
 import random
+from functools import cache
 
 import pytest
 
@@ -50,6 +51,7 @@ def two_variable_binomials(seed, primes, max_exp, lead_coefficient):
     return drawn
 
 
+@cache
 def direct_cases():
     """300 distinct (shape, f, q, permuted f, scaled f), m = 1..5, p <= 7
     and q^m <= 5000, drawn from a fixed seed.

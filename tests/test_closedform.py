@@ -28,7 +28,7 @@ from hkbinomial import closedform
 from hkbinomial.classify import classify
 from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain
 from hkbinomial.oracle import ORACLE_CAP
-from tests.conftest import CORPUS_SEED, random_binomials
+from tests.conftest import random_binomials
 from tests.closedform_reference import (
     g_complement,
     hk_closed_form_naive,
@@ -307,7 +307,7 @@ def _sized(seed, count, pick_m, fits, top):
     return out
 
 
-HAND_PICKED = [
+OFFSET_AND_LARGE_B = [
     # outermost shrinking variable's top bound not minimal (negative level
     # offsets), and minimum powers at or above the drop (the multiple-of-a
     # shift branch)
@@ -315,11 +315,6 @@ HAND_PICKED = [
     ("x1^3*x3^2 + x2^3", 5, 1),
     ("x1^3*x2^4*x3^4 + x1^4*x2^3*x3", 5, 1),
     ("x1*x2^4*x3^4 + x1^4*x2*x3^2", 3, 2),
-    # input frames that differ from the sorted frame
-    ("x1*x2^3 - x1^2*x2", 5, 1),
-    ("x2^3 - x1^2", 5, 1),
-    ("x1*x2^3 - x1^2*x2", 3, 2),
-    ("x2^3 - x1^2", 3, 2),
 ]
 COMPARED = {  # an engine's count at q, or None where the row does not compare it
     "oracle": lambda f, q: hk_oracle_report(f, q).length,
@@ -342,12 +337,6 @@ EVERY_Q_ROWS = {  # id: (draw, engines compared, floors on the points or binomia
     "large-q": (lambda: _sized(1606, 12, lambda rng, _: rng.randint(2, 8),
                                lambda q, m: 10**5 <= q <= 2**20, 10),
                 ("auto", "direct"), {"closed": 8, "m=8": 1}),
-    "corpus-small": (lambda: [(f, [PrimePower(p, n)])
-                              for f, p, n in random_binomials(CORPUS_SEED + 1, 60)],
-                     ("direct", "oracle"), {"closed": 13, "direct": 60, "oracle": 60}),
-    "hand-picked": (lambda: [(parse_binomial(poly, p), [PrimePower(p, n)])
-                             for poly, p, n in HAND_PICKED],
-                    ("direct", "oracle"), {"closed": 8, "direct": 8, "oracle": 8}),
     "2M": (lambda: _sized(20261020, 12, lambda _, i: 2 + i % 4,
                           lambda q, m: 2 * 10**5 <= q**m <= 2 * 10**6, 6),
            ("auto", "direct", "uncapped oracle"),
@@ -356,12 +345,10 @@ EVERY_Q_ROWS = {  # id: (draw, engines compared, floors on the points or binomia
 }
 
 
-@pytest.mark.parametrize("row", EVERY_Q_ROWS)
-def test_closed_form_is_the_length_at_every_q(row):
+def _agree_at_every_q(drawn, engines, floors):
     # at every Q, on every shape, the body is each engine's count of S/(x_1^Q, ..., x_m^Q, f)
-    draw, engines, floors = EVERY_Q_ROWS[row]
     counts = Counter()
-    for f, qs in draw():
+    for f, qs in drawn:
         counts[f"m={f.m}"] += 1
         for q in qs:
             value, by_bound = closed_form_at(classify(f), q.q)  # classify is cached
@@ -371,3 +358,20 @@ def test_closed_form_is_the_length_at_every_q(row):
                 assert count is None or value == count, (f, q.q, engine)
                 counts[engine] += count is not None
     assert all(counts[k] >= floor for k, floor in floors.items()), counts
+
+
+@pytest.mark.parametrize("row", EVERY_Q_ROWS)
+def test_closed_form_is_the_length_at_every_q(row):
+    draw, engines, floors = EVERY_Q_ROWS[row]
+    _agree_at_every_q(draw(), engines, floors)
+
+
+def test_agreement_with_enumeration(corpus_small):
+    _agree_at_every_q([(f, [PrimePower(p, n)]) for f, p, n in corpus_small], ("direct",),
+                      {"closed": 13, "direct": 60})
+
+
+def test_regression_offset_and_large_b_instances():
+    _agree_at_every_q([(parse_binomial(poly, p), [PrimePower(p, n)])
+                       for poly, p, n in OFFSET_AND_LARGE_B],
+                      ("direct", "oracle"), {"closed": 4, "direct": 4, "oracle": 4})

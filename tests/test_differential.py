@@ -13,9 +13,9 @@ against the rule as the classification states it.  The closed form's
 piecewise-polynomial sum by scan bound is also checked against the O(q)
 list fold of `tests/closedform_reference.py`, and each of its terms
 against a count over the shrinking exponents.  On the 300 seeded
-`direct_cases`, the direct count equals its two references, auto `hk`
-and the oracle, and neither direct's value nor auto's engine and value
-changes under the drawn variable permutation or coefficient scaling.
+`direct_cases`, auto `hk` equals the oracle and the direct count, and
+neither its engine nor its value changes under the drawn variable
+permutation or coefficient scaling.
 """
 
 import random
@@ -46,7 +46,6 @@ from hkbinomial.classify import _classify
 from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
 from tests.closedform_reference import hk_closed_form_linear, phi_product
 from tests.conftest import direct_cases
-from tests.keycheck_reference import direct_count_by_heads, direct_count_per_monomial
 
 SEED = 20261018
 QM_CAP = 3 * 10**4
@@ -274,12 +273,10 @@ def test_auto_closed_and_oracle_agree_on_drawn_cases():
         shapes[shape] += 1
         ms[f.m] += 1
         value = hk_direct_count(f, q)
-        assert value == direct_count_per_monomial(f, q) == direct_count_by_heads(f, q), (f, q.q)
         rep = hk(f, q.p, q.n)
         assert rep.value == hk_oracle(f, q) == value, (f, q.q)
         assert rep.engine == ("closed" if shape == "closed" else "monomial"), (f, q.q)
         for g in (permuted, scaled):
             moved = hk(g, q.p, q.n)
-            assert hk_direct_count(g, q) == value, (f, g, q.q)
             assert (moved.engine, moved.value) == (rep.engine, value), (f, g, q.q)
     assert min(shapes.values()) >= 80 and ms[1] >= 20, (shapes, ms)

@@ -22,8 +22,16 @@ from hkbinomial import (
     parse_binomial,
 )
 from hkbinomial.classify import classify
+from hkbinomial.closedform import closed_form_at
 from hkbinomial.keycheck import ENUM_CAP, _check_standard
-from tests.keycheck_reference import is_convergent, is_member, sorted_vector
+from tests.conftest import direct_cases
+from tests.keycheck_reference import (
+    direct_count_by_heads,
+    direct_count_per_monomial,
+    is_convergent,
+    is_member,
+    sorted_vector,
+)
 
 Q5 = PrimePower(5, 1)
 F1 = parse_binomial("x1^3 - x2^2", 5)
@@ -168,6 +176,35 @@ def test_direct_count_coefficient_invariance():
         v = hk_direct_count(f, Q5)
         base = v if base is None else base
         assert v == base == 10
+
+
+def test_mixed_frame_instances_match_oracle():
+    # instances whose input frame differs from the sorted frame; each is a
+    # closed shape, so the closed form's body is compared too
+    for poly, p, n in [
+        ("x1*x2^3 - x1^2*x2", 5, 1),
+        ("x2^3 - x1^2", 5, 1),
+        ("x1*x2^3 - x1^2*x2", 3, 2),
+        ("x2^3 - x1^2", 3, 2),
+    ]:
+        f = parse_binomial(poly, p)
+        q = PrimePower(p, n)
+        value, by_bound = closed_form_at(classify(f), q.q)
+        assert by_bound is not None, poly
+        assert value == hk_direct_count(f, q) == hk_oracle(f, q), poly
+
+
+def test_direct_count_matches_oracle_on_corpus(corpus_small):
+    for f, p, n in corpus_small:
+        q = PrimePower(p, n)
+        assert hk_direct_count(f, q) == hk_oracle(f, q)
+
+
+def test_row_count_equals_per_monomial_count():
+    for _, f, q, permuted, scaled in direct_cases():
+        value = hk_direct_count(f, q)
+        assert value == direct_count_per_monomial(f, q) == direct_count_by_heads(f, q), (f, q.q)
+        assert hk_direct_count(permuted, q) == hk_direct_count(scaled, q) == value, (f, q.q)
 
 
 # Shapes at the edges of the direct count's hoisted prefix and the oracle's
