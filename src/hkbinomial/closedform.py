@@ -13,7 +13,8 @@ of the computation, all in the delta-sorted frame:
 * phi_recursive: for a fixed scan bound, counts the non-members among
   monomials whose shrinking exponents are fixed while the zero and
   growing exponents range freely.  Four products of linear factors, one
-  over the zero variables and three over the growing ones.
+  over the zero variables and three over the growing ones; `_phi_at`
+  takes the two that do not depend on the scan bound once per value.
 * g_chain: counts, per shrinking variable, the non-members that arise
   once the lead term stops dividing (membership then reduces to trail
   divisibility); a single descending product chain.  Not on the value
@@ -23,9 +24,9 @@ of the computation, all in the delta-sorted frame:
   the non-members by scan bound M = 1..V, V ~ q/a the least top scan bound,
   are one PiecewisePoly whose `total` costs O(t * (t + r)) evaluations, so
   the value takes time independent of q; an O(m) inclusion-exclusion term
-  adds the rest.  Each evaluation multiplies r precomputed linear factors,
-  each >= 1 on M = 1..V; the classification it reads is cached on the
-  exponents (`classify`), so a value's fixed cost is a few such points.
+  adds the rest.  Each evaluation is one summand phi(M) * drop(M) over
+  factors built once per value; the classification is cached on the
+  exponents (`classify`), so a value costs its evaluations plus O(m) set-up.
 * trail_complement_count: the body's value where the ideal is a monomial
   ideal, the shapes `is_monomial_shape` finds from the exponents alone.
 
@@ -34,9 +35,8 @@ Everything is exact integer arithmetic; no floating point.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from math import prod
 from operator import le
 
 from .algebra import Binomial, PrimePower, check_field
@@ -89,23 +89,35 @@ def _mmax_at(cls: Classification, qq: int) -> tuple:
 # phi: counts over the zero/growing block at a fixed scan bound
 
 
-def _phi_value(M: int, cls: Classification, qq: int) -> int:
-    """The block count at scan bound M, the paper's chain over P_t, ..., P_1
-    and fold over the fixed variables multiplied out: q^(s+t) less the members
-    prod_Z (q - zmin) * (prod_G (q - pmin) - prod_G (q - pmin - dp*M)+
+def _phi_at(cls: Classification, qq: int):
+    """M -> the block count at scan bound M, the paper's chain over P_t, ...,
+    P_1 and fold over the fixed variables multiplied out: q^(s+t) less the
+    members prod_Z (q - zmin) * (prod_G (q - pmin) - prod_G (q - pmin - dp*M)+
     + prod_G (q - pmax - dp*M)+), the tuples the lead divides, less those
     whose every growing exponent stays below q through all M trades, unless
-    the trail divides them."""
-    lead = low = high = 1
+    the trail divides them.  The parts that do not depend on M are taken once."""
+    grow, lead, fixed = [], 1, 1
     for P in cls.pos:
-        w = qq - P.dp * M
+        grow.append((qq - P.pmin, qq - P.pmax, P.dp))
         lead *= qq - P.pmin
-        low *= w - P.pmin if w > P.pmin else 0
-        high *= w - P.pmax if w > P.pmax else 0
-    fixed = 1
     for z in cls.zero:
         fixed *= qq - z.zmin
-    return qq ** (cls.s + cls.t) - fixed * (lead - low + high)
+    whole = qq ** (cls.s + cls.t)
+
+    def phi(M):
+        low = high = 1
+        for lo, hi, dp in grow:
+            w = dp * M
+            low *= lo - w if lo > w else 0
+            high *= hi - w if hi > w else 0
+        return whole - fixed * (lead - low + high)
+
+    return phi
+
+
+def _phi_value(M: int, cls: Classification, qq: int) -> int:
+    """The block count at scan bound M (`_phi_at`)."""
+    return _phi_at(cls, qq)(M)
 
 
 def phi_recursive(M: int, cls: Classification, p: int, n: int) -> int:
@@ -203,17 +215,17 @@ class PiecewisePoly:
     __slots__ = ("length", "starts", "diffs", "total")
 
     def __init__(self, fn, length: int, breaks, degree: int):
-        cuts = sorted({0, length}.union(b for b in breaks if 0 < b < length))
+        cuts = sorted({0, length, *breaks})
+        cuts = cuts[bisect_left(cuts, 0) : bisect_right(cuts, length)]
         self.length = length
         self.starts = cuts[:-1]
         self.diffs = []
         total = 0
         for lo, hi in zip(cuts, cuts[1:]):
-            row = [fn(x) for x in range(lo, min(lo + degree + 1, hi))]
-            diffs = []
-            while row:
-                diffs.append(row[0])
-                row = [b - a for a, b in zip(row, row[1:])]
+            diffs = [fn(x) for x in range(lo, min(lo + degree + 1, hi))]
+            for k in range(1, len(diffs)):  # in place: diffs[j] becomes D_j
+                for j in range(len(diffs) - 1, k - 1, -1):
+                    diffs[j] -= diffs[j - 1]
             if hi - lo > degree + 1 and _newton(diffs, hi - 1 - lo, 0) != fn(hi - 1):
                 raise ContractError(
                     f"not a polynomial of degree <= {degree} on [{lo}, {hi}): a cut is missing"
@@ -240,18 +252,6 @@ def _newton(diffs, u: int, shift: int) -> int:
 
 # ---------------------------------------------------------------------------
 # full assembly
-
-
-def scan_cuts(cls: Classification, qq: int) -> list:
-    """(rate, x = M - 1) per cut of the count by scan bound: V_i - 1 per
-    shrinking variable, and per growing one where each of its two clamped
-    factors in the block count reaches 0.
-    x is q/rate plus an offset, constant on a class of q mod rate and at
-    most (E + 1)/rate + 2 in size, E the largest exponent."""
-    cuts = [(N.a, (qq - 1 - N.b) // N.a - 1) for N in cls.neg]
-    for P in cls.pos:
-        cuts += [(P.dp, ceil_div(qq - P.pmin, P.dp) - 1), (P.dp, (qq - P.pmax) // P.dp)]
-    return cuts
 
 
 def hk_closed_form_tables(f: Binomial, p: int, n: int):
@@ -283,28 +283,37 @@ def closed_form_at(cls: Classification, qq: int):
     """
     if is_monomial_shape(cls.lead_exps, cls.trail_exps, qq):
         return trail_complement_count(qq, cls.trail_exps), None
-    factors = [(qq - N.b, N.a) for N in cls.neg]  # factor c - a*M at M
-    V = min((c - 1) // a for c, a in factors)
+    factors, cuts = [], []  # factor c - a*x at x = M - 1; cut x where a factor reaches its end
+    past_lead = past_trail = 1  # at_least(1) and the count past the trail powers
+    for N in cls.neg:
+        c = qq - N.nmax  # q - b - a*M at M = 1, > 0 (shape test)
+        factors.append((c, N.a))
+        cuts.append((c - 1) // N.a)  # V_i - 1
+        past_lead *= c
+        past_trail *= qq - N.nmin
+    V = min(cuts) + 1
     if V < 1:
         raise FormulaDomainError("top scan bound below 1")
+    for P in cls.pos:  # where each clamped factor of the block count reaches 0
+        cuts += (ceil_div(qq - P.pmin, P.dp) - 1, (qq - P.pmax) // P.dp)
+    phi = _phi_at(cls, qq)
 
-    def drop(M):
+    def summand(x):  # phi(M) * drop(M) at M = x + 1
         now = after = 1
         for c, a in factors:
-            c -= a * M  # >= 1, as M <= V
+            c -= a * x  # >= 1, as M <= V
             now *= c
             after *= c - a if c > a else 0  # factor at M + 1; <= 0 makes at_least(M + 1) 0
-        return now - after
+        return phi(x + 1) * (now - after)
 
-    by_bound = PiecewisePoly(
-        lambda x: _phi_value(x + 1, cls, qq) * drop(x + 1),
-        V, [x for _, x in scan_cuts(cls, qq)], cls.t + cls.r - 1,
-    )
-    past_lead = prod(qq - N.nmax for N in cls.neg)  # at_least(1); each q - nmax > 0 (shape test)
-    past_trail = prod(qq - N.nmin for N in cls.neg)
-    rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]
+    by_bound = PiecewisePoly(summand, V, cuts, cls.t + cls.r - 1)
+    rest = 1  # trail complement of the zero and growing variables
+    for z in cls.zero:
+        rest *= qq - z.zmin if qq > z.zmin else 0
+    for P in cls.pos:
+        rest *= qq - P.pmax if qq > P.pmax else 0
     lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)  # less those the trail divides
-    lead_fails -= prod(max(0, qq - e) for e in rest_trail) * (past_trail - past_lead)
+    lead_fails -= rest * (past_trail - past_lead)
     return by_bound.total + lead_fails, by_bound
 
 

@@ -103,13 +103,14 @@ def hk_quasi_polynomial(f: Binomial, p: int) -> QuasiPolynomial:
     """The exact quasi-polynomial of HK(p^n), and e_HK.
 
     Past n0, q exceeds every exponent and no two cuts of the count by scan
-    bound (`scan_cuts`, and 0) change order: cuts of rates r1 < r2 differ
-    by q/r1 - q/r2 less their offsets.  On a class n = c (mod pi), q mod L,
-    L the lcm of the rates, is fixed, each cut is affine in q, and HK, a sum
-    of polynomials over pieces with affine ends, is one of degree <= m in q:
-    the closed form at m + 1 integers Q past the bound in that residue class
-    fixes it.  ResourceError, before any evaluation, when the work is over
-    WORK_BUDGET; ContractError on a q^m term or classes with different e_HK.
+    bound (where `closed_form_at` starts its pieces, and 0) change order:
+    cuts of rates r1 < r2 differ by q/r1 - q/r2 less their offsets.  On a
+    class n = c (mod pi), q mod L, L the lcm of the rates, is fixed, each
+    cut is affine in q, and HK, a sum of polynomials over pieces with affine
+    ends, is one of degree <= m in q: the closed form at m + 1 integers Q
+    past the bound in that residue class fixes it.  ResourceError, before
+    any evaluation, when the work is over WORK_BUDGET; ContractError on a
+    q^m term or classes with different e_HK.
     """
     check_field(f, p, 1)
     m, cls = f.m, classify(f)

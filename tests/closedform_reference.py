@@ -18,15 +18,23 @@ variable's drop and q.
 `classify_reference` is the classification built by sign block, with
 the `(delta, index)` sort key and the 1-based N_i, Z_i, P_q positions
 written out, which the library's one-pass `classify` must match.
+`closed_form_at_reference` is the closed body as it was composed before
+its fixed cost was cut: a lambda over `_phi_value` and `drop` per point,
+the cuts from `scan_cuts` as (rate, x) pairs, and `PiecewisePolyReference`,
+which builds its cut set from a generator and its differences by list
+comprehensions.  The library's `closed_form_at` must give the same value
+and the same pieces.
 """
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from hkbinomial.algebra import check_field
 from hkbinomial.classify import Classification, NegVar, PosVar, ZeroVar, classify
 from hkbinomial.closedform import (
-    MmaxParams, _phi_value, ceil_div, g_chain, is_monomial_shape, mmax_params,
+    MmaxParams, _newton, _phi_value, ceil_div, g_chain, is_monomial_shape, mmax_params,
+    trail_complement_count,
 )
 from hkbinomial.errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
 
@@ -340,3 +348,71 @@ def mmax_closed(A, cls: Classification, params, q) -> int:
         if best is None or val < best:
             best = val
     return best
+
+
+def scan_cuts(cls: Classification, qq: int) -> list:
+    """(rate, x = M - 1) per cut of the count by scan bound: V_i - 1 per
+    shrinking variable, and per growing one where each of its two clamped
+    factors in the block count reaches 0.
+    x is q/rate plus an offset, constant on a class of q mod rate and at
+    most (E + 1)/rate + 2 in size, E the largest exponent."""
+    cuts = [(N.a, (qq - 1 - N.b) // N.a - 1) for N in cls.neg]
+    for P in cls.pos:
+        cuts += [(P.dp, ceil_div(qq - P.pmin, P.dp) - 1), (P.dp, (qq - P.pmax) // P.dp)]
+    return cuts
+
+
+class PiecewisePolyReference:
+    """The pieces of `closedform.PiecewisePoly` (length, starts, diffs,
+    total) built as they were: the cut set from a generator and each
+    piece's forward differences by repeated list comprehensions."""
+
+    def __init__(self, fn, length: int, breaks, degree: int):
+        cuts = sorted({0, length}.union(b for b in breaks if 0 < b < length))
+        self.length = length
+        self.starts = cuts[:-1]
+        self.diffs = []
+        total = 0
+        for lo, hi in zip(cuts, cuts[1:]):
+            row = [fn(x) for x in range(lo, min(lo + degree + 1, hi))]
+            diffs = []
+            while row:
+                diffs.append(row[0])
+                row = [b - a for a, b in zip(row, row[1:])]
+            if hi - lo > degree + 1 and _newton(diffs, hi - 1 - lo, 0) != fn(hi - 1):
+                raise ContractError(
+                    f"not a polynomial of degree <= {degree} on [{lo}, {hi}): a cut is missing"
+                )
+            self.diffs.append(diffs)
+            total += _newton(diffs, hi - lo, 1)
+        self.total = total
+
+
+def closed_form_at_reference(cls: Classification, qq: int):
+    """(value, by_bound) of `closedform.closed_form_at`, composed per point
+    through `_phi_value` and `drop`, with the cuts from `scan_cuts`."""
+    if is_monomial_shape(cls.lead_exps, cls.trail_exps, qq):
+        return trail_complement_count(qq, cls.trail_exps), None
+    factors = [(qq - N.b, N.a) for N in cls.neg]  # factor c - a*M at M
+    V = min((c - 1) // a for c, a in factors)
+    if V < 1:
+        raise FormulaDomainError("top scan bound below 1")
+
+    def drop(M):
+        now = after = 1
+        for c, a in factors:
+            c -= a * M
+            now *= c
+            after *= c - a if c > a else 0
+        return now - after
+
+    by_bound = PiecewisePolyReference(
+        lambda x: _phi_value(x + 1, cls, qq) * drop(x + 1),
+        V, [x for _, x in scan_cuts(cls, qq)], cls.t + cls.r - 1,
+    )
+    past_lead = prod(qq - N.nmax for N in cls.neg)
+    past_trail = prod(qq - N.nmin for N in cls.neg)
+    rest_trail = [z.zmin for z in cls.zero] + [P.pmax for P in cls.pos]
+    lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)
+    lead_fails -= prod(max(0, qq - e) for e in rest_trail) * (past_trail - past_lead)
+    return by_bound.total + lead_fails, by_bound

@@ -98,6 +98,21 @@ def direct_cases():
     return out
 
 
+# Shapes at the edges of the direct count's hoisted prefix and the oracle's
+# flat-offset runs: one variable, lead or trail exponents >= q in the first
+# or last variable, and a last variable absent from both terms.
+EDGE_SHAPES = [
+    ("x1^3 - x1", 3, 1, None),
+    ("x1^3 - x1", 3, 2, None),
+    ("x1^5*x2 - x2^2", 2, 2, None),  # lead exponent >= q in the first variable
+    ("x1*x2^5 - x1^2", 2, 2, None),  # lead exponent >= q in the last variable
+    ("x1^3*x2^3 - x1*x2^4", 2, 2, None),  # trail exponent >= q in the last variable
+    ("x1^3*x2^3 - x1*x2^4", 3, 1, None),
+    ("x1^2*x2 - x2^2", 3, 2, 3),  # x3 in neither term
+    ("x1^3 - x2^2", 5, 1, 3),
+]
+
+
 @pytest.fixture(scope="session")
 def corpus200():
     return random_binomials(CORPUS_SEED, 200)

@@ -6,8 +6,8 @@ from math import lcm, log
 
 from hkbinomial import QuasiPolynomial, hk
 from hkbinomial.classify import classify
-from hkbinomial.closedform import scan_cuts
 from hkbinomial.multiplicity import _interpolate, _two_variable_case
+from tests.closedform_reference import scan_cuts
 
 
 def hk_multiplicity_1dim(f):

@@ -30,6 +30,7 @@ from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain
 from hkbinomial.oracle import ORACLE_CAP
 from tests.conftest import random_binomials
 from tests.closedform_reference import (
+    closed_form_at_reference,
     g_complement,
     hk_closed_form_naive,
     phi_closed_simple,
@@ -258,20 +259,73 @@ M4_SHAPE = parse_binomial("x1^3*x2^3*x3 - x3^2*x4^4", 5)
 
 @pytest.mark.parametrize("f", [M3_SHAPE, M4_SHAPE], ids=["m3", "m4"])
 def test_phi_evaluations_do_not_depend_on_q(f, monkeypatch):
+    # the body evaluates the block count once per point, through `_phi_at`
     calls = []
 
-    def counted(M, cls, qq):
-        calls.append(M)
-        return phi_value(M, cls, qq)
+    def counted_phi_at(cls, qq):
+        phi = phi_at(cls, qq)
 
-    phi_value = closedform._phi_value
-    monkeypatch.setattr(closedform, "_phi_value", counted)
+        def counted(M):
+            calls.append(M)
+            return phi(M)
+
+        return counted
+
+    phi_at = closedform._phi_at
+    monkeypatch.setattr(closedform, "_phi_at", counted_phi_at)
+    cls = classify(f)
+    d = cls.t + cls.r - 1
     counts = []
     for n in (6, 40):
         calls.clear()
-        hk_closed_form(f, 5, n)
+        by_bound = hk_closed_form_tables(f, 5, n)[1]
         counts.append(len(calls))
+        ends = by_bound.starts[1:] + [by_bound.length]
+        lengths = [hi - lo for lo, hi in zip(by_bound.starts, ends)]
+        # min(d + 1, length) points per piece, and its last point on a longer piece
+        assert len(calls) == sum(min(d + 1, k) + (k > d + 1) for k in lengths), (n, lengths)
     assert counts[0] == counts[1] > 0
+
+
+def _reference_cases(seed, count):
+    """(cls, Q) for count seeded binomials, m = 2..8 and exponents 0..6:
+    half at Q = 1..40, where cuts fall inside [0, V), half at Q up to 2^20."""
+    rng = random.Random(seed)
+    out = [(classify(f), Q) for f in (M3_SHAPE, M4_SHAPE) for Q in range(1, 41)]
+    while len(out) < count:
+        m = rng.randint(2, 8)
+        lead, trail = (tuple(rng.randint(0, 6) for _ in range(m)) for _ in range(2))
+        try:
+            f = normalize(2, Term(1, lead), Term(1, trail))
+        except HKError:
+            continue
+        Q = rng.randint(1, 40) if len(out) % 2 else rng.randint(1, 2 ** rng.randint(6, 20))
+        out.append((classify(f), Q))
+    return out
+
+
+def test_closed_body_equals_the_reference_composition():
+    closed, inner, ms = 0, 0, set()
+    for cls, Q in _reference_cases(2029, 2400):
+        try:
+            expected = closed_form_at_reference(cls, Q)
+        except HKError as exc:
+            with pytest.raises(type(exc)) as raised:
+                closed_form_at(cls, Q)
+            assert str(raised.value) == str(exc), (cls, Q)
+            continue
+        value, by_bound = closed_form_at(cls, Q)
+        assert value == expected[0], (cls, Q)
+        if expected[1] is None:
+            assert by_bound is None, (cls, Q)
+            continue
+        ref = expected[1]
+        assert (by_bound.length, by_bound.starts, by_bound.diffs, by_bound.total) == (
+            ref.length, ref.starts, ref.diffs, ref.total), (cls, Q)
+        closed += 1
+        inner += len(by_bound.starts) > 2  # a cut inside (0, V - 1)
+        ms.add(cls.m)
+    assert closed >= 1500 and inner >= 250 and ms == set(range(2, 9)), (closed, inner, ms)
 
 
 def test_four_variable_value_at_5_14_is_fast():

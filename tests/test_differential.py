@@ -44,7 +44,7 @@ from hkbinomial import (
 )
 from hkbinomial.classify import _classify
 from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
-from tests.closedform_reference import hk_closed_form_linear, phi_product
+from tests.closedform_reference import hk_closed_form_linear, phi_product, scan_cuts
 from tests.conftest import direct_cases
 
 SEED = 20261018
@@ -235,7 +235,7 @@ def _phi_products(cls, p, n, top):
     for j, z in enumerate(cls.zero, 1):
         S = S * (qq - z.zmin) + qq ** (cls.t + j - 1) * z.zmin
     phis = [0] + S.tolist()
-    spots = {1, top} | {x + d for _, x in closedform.scan_cuts(cls, qq) for d in (0, 1, 2)}
+    spots = {1, top} | {x + d for _, x in scan_cuts(cls, qq) for d in (0, 1, 2)}
     for at in spots:
         if 1 <= at <= top:
             assert phis[at] == phi_product(at, cls, p, n), (cls, qq, at)

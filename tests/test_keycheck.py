@@ -24,7 +24,7 @@ from hkbinomial import (
 from hkbinomial.classify import classify
 from hkbinomial.closedform import closed_form_at
 from hkbinomial.keycheck import ENUM_CAP, _check_standard
-from tests.conftest import direct_cases
+from tests.conftest import EDGE_SHAPES, direct_cases
 from tests.keycheck_reference import (
     direct_count_by_heads,
     direct_count_per_monomial,
@@ -205,21 +205,6 @@ def test_row_count_equals_per_monomial_count():
         value = hk_direct_count(f, q)
         assert value == direct_count_per_monomial(f, q) == direct_count_by_heads(f, q), (f, q.q)
         assert hk_direct_count(permuted, q) == hk_direct_count(scaled, q) == value, (f, q.q)
-
-
-# Shapes at the edges of the direct count's hoisted prefix and the oracle's
-# flat-offset runs: one variable, lead or trail exponents >= q in the first
-# or last variable, and a last variable absent from both terms.
-EDGE_SHAPES = [
-    ("x1^3 - x1", 3, 1, None),
-    ("x1^3 - x1", 3, 2, None),
-    ("x1^5*x2 - x2^2", 2, 2, None),  # lead exponent >= q in the first variable
-    ("x1*x2^5 - x1^2", 2, 2, None),  # lead exponent >= q in the last variable
-    ("x1^3*x2^3 - x1*x2^4", 2, 2, None),  # trail exponent >= q in the last variable
-    ("x1^3*x2^3 - x1*x2^4", 3, 1, None),
-    ("x1^2*x2 - x2^2", 3, 2, 3),  # x3 in neither term
-    ("x1^3 - x2^2", 5, 1, 3),
-]
 
 
 @pytest.mark.parametrize("poly,p,n,num_vars", EDGE_SHAPES)

@@ -23,7 +23,7 @@ from hkbinomial import (
 )
 from hkbinomial import multiplicity
 from hkbinomial.classify import classify
-from hkbinomial.closedform import scan_cuts
+from tests.closedform_reference import scan_cuts
 from tests.conftest import random_binomials, two_variable_binomials
 from tests.multiplicity_reference import hk_multiplicity_1dim, hk_quasi_polynomial_at_prime_powers
 

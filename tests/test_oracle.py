@@ -16,10 +16,9 @@ from hkbinomial import (
     parse_binomial,
 )
 from hkbinomial.oracle import node_index
-from tests.conftest import random_binomials
+from tests.conftest import EDGE_SHAPES, random_binomials
 from tests.dense_rank import dense_rank_length
 from tests.oracle_reference import RelationGraph, build_relation_graph, reference_report
-from tests.test_keycheck import EDGE_SHAPES
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 Q5 = PrimePower(5, 1)

@@ -43,6 +43,10 @@ The test extra is what the tests import: the top-level modules imported
 under `tests/`, less the standard library, `hkbinomial` and `tests`, are
 the names `pyproject.toml` lists in its `test` extra, so a test
 dependency can be neither left undeclared nor declared after its last use.
+No file under `tests/` imports a `tests.test_*` module: pytest already
+imports each test file under its bare name, so such an import loads it a
+second time; what test files share lives in `conftest.py` or a reference
+module.
 """
 
 import argparse
@@ -312,3 +316,17 @@ def test_the_test_extra_is_what_the_tests_import():
     pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     extra = ast.literal_eval(re.search(r"^test = (\[.*\])$", pyproject, re.M).group(1))
     assert imported == {re.match(r"[\w.-]+", req).group() for req in extra}, (imported, extra)
+
+
+def test_no_test_module_imports_another():
+    found = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.startswith("tests.test_")]
+    assert found == [], f"test modules imported by other files: {found}"
