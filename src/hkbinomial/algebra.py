@@ -8,6 +8,7 @@ all operations are safe under unrestricted concurrent use.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from dataclasses import dataclass, field
@@ -188,6 +189,23 @@ def _literal(text: str) -> int:
         raise ResourceError(f"an integer literal of {digits} decimal digits is over the "
                             f"interpreter's limit of {limit}", digits, limit)
     return int(text)
+
+
+def decimal_str(x: int) -> str:
+    """str(x), or a ResourceError when x has more decimal digits than the
+    interpreter converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return str(x)
+    except ValueError:  # int -> str raises it only for the digit limit
+        x = abs(x)
+        digits = int(math.log10(x)) + 1
+        digits += (x >= 10**digits) - (x < 10 ** (digits - 1))
+        limit = sys.get_int_max_str_digits()
+        raise ResourceError(
+            f"an integer of {digits} decimal digits is over the interpreter's limit of {limit}",
+            required=digits,
+            budget=limit,
+        ) from None
 
 
 def _parse_term(chunk: str, sign: int):

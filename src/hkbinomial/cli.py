@@ -27,9 +27,9 @@ import signal
 import sys
 from fractions import Fraction
 
-from .algebra import parse_binomial, parse_monomial, render, PrimePower
+from .algebra import decimal_str, parse_binomial, parse_monomial, render, PrimePower
 from .classify import classify, classification_summary
-from .engines import ENGINES, cross_check, decimal_str, hk, load_corpus, refuse_unwritable
+from .engines import ENGINES, cross_check, hk, load_corpus, refuse_unwritable
 from .errors import DomainError, HKError, ParseError, ResourceError
 from .keycheck import member_scan
 from .multiplicity import hk_quasi_polynomial

@@ -10,15 +10,14 @@ of the computation, all in the delta-sorted frame:
   that variable's top exponent q - 1 allows.  Not on the value path,
   which reads a and b from the classification: a closed report derives
   it for its payload.
-* phi_recursive: for a fixed scan bound, counts the non-members among
-  monomials whose shrinking exponents are fixed while the zero and
+* phi_recursive: `_phi_at` at one scan bound, the block count of the
+  non-members whose shrinking exponents are fixed while the zero and
   growing exponents range freely.  Four products of linear factors, one
   over the zero variables and three over the growing ones; `_phi_at`
   takes the two that do not depend on the scan bound once per value.
-* g_chain: counts, per shrinking variable, the non-members that arise
-  once the lead term stops dividing (membership then reduces to trail
-  divisibility); a single descending product chain.  Not on the value
-  path: kept only for the benchmark's trace until it moves to the tests.
+* g_chain: the trail complement of each prefix of the chain P_t, ...,
+  P_1, Z_1, ..., Z_s, N_1, ..., N_r.  Not on the value path: kept only
+  for the benchmark's trace.
 * closed_form_at, the one body, HK at every q >= 1 on every shape (only
   its wrapper hk_closed_form_tables, at q = p^n, refuses a monomial shape):
   the non-members by scan bound M = 1..V, V ~ q/a the least top scan bound,
@@ -115,55 +114,30 @@ def _phi_at(cls: Classification, qq: int):
     return phi
 
 
-def _phi_value(M: int, cls: Classification, qq: int) -> int:
-    """The block count at scan bound M (`_phi_at`)."""
-    return _phi_at(cls, qq)(M)
-
-
 def phi_recursive(M: int, cls: Classification, p: int, n: int) -> int:
     """Non-member count over the zero/growing block at scan bound M, q = p^n."""
     if cls.t == 0:
         raise NotApplicableError("no growing variable: the block count is undefined")
     if M < 1:
         raise DomainError(f"scan bound must be >= 1, got {M}")
-    return _phi_value(M, cls, PrimePower(p, n).q)
+    return _phi_at(cls, PrimePower(p, n).q)(M)
 
 
 # ---------------------------------------------------------------------------
-# G chains: counts once the lead term has stopped dividing
+# G chain: the trail complement of each chain prefix
 
 
-@dataclass(frozen=True)
-class GChains:
-    g_p: tuple  # value for P_q, q = 1..t-1 (empty when t <= 1)
-    g_z: tuple  # value for Z_l, l = 1..s
-    g_n: tuple  # value for N_i, i = 1..r
-
-
-def g_chain(cls: Classification, p: int, n: int) -> GChains:
-    """Descending product chain seeded at the top growing variable.
-
-    The value attached to a variable counts the tuples of later-sorted
-    exponents that break trail divisibility; each step consumes the
-    variable immediately above.  The chain runs P_t, ..., P_1, Z_1, ...,
-    Z_s, N_1, ..., N_r, so a variable's position in it is the number of
-    variables above it, and each weight is the variable's trail exponent.
-    """
+def g_chain(cls: Classification, p: int, n: int) -> tuple:
+    """Entry k - 1, the value of chain variable k + 1, counts the tuples of the
+    first k chain variables that the trail term does not divide (k = 1..m - 1):
+    `trail_complement_count` of that prefix, in the chain's order P_t, ...,
+    P_1, Z_1, ..., Z_s, N_1, ..., N_r of trail exponents."""
     if cls.t == 0:
         raise NotApplicableError("chain needs a growing variable")
     qq = PrimePower(p, n).q
-    t, s = cls.t, cls.s
     weights = [P.pmax for P in reversed(cls.pos)]
     weights += [z.zmin for z in cls.zero] + [N.nmin for N in cls.neg]
-    values, cur = [], 0  # values[k]: the value attached to chain entry k + 1
-    for above, w in enumerate(weights[:-1]):
-        cur = max(0, qq - w) * cur + min(w, qq) * qq**above
-        values.append(cur)
-    return GChains(
-        g_p=tuple(reversed(values[: t - 1])),
-        g_z=tuple(values[t - 1 : t - 1 + s]),
-        g_n=tuple(values[t - 1 + s :]),
-    )
+    return tuple(trail_complement_count(qq, weights[:k]) for k in range(1, cls.m))
 
 
 # ---------------------------------------------------------------------------

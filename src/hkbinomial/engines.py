@@ -31,32 +31,15 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Binomial, _literal, check_field, parse_binomial, render
+from .algebra import Binomial, _literal, check_field, decimal_str, parse_binomial, render
 from .classify import Classification, classify, classification_summary
-from .closedform import PiecewisePoly, hk_closed_form_tables, is_monomial_shape, mmax_params
+from .closedform import PiecewisePoly, _mmax_at, hk_closed_form_tables, is_monomial_shape
 from .closedform import trail_complement_count
 from .errors import DomainError, HKError, ParseError, ResourceError
 from .keycheck import hk_direct_count
 from .oracle import OracleReport, hk_oracle_report
 
 ENGINES = ("auto", "closed", "direct", "oracle")
-
-
-def decimal_str(x: int) -> str:
-    """str(x), or a ResourceError when x has more decimal digits than the
-    interpreter converts (`sys.get_int_max_str_digits`)."""
-    try:
-        return str(x)
-    except ValueError:  # int -> str raises it only for the digit limit
-        x = abs(x)
-        digits = int(math.log10(x)) + 1
-        digits += (x >= 10**digits) - (x < 10 ** (digits - 1))
-        limit = sys.get_int_max_str_digits()
-        raise ResourceError(
-            f"an integer of {digits} decimal digits is over the interpreter's limit of {limit}",
-            required=digits,
-            budget=limit,
-        ) from None
 
 
 def refuse_unwritable(m: int, p: int, n: int):
@@ -105,7 +88,7 @@ class HKReport:
     def mmax_params(self) -> tuple | None:
         """MmaxParams per shrinking variable on a closed report, else None; the
         closed value reads the same top scan bounds from the classification."""
-        return mmax_params(self.classification, self.p, self.n) if self.engine == "closed" else None
+        return _mmax_at(self.classification, self.q) if self.engine == "closed" else None
 
     @property
     def guard_notes(self) -> list:

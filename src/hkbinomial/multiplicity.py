@@ -13,11 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .algebra import Binomial, check_field
+from .algebra import Binomial, check_field, decimal_str
 from .classify import classify
 from .closedform import ceil_div, closed_form_at, is_monomial_shape, trail_complement_count
 from .errors import ContractError, DomainError, ResourceError
-from .engines import decimal_str
 
 WORK_BUDGET = 3 * 10**13  # hk_quasi_polynomial's most work: its period times a class's `unit`
 

@@ -7,7 +7,7 @@ quadratic-time version.  The library's piecewise-polynomial fold must
 give the same totals.  `phi_tables` runs the paper's chain recurrence
 for the block count, over P_t, ..., P_1 and then the zero variables,
 keeping every intermediate value: the library's product formula
-`_phi_value` is checked against it.  `phi_product` is a product form of
+`_phi_at` is checked against it.  `phi_product` is a product form of
 the block count written with the chain's minc, rest and h, and
 `g_complement` a product form of the g-chain values.
 `phi_closed_simple` is the block count's single formula in the simple
@@ -19,7 +19,7 @@ variable's drop and q.
 the `(delta, index)` sort key and the 1-based N_i, Z_i, P_q positions
 written out, which the library's one-pass `classify` must match.
 `closed_form_at_reference` is the closed body as it was composed before
-its fixed cost was cut: a lambda over `_phi_value` and `drop` per point,
+its fixed cost was cut: a lambda over `_phi_at(cls, q)` and `drop` per point,
 the cuts from `scan_cuts` as (rate, x) pairs, and `PiecewisePolyReference`,
 which builds its cut set from a generator and its differences by list
 comprehensions.  The library's `closed_form_at` must give the same value
@@ -33,8 +33,7 @@ from math import prod
 from hkbinomial.algebra import check_field
 from hkbinomial.classify import Classification, NegVar, PosVar, ZeroVar, classify
 from hkbinomial.closedform import (
-    MmaxParams, _newton, _phi_value, ceil_div, g_chain, is_monomial_shape, mmax_params,
-    trail_complement_count,
+    MmaxParams, _newton, _phi_at, ceil_div, is_monomial_shape, mmax_params, trail_complement_count,
 )
 from hkbinomial.errors import ContractError, DomainError, FormulaDomainError, NotApplicableError
 
@@ -103,21 +102,22 @@ def widths(prm: MmaxParams, qq: int):
 
 def levels_linear(cls, qq, params, p, n, naive=False, phis=None):
     """Integral vectors per shrinking level, outermost last; phis[M] is the
-    block count at scan bound M = 1..Vr, `_phi_value` at each when None."""
+    block count at scan bound M = 1..Vr, `_phi_at` at each when None."""
     r, s, t = cls.r, cls.s, cls.t
     V = [prm.top_value for prm in params]
     Vr = V[r - 1]
     if Vr < 1:
         raise FormulaDomainError("top scan bound below 1")
-    gch = g_chain(cls, p, n)
-    level = phis[Vr:0:-1] if phis else [_phi_value(Vr - j, cls, qq) for j in range(Vr)]
+    phi = _phi_at(cls, qq)
+    level = phis[Vr:0:-1] if phis else [phi(Vr - j) for j in range(Vr)]
     for i in range(2, r + 1):
         prm = params[i - 2]
         rec = cls.neg[i - 2]
         delta = Vr - V[i - 2]
         w = widths(prm, qq)
         L = len(w)
-        const = (rec.nmax - rec.nmin) * gch.g_n[i - 2] + rec.nmin * qq ** (s + t + i - 2)
+        g_n = g_complement(cls, p, n, "N", i - 1)
+        const = (rec.nmax - rec.nmin) * g_n + rec.nmin * qq ** (s + t + i - 2)
         if naive:
             level = [
                 sum(w[jp] * level[max(j, jp + delta)] for jp in range(L)) + const
@@ -137,7 +137,7 @@ def levels_linear(cls, qq, params, p, n, naive=False, phis=None):
             tail = suffix[tail_from] if tail_from <= L else 0
             new.append(stay * level[j] + tail + const)
         level = new
-    return level, gch, V
+    return level
 
 
 def hk_closed_form_linear(f, p, n, naive=False, phis=None):
@@ -148,10 +148,11 @@ def hk_closed_form_linear(f, p, n, naive=False, phis=None):
         raise NotApplicableError("the length is the trail complement count")
     params = mmax_params(cls, p, n)
     r, s, t = cls.r, cls.s, cls.t
-    level, gch, _ = levels_linear(cls, qq, params, p, n, naive=naive, phis=phis)
+    level = levels_linear(cls, qq, params, p, n, naive=naive, phis=phis)
     rec = cls.neg[r - 1]
     total = sum(w * level[jp] for jp, w in enumerate(widths(params[r - 1], qq)))
-    total += (rec.nmax - rec.nmin) * gch.g_n[r - 1] + rec.nmin * qq ** (s + t + r - 1)
+    g_n = g_complement(cls, p, n, "N", r)
+    total += (rec.nmax - rec.nmin) * g_n + rec.nmin * qq ** (s + t + r - 1)
     return total, level
 
 
@@ -336,7 +337,7 @@ def bracket_index(prm: MmaxParams, k: int, qq: int) -> int:
 def mmax_closed(A, cls: Classification, params, q) -> int:
     """Largest valid scan step count for A, as the minimum of per-variable
     bracket-table values.  Requires the lead term to divide A."""
-    qq = q.q if hasattr(q, "q") else int(q)
+    qq = q.q
     if any(a < e for a, e in zip(A, cls.lead_exps)):
         raise ContractError("the lead term does not divide the monomial")
     if any(a >= qq for a in A):
@@ -390,7 +391,7 @@ class PiecewisePolyReference:
 
 def closed_form_at_reference(cls: Classification, qq: int):
     """(value, by_bound) of `closedform.closed_form_at`, composed per point
-    through `_phi_value` and `drop`, with the cuts from `scan_cuts`."""
+    through `_phi_at(cls, q)` and `drop`, with the cuts from `scan_cuts`."""
     if is_monomial_shape(cls.lead_exps, cls.trail_exps, qq):
         return trail_complement_count(qq, cls.trail_exps), None
     factors = [(qq - N.b, N.a) for N in cls.neg]  # factor c - a*M at M
@@ -407,7 +408,7 @@ def closed_form_at_reference(cls: Classification, qq: int):
         return now - after
 
     by_bound = PiecewisePolyReference(
-        lambda x: _phi_value(x + 1, cls, qq) * drop(x + 1),
+        lambda x: _phi_at(cls, qq)(x + 1) * drop(x + 1),
         V, [x for _, x in scan_cuts(cls, qq)], cls.t + cls.r - 1,
     )
     past_lead = prod(qq - N.nmax for N in cls.neg)

@@ -105,7 +105,7 @@ def test_phi_value_equals_the_papers_chain_on_a_grid():
         fixed += cls.s > 0
         for Q in range(1, 17):
             for M in range(1, Q + 3):
-                assert closedform._phi_value(M, cls, Q) == phi_tables(M, cls, Q, 1).phi, (cls, Q, M)
+                assert closedform._phi_at(cls, Q)(M) == phi_tables(M, cls, Q, 1).phi, (cls, Q, M)
     assert fixed >= 30
 
 
@@ -143,9 +143,17 @@ def test_phi_errors():
         phi_recursive(0, classify(F1), 5, 1)
 
 
+def chain_kinds(cls):
+    """(kind, i) of the variable each g_chain entry is attached to, by
+    chain position: P_{t-1}, ..., P_1, Z_1, ..., Z_s, N_1, ..., N_r."""
+    return ([("P", i) for i in range(cls.t - 1, 0, -1)] + [("Z", i) for i in range(1, cls.s + 1)]
+            + [("N", i) for i in range(1, cls.r + 1)])
+
+
 def test_g_chain_collapsed_seed():
-    gch = g_chain(classify(F1), 5, 1)
-    assert gch.g_n == (2,)  # the seed passes straight through when t=1, s=0
+    cls = classify(F1)
+    gch = g_chain(cls, 5, 1)
+    assert gch[cls.t + cls.s - 1 :] == (2,)  # N_1: the seed passes straight through when t=1, s=0
 
 
 def test_g_chain_two_growing_variables():
@@ -156,9 +164,10 @@ def test_g_chain_two_growing_variables():
     q = 3
     p1max = cls.pos[0].pmax
     p2max = cls.pos[1].pmax
-    assert gch.g_p[0] == min(p2max, q)
-    assert gch.g_n[0] == (q - p1max) * gch.g_p[0] + p1max * q
-    assert gch.g_n[0] == g_complement(cls, 3, 1, "N", 1)
+    g_p1, g_n1 = gch[cls.t - 2], gch[cls.t + cls.s - 1]  # P_1 and N_1
+    assert g_p1 == min(p2max, q)
+    assert g_n1 == (q - p1max) * g_p1 + p1max * q
+    assert g_n1 == g_complement(cls, 3, 1, "N", 1)
 
 
 def test_g_chain_matches_complement(corpus_small):
@@ -168,12 +177,10 @@ def test_g_chain_matches_complement(corpus_small):
         if cls.t == 0:
             continue
         gch = g_chain(cls, p, n)
-        for kind, values in (("P", gch.g_p), ("Z", gch.g_z), ("N", gch.g_n)):
-            assert len(values) == {"P": cls.t - 1, "Z": cls.s, "N": cls.r}[kind]
-            expected = [g_complement(cls, p, n, kind, i) for i in range(1, len(values) + 1)]
-            assert list(values) == expected
-            if values:
-                kinds.add(kind)
+        assert len(gch) == cls.t + cls.s + cls.r - 1
+        attached = chain_kinds(cls)
+        assert list(gch) == [g_complement(cls, p, n, kind, i) for kind, i in attached]
+        kinds.update(kind for kind, _ in attached)
     assert kinds == {"P", "Z", "N"}
 
 
