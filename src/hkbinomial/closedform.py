@@ -283,7 +283,7 @@ def closed_form_at(cls: Classification, qq: int):
     by_bound = PiecewisePoly(summand, V, cuts, cls.t + cls.r - 1)
     rest = 1  # trail complement of the zero and growing variables
     for z in cls.zero:
-        rest *= qq - z.zmin if qq > z.zmin else 0
+        rest *= qq - z.zmin  # zmin is a lead exponent, < q past the shape test
     for P in cls.pos:
         rest *= qq - P.pmax if qq > P.pmax else 0
     lead_fails = qq ** (cls.s + cls.t) * (qq**cls.r - past_lead)  # less those the trail divides

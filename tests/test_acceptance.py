@@ -22,15 +22,15 @@ from hkbinomial import (
     hk_direct_count,
     hk_oracle,
     hk_quasi_polynomial,
+    member_scan,
     mmax_params,
     normalize,
     parse_binomial,
     phi_recursive,
 )
 from hkbinomial.classify import classify
-from tests.closedform_reference import mmax_closed, phi_closed_simple
+from tests.closedform_reference import phi_tables
 from tests.conftest import two_variable_binomials
-from tests.keycheck_reference import is_member
 from tests.multiplicity_reference import hk_multiplicity_1dim
 from tests.oracle_reference import build_relation_graph
 
@@ -91,9 +91,7 @@ def test_criterion_3_membership_reproduces_oracle_classes(corpus200):
         graph = build_relation_graph(f, q)
         survivors = 0
         for members, dead in graph.classes():
-            verdicts = [
-                is_member(_unrank(v, q.q, f.m), f, q).member for v in members
-            ]
+            verdicts = [member_scan(_unrank(v, q.q, f.m), f, q)[0].member for v in members]
             monomials += len(members)
             if dead:
                 assert all(verdicts), (f, p, n, members)
@@ -105,6 +103,9 @@ def test_criterion_3_membership_reproduces_oracle_classes(corpus200):
 
 
 def test_criterion_4_scan_bound_lemma(corpus200):
+    # the scan bound of A, the most trades M with A - M*lead + (M - 1)*trail >= 0,
+    # is min floor((A_i - b)/a) over the shrinking variables, and the top scan
+    # bound at A_i = q - 1
     checked = 0
     for f, p, n in corpus200:
         cls = classify(f)
@@ -113,15 +114,23 @@ def test_criterion_4_scan_bound_lemma(corpus200):
         except NotApplicableError:
             continue
         q = PrimePower(p, n)
-        for A in itertools.product(*[range(e, q.q) for e in f.lead.exps]):
-            assert mmax_closed(A, cls, params, q) == is_member(A, f, q).mmax_scanned
+        e2, e1 = f.lead.exps, f.trail.exps
+        for A in itertools.product(*[range(e, q.q) for e in e2]):
+            bound = min((A[prm.var - 1] - prm.b) // prm.a for prm in params)
+            assert member_scan(A, f, q)[0].mmax_scanned == bound, (f, p, n, A)
+            at, past = (min(a - M * x + (M - 1) * y for a, x, y in zip(A, e2, e1))
+                        for M in (bound, bound + 1))  # the least exponent after M trades
+            assert at >= 0 > past, (f, p, n, A)
+            if A == (q.q - 1,) * f.m:
+                assert bound == min(prm.top_value for prm in params), (f, p, n)
             checked += 1
     assert checked > 0
     print(f"\nPASS criterion 4: closed scan bound equals the scan on {checked} monomials")
 
 
 def test_criterion_5_phi_consistency(corpus200):
-    agree = guard_raises = 0
+    # the library's product formula for the block count is the paper's chain
+    agree = 0
     for f, p, n in corpus200:
         cls = classify(f)
         if cls.t == 0:
@@ -131,18 +140,10 @@ def test_criterion_5_phi_consistency(corpus200):
         except NotApplicableError:
             continue
         for M in range(1, min(prm.top_value for prm in params) + 1):
-            try:
-                simple = phi_closed_simple(M, cls, p, n)
-            except NotApplicableError:
-                guard_raises += 1
-                continue
-            assert simple == phi_recursive(M, cls, p, n), (f, p, n, M)
+            assert phi_recursive(M, cls, p, n) == phi_tables(M, cls, p, n).phi, (f, p, n, M)
             agree += 1
-    assert agree > 0 and guard_raises > 0
-    print(
-        f"\nPASS criterion 5: simple form agrees on {agree} bounds, "
-        f"guard raised cleanly {guard_raises} times"
-    )
+    assert agree > 0
+    print(f"\nPASS criterion 5: the product formula equals the paper's chain on {agree} bounds")
 
 
 def test_criterion_6_zero_difference_family():

@@ -29,14 +29,7 @@ from hkbinomial.classify import classify
 from hkbinomial.closedform import PiecewisePoly, closed_form_at, g_chain
 from hkbinomial.oracle import ORACLE_CAP
 from tests.conftest import random_binomials
-from tests.closedform_reference import (
-    closed_form_at_reference,
-    g_complement,
-    hk_closed_form_naive,
-    phi_closed_simple,
-    phi_product,
-    phi_tables,
-)
+from tests.closedform_reference import g_complement, phi_tables
 
 F1 = parse_binomial("x1^3 - x2^2", 5)
 
@@ -66,7 +59,7 @@ def test_phi_saturated_branch():
     f = parse_binomial("x1^4 - x2", 3)  # delta_P = 1, pmin = 0, a = 4
     cls = classify(f)
     # at q=3, minc = min(3-0, M*1): M = 3 saturates
-    assert phi_recursive(3, cls, 3, 1) == phi_product(3, cls, 3, 1)
+    assert phi_recursive(3, cls, 3, 1) == phi_tables(3, cls, 3, 1).phi
 
 
 def test_phi_chain_equals_product(corpus_small):
@@ -80,7 +73,6 @@ def test_phi_chain_equals_product(corpus_small):
             continue
         top = min(prm.top_value for prm in params)
         for M in range(1, top + 1):
-            assert phi_recursive(M, cls, p, n) == phi_product(M, cls, p, n)
             assert phi_recursive(M, cls, p, n) == phi_tables(M, cls, p, n).phi
 
 
@@ -107,32 +99,6 @@ def test_phi_value_equals_the_papers_chain_on_a_grid():
             for M in range(1, Q + 3):
                 assert closedform._phi_at(cls, Q)(M) == phi_tables(M, cls, Q, 1).phi, (cls, Q, M)
     assert fixed >= 30
-
-
-def test_phi_simple_guard_and_agreement(corpus_small):
-    seen_ok = 0
-    for f, p, n in corpus_small:
-        cls = classify(f)
-        if cls.t == 0:
-            continue
-        try:
-            params = mmax_params(cls, p, n)
-        except NotApplicableError:
-            continue
-        top = min(prm.top_value for prm in params)
-        for M in range(1, top + 1):
-            try:
-                v = phi_closed_simple(M, cls, p, n)
-            except NotApplicableError:
-                continue
-            assert v == phi_recursive(M, cls, p, n)
-            seen_ok += 1
-    assert seen_ok > 0
-
-
-def test_phi_simple_guard_fails_on_worked_instance():
-    with pytest.raises(NotApplicableError):
-        phi_closed_simple(1, classify(F1), 5, 1)
 
 
 def test_phi_errors():
@@ -206,15 +172,6 @@ def test_coordinate_line():
 def test_not_applicable_when_no_growth():
     with pytest.raises(NotApplicableError):
         hk_closed_form(parse_binomial("x1^3*x2 - x1*x2", 3), 3, 1)
-
-
-def test_prefix_assembly_equals_naive(corpus_small):
-    for f, p, n in corpus_small:
-        try:
-            a = hk_closed_form(f, p, n)
-        except NotApplicableError:
-            continue
-        assert a == hk_closed_form_naive(f, p, n)
 
 
 def test_monotone_sanity(corpus_small):
@@ -292,47 +249,6 @@ def test_phi_evaluations_do_not_depend_on_q(f, monkeypatch):
         # min(d + 1, length) points per piece, and its last point on a longer piece
         assert len(calls) == sum(min(d + 1, k) + (k > d + 1) for k in lengths), (n, lengths)
     assert counts[0] == counts[1] > 0
-
-
-def _reference_cases(seed, count):
-    """(cls, Q) for count seeded binomials, m = 2..8 and exponents 0..6:
-    half at Q = 1..40, where cuts fall inside [0, V), half at Q up to 2^20."""
-    rng = random.Random(seed)
-    out = [(classify(f), Q) for f in (M3_SHAPE, M4_SHAPE) for Q in range(1, 41)]
-    while len(out) < count:
-        m = rng.randint(2, 8)
-        lead, trail = (tuple(rng.randint(0, 6) for _ in range(m)) for _ in range(2))
-        try:
-            f = normalize(2, Term(1, lead), Term(1, trail))
-        except HKError:
-            continue
-        Q = rng.randint(1, 40) if len(out) % 2 else rng.randint(1, 2 ** rng.randint(6, 20))
-        out.append((classify(f), Q))
-    return out
-
-
-def test_closed_body_equals_the_reference_composition():
-    closed, inner, ms = 0, 0, set()
-    for cls, Q in _reference_cases(2029, 2400):
-        try:
-            expected = closed_form_at_reference(cls, Q)
-        except HKError as exc:
-            with pytest.raises(type(exc)) as raised:
-                closed_form_at(cls, Q)
-            assert str(raised.value) == str(exc), (cls, Q)
-            continue
-        value, by_bound = closed_form_at(cls, Q)
-        assert value == expected[0], (cls, Q)
-        if expected[1] is None:
-            assert by_bound is None, (cls, Q)
-            continue
-        ref = expected[1]
-        assert (by_bound.length, by_bound.starts, by_bound.diffs, by_bound.total) == (
-            ref.length, ref.starts, ref.diffs, ref.total), (cls, Q)
-        closed += 1
-        inner += len(by_bound.starts) > 2  # a cut inside (0, V - 1)
-        ms.add(cls.m)
-    assert closed >= 1500 and inner >= 250 and ms == set(range(2, 9)), (closed, inner, ms)
 
 
 def test_four_variable_value_at_5_14_is_fast():

@@ -9,10 +9,7 @@ shapes and equals both engines on a seeded subset of them, that permuting
 the variables or scaling the coefficients leaves every engine's value
 unchanged, that auto mode never enumerates, and that only the closed route
 classifies.  `is_monomial_shape`, which reads only exponents, is checked
-against the rule as the classification states it.  The closed form's
-piecewise-polynomial sum by scan bound is also checked against the O(q)
-list fold of `tests/closedform_reference.py`, and each of its terms
-against a count over the shrinking exponents.  On the 300 seeded
+against the rule as the classification states it.  On the 300 seeded
 `direct_cases`, auto `hk` equals the oracle and the direct count, and
 neither its engine nor its value changes under the drawn variable
 permutation or coefficient scaling.
@@ -21,9 +18,7 @@ permutation or coefficient scaling.
 import random
 from collections import Counter
 from functools import partial
-from itertools import accumulate
 
-import numpy as np
 import pytest
 
 from hkbinomial import (
@@ -38,13 +33,10 @@ from hkbinomial import (
     hk_closed_form,
     hk_direct_count,
     hk_oracle,
-    mmax_params,
     normalize,
-    parse_binomial,
 )
 from hkbinomial.classify import _classify
 from hkbinomial.closedform import hk_closed_form_tables, is_monomial_shape
-from tests.closedform_reference import hk_closed_form_linear, phi_product, scan_cuts
 from tests.conftest import direct_cases
 
 SEED = 20261018
@@ -53,19 +45,8 @@ DEGENERATE_COUNT = 200  # each is enumerated twice, so this sets the test's time
 CLOSED_COUNT = 2000
 ENUMERATED_CLOSED_COUNT = 120  # closed shapes also enumerated twice
 INVARIANCE_COUNT = 40  # of each shape; three forms, each enumerated twice
-LINEAR_MAX_N, LINEAR_MAX_Q = 8, 2 * 10**4
 MONOMIAL_REFUSAL = ("no growing variable, or a lead exponent is >= q: "
                     "the length is the trail complement count")
-# In the reference's level fold, an inner level of these changes formula
-# inside [0, Vr) (where a bracket width changes); about 1 random binomial in
-# 1000 is so.  The sum by scan bound must match the fold on them too.
-FOLD_CUT_CASES = [
-    ("x1^4*x2*x3*x4^7 + x1^3*x2^2*x3^2*x4^6", 3, 2),
-    ("x1^5*x2^6*x3^12 + x1^2*x2^7*x3^9*x4", 11, 3),
-    ("x1^6*x2^6*x3^3*x4^12 + x1^9*x3^7*x4^6", 7, 2),
-    ("x1^8*x3^5*x4^11*x5^4 + x1^9*x3^3*x4^9*x5^5", 3, 7),
-    ("x1^4*x2^10*x3^10*x4^11 + x1*x2^12*x3^11*x4^8", 2, 8),
-]
 
 
 def _grid(seed, degenerate_count, closed_count):
@@ -199,72 +180,6 @@ def test_values_invariant_under_permutation_and_scaling(grid):
         value = hk(f, p, n).value
         for g in (f, *_relabelled(f, rng)):
             assert hk(g, p, n).value == hk_direct_count(g, q) == hk_oracle(g, q) == value, (f, g)
-
-
-def test_piecewise_fold_equals_linear_fold(corpus200):
-    cases = [
-        (f, f.p, n)
-        for f in dict.fromkeys(f for f, _, _ in corpus200)
-        for n in range(1, LINEAR_MAX_N + 1)
-        if f.p**n <= LINEAR_MAX_Q and not is_monomial_shape(f.lead.exps, f.trail.exps, f.p**n)
-    ]
-    assert len(cases) > 500
-    cases += [(parse_binomial(poly, p), p, n) for poly, p, n in FOLD_CUT_CASES]
-    for f, p, n in cases:
-        cls, qq = classify(f), p**n
-        assert qq**f.m < 2**63  # every count below fits in numpy's int64
-        total, by_bound = hk_closed_form_tables(f, p, n)
-        phis = _phi_products(cls, p, n, max(prm.top_value for prm in mmax_params(cls, p, n)))
-        assert total == hk_closed_form_linear(f, p, n, phis=phis)[0], (f, p, n)
-        brute = _by_bound_brute(cls, qq, phis)
-        assert _values(by_bound) == brute and by_bound(len(brute) - 1) == brute[-1], (f, p, n)
-
-
-def _phi_products(cls, p, n, top):
-    """[0, phi_product(1), ..., phi_product(top)]: `phi_product` on the array
-    M = 1..top at once, checked against it at both ends and around each cut."""
-    qq = p**n
-    M = np.arange(1, top + 1)
-    prod_div = prod_rest = prod_h = 1
-    for P in cls.pos:
-        minc = np.minimum(qq - P.pmin, M * P.dp)
-        prod_div *= max(0, qq - P.pmin)
-        prod_rest = prod_rest * (qq - P.pmin - minc)
-        prod_h = prod_h * np.maximum(0, qq - minc - P.pmax)
-    S = (qq**cls.t - prod_div) + (prod_rest - prod_h)
-    for j, z in enumerate(cls.zero, 1):
-        S = S * (qq - z.zmin) + qq ** (cls.t + j - 1) * z.zmin
-    phis = [0] + S.tolist()
-    spots = {1, top} | {x + d for _, x in scan_cuts(cls, qq) for d in (0, 1, 2)}
-    for at in spots:
-        if 1 <= at <= top:
-            assert phis[at] == phi_product(at, cls, p, n), (cls, qq, at)
-    return phis
-
-
-def _by_bound_brute(cls, qq, phis):
-    """phis[M] times the shrinking tuples past the lead powers whose least
-    scan bound is M, for M = 1, 2, ... while any tuple has that bound.  The
-    tuples are counted one exponent at a time: a tuple's bounds are its
-    variables' bounds 1 + (e - nmax) // a, so at least M in every variable
-    is a product of per-variable counts."""
-    at_least = None
-    for N in cls.neg:
-        bound = 1 + (np.arange(N.nmax, qq) - N.nmax) // N.a  # each exponent's bound
-        top = np.append(np.cumsum(np.bincount(bound)[::-1])[::-1], 0)  # top[M]: bound >= M
-        at_least = top if at_least is None else at_least[: len(top)] * top[: len(at_least)]
-    return [phis[M] * d for M, d in enumerate((at_least[1:-1] - at_least[2:]).tolist(), 1)]
-
-
-def _values(poly):
-    """poly(x) at every x, each piece stepped from its forward differences."""
-    out = []
-    for lo, hi, diffs in zip(poly.starts, poly.starts[1:] + [poly.length], poly.diffs):
-        row = [diffs[-1]] * (hi - lo)
-        for d in reversed(diffs[:-1]):
-            row = list(accumulate(row[:-1], initial=d))
-        out += row
-    return out
 
 
 def test_auto_closed_and_oracle_agree_on_drawn_cases():

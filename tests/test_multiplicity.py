@@ -16,6 +16,7 @@ from hkbinomial import (
     Term,
     hk,
     hk_1dim,
+    hk_direct_count,
     hk_oracle,
     hk_quasi_polynomial,
     normalize,
@@ -110,6 +111,25 @@ def test_1dim_agrees_at_and_above_threshold():
             assert hk_1dim(f, p, n)[0] == hk(f, p, n).value
 
 
+def test_1dim_matches_direct_where_the_growing_variable_has_a_lead_power():
+    # where the growing variable divides the lead (pmin > 0), cmin, the scan
+    # bound from which the block count is pmin, and the widths past it move
+    rng = random.Random(20261020)
+    drawn = 0
+    while drawn < 100:
+        p = rng.choice((2, 3, 5, 7))
+        lead, trail = (tuple(rng.randint(0, 7) for _ in range(2)) for _ in range(2))
+        try:
+            f = normalize(p, Term(1, lead), Term(rng.randint(1, p - 1), trail))
+        except HKError:
+            continue
+        cls = classify(f)
+        if cls.t and cls.pos[0].pmin:
+            n = rng.randint(1, 4 if p < 5 else 2)
+            assert hk_1dim(f, p, n)[0] == hk_direct_count(f, PrimePower(p, n)), (f, p, n)
+            drawn += 1
+
+
 def test_estimate_worked_instance():
     # HK = 2q for every n; rates 3 and 2 give pi = ord_6(5) = 2
     qp = hk_quasi_polynomial(F1, 5)
@@ -197,6 +217,21 @@ def test_over_budget_refuses_before_evaluating(monkeypatch):
     assert time.perf_counter() - started < 0.1
     assert calls == []
     assert exc.value.budget == multiplicity.WORK_BUDGET < exc.value.required
+
+
+def test_work_budget_is_the_exact_price_of_the_classes(monkeypatch):
+    # x2^5 - x1^3 at p = 2: m = 2, bound 54, L = 15 and period 4; a class is
+    # priced (m + 1)(m + 40)(4000 + m * bits(54 + 15 * 4))^2, and 114 needs
+    # 7 bits where 54 + 15 * 5 would need 8
+    f, unit = parse_binomial("x2^5 - x1^3", 2), 3 * 42 * 4014**2
+    monkeypatch.setattr(multiplicity, "WORK_BUDGET", 4 * unit)
+    assert hk_quasi_polynomial(f, 2) == QuasiPolynomial(2, 2, 6, 4, ((0, 3),) * 4, Fraction(3))
+    # one unit less, and a budget the period search passes before it ends
+    for budget, required in ((4 * unit - 1, 4 * unit), (2 * unit, 3 * unit)):
+        monkeypatch.setattr(multiplicity, "WORK_BUDGET", budget)
+        with pytest.raises(ResourceError) as exc:
+            hk_quasi_polynomial(f, 2)
+        assert (exc.value.required, exc.value.budget) == (required, budget)
 
 
 def test_large_period_at_a_large_prime_answers():

@@ -48,12 +48,20 @@ dependency can be neither left undeclared nor declared after its last use.
 No file under `tests/` imports a `tests.test_*` module: pytest already
 imports each test file under its bare name, so such an import loads it a
 second time; what test files share lives in `conftest.py` or a reference
-module.
+module.  Every top-level name of a reference module (`tests/*_reference.py`,
+`tests/dense_rank.py`) is reached from a test file, directly or through
+another reached name, so a reference cannot outlive its tests.
+
+The mutation probe's list of accepted survivors is not stale: the probe's
+mutant generator (`tools/mutants.py`, read without running any test) is
+deterministic, and every entry of `tools/mutants_accepted.txt` names a
+mutant it still makes and gives a one-line reason.
 """
 
 import argparse
 import ast
 import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -329,3 +337,36 @@ def test_no_test_module_imports_another():
                 continue
             found += [f"{path.name}: {name}" for name in names if name.startswith("tests.test_")]
     assert found == [], f"test modules imported by other files: {found}"
+
+
+def test_every_reference_name_is_reached_from_a_test():
+    def used(node):
+        return {n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+
+    uses = {}  # (reference module, top-level name) -> the names its definition uses
+    for path in [*(ROOT / "tests").glob("*_reference.py"), ROOT / "tests" / "dense_rank.py"]:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            for target in getattr(node, "targets", [node]):
+                name = getattr(target, "name", getattr(target, "id", None))
+                if name:
+                    uses[path.stem, name] = used(node)
+    reached, grown = set(), set().union(*(used(ast.parse(path.read_text(encoding="utf-8")))
+                                          for path in (ROOT / "tests").glob("test_*.py")))
+    while grown != reached:  # what a reached name's definition uses is reached too
+        reached = grown
+        grown = reached.union(*(names for (_, name), names in uses.items() if name in reached))
+    unreached = sorted(f"{stem}.{name}" for stem, name in uses if name not in reached)
+    assert len(uses) > 10 and unreached == [], f"reference names no test reaches: {unreached}"
+
+
+def test_the_accepted_survivors_name_mutants_the_probe_still_makes():
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    probe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(probe)
+    names = [name for name, *_ in probe.mutants()]
+    assert names == [name for name, *_ in probe.mutants()] and len(set(names)) == len(names)
+    accepted = probe.accepted()  # name -> the reason on its line
+    stale = sorted(set(accepted) - set(names))
+    unexplained = sorted(name for name, reason in accepted.items() if not reason)
+    assert len(names) > 300 and stale == [] and unexplained == [], (stale, unexplained)
