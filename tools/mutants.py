@@ -17,7 +17,8 @@ writes the mutated function into the copy and runs every test file that
 calls that function, and every file that starts a subprocess (the profiler
 does not see into those), each in its own pytest process, one at a time,
 with a timeout of three times the file's clean time plus five seconds.
-Every failing test is recorded; a timeout is recorded as `<file>::timeout`.
+Every failing test is recorded; a timeout is recorded as `<file>::timeout`,
+and ends every process the file's run started.
 The one test that reads this list (SELF_CHECK) is not run: it reads the
 mutated source, so it would fail under any mutant that renames a survivor.
 That record, mutant -> failing tests, is the kill matrix, written to
@@ -31,7 +32,9 @@ saying why the mutant is equivalent or unreachable.  The exit status is
 
 import ast
 import json
+import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -150,10 +153,15 @@ def run_file(work, test_file, timeout):
     report.unlink(missing_ok=True)
     argv = [sys.executable, "-B", "-m", "pytest", "-q", "-p", "no:cacheprovider",
             f"--junitxml={report}", f"--deselect={SELF_CHECK}", test_file]
-    try:
-        subprocess.run(argv, cwd=work, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return [f"{test_file}::timeout"]
+    # a session of its own, so a timeout also ends the processes the tests
+    # started (a mutated demo that loops would otherwise outlive the probe)
+    with subprocess.Popen(argv, cwd=work, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                          start_new_session=True) as proc:
+        try:
+            proc.wait(timeout=timeout)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            return [f"{test_file}::timeout"]
     if not report.exists():  # pytest itself failed
         return [f"{test_file}::no-report"]
     return [f"{case.get('classname')}::{case.get('name')}" for case in ET.parse(report).iter("testcase")
