@@ -87,12 +87,14 @@ def _dump_json(payload, stream=None):
 
 def _jsonable(obj):
     """obj through dicts, lists and tuples, each int outside (-2^53, 2^53) by `decimal_str`."""
-    if isinstance(obj, dict):
+    kind = type(obj)  # read once: the payloads hold these exact types, no subclass
+    if kind is dict:
         return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if kind is list or kind is tuple:
         return [_jsonable(v) for v in obj]
-    inexact = type(obj) is int and not -JSON_INT_LIMIT < obj < JSON_INT_LIMIT
-    return decimal_str(obj) if inexact else obj
+    if kind is int and not -JSON_INT_LIMIT < obj < JSON_INT_LIMIT:
+        return decimal_str(obj)
+    return obj
 
 
 def _parse_range(text: str):

@@ -13,11 +13,15 @@ either side, and the relation graph is a disjoint union of paths along D.
 It has no cycle, so the scalars can never conflict and the count needs no
 weights: a class is a path, dead when any node on it is forced to zero.
 
-The edges and both kinds of kill are products of intervals, each built as
-a box mask with O(log q) shifts per coordinate.  Dead spreads along the
-paths by doubling, forward and then backward, in O(log q) whole-mask
-steps each way, and the report is read with popcounts.  A weighted
-union-find over the same relations serves the tests as a reference.
+Two masks of multipliers carry every relation: the u with u + e1 in the
+grid and the u with u + e2 in the grid, each a box from the origin built
+with O(log q) shifts per coordinate.  Their intersection is the edges and
+each one less the intersection is a kind of kill.  Since u + e stays in
+the grid, no exponent carries, so a shift by index(e) moves every such u
+to u + e.  Dead spreads along the paths by doubling, forward and then
+backward, in O(log q) whole-mask steps each way, and the report is read
+with popcounts.  A weighted union-find over the same relations serves the
+tests as a reference.
 """
 
 from __future__ import annotations
@@ -56,17 +60,18 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> 
             budget=node_cap,
         )
     e2, e1 = f.lead.exps, f.trail.exps
-    top = (qq,) * f.m
-    # edges by their trail end y = u + e1: the lead end y + e2 - e1 survives too
-    starts = _box(e1, [min(qq, qq - a + b) for a, b in zip(e2, e1)], qq)
-    # a box with the same lower corner and no higher upper corner lies inside
-    # the first, so x ^ y is x & ~y, with no negative int
-    dead = _box(e1, top, qq) ^ starts  # only the trail end survives
-    dead |= _box(e2, top, qq) ^ _box(e2, [min(qq, qq - b + a) for a, b in zip(e2, e1)], qq)
-    step = node_index(e2, qq) - node_index(e1, qq)
-    if step < 0:  # orient every edge toward the higher index
-        step = -step
-        starts >>= step
+    # the multipliers u that keep u + e1, resp. u + e2, in the grid: the
+    # shift u * f is an edge when both ends are in and a kill when one is
+    trail_in = _box([qq - a for a in e1], qq)
+    lead_in = _box([qq - a for a in e2], qq)
+    both = trail_in & lead_in
+    # a shift by index(e) adds e to every such u, with no exponent carry;
+    # both lies inside each, so x ^ both is x & ~both, with no negative int
+    i1, i2 = node_index(e1, qq), node_index(e2, qq)
+    dead = (trail_in ^ both) << i1 | (lead_in ^ both) << i2
+    # each edge by its lower end, oriented toward the higher index
+    starts, step = both << min(i1, i2), abs(i2 - i1)
+    del trail_in, lead_in, both  # held through the doubling, they would raise its peak memory
     # spans[k]: (the nodes with 2^k edges ahead on their path, 2^k * step);
     # no path has q edges, so there are at most ceil(log2 q) + 1 rounds
     spans = []
@@ -88,16 +93,14 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> 
     )
 
 
-def _box(lo, hi, qq: int) -> int:
-    """Mask of the nodes A with lo[i] <= A[i] < hi[i] for every i."""
-    a, b = lo[-1], hi[-1]
-    if a >= b:
+def _box(hi, qq: int) -> int:
+    """Mask of the nodes A with A[i] < hi[i] for every i: a box from the
+    origin, empty when some hi[i] <= 0.  Each hi[i] is at most q."""
+    if min(hi) <= 0:
         return 0
-    mask, width = ((1 << (b - a)) - 1) << a, qq  # the last coordinate's run
-    for a, b in zip(reversed(lo[:-1]), reversed(hi[:-1])):
-        if a >= b:
-            return 0
-        mask = _repeat(mask, width, b - a) << (a * width)
+    mask, width = (1 << hi[-1]) - 1, qq  # the last coordinate's run
+    for b in reversed(hi[:-1]):
+        mask = _repeat(mask, width, b)
         width *= qq
     return mask
 

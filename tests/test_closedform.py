@@ -62,20 +62,6 @@ def test_phi_saturated_branch():
     assert phi_recursive(3, cls, 3, 1) == phi_tables(3, cls, 3, 1).phi
 
 
-def test_phi_chain_equals_product(corpus_small):
-    for f, p, n in corpus_small:
-        cls = classify(f)
-        if cls.t == 0:
-            continue
-        try:
-            params = mmax_params(cls, p, n)
-        except NotApplicableError:
-            continue
-        top = min(prm.top_value for prm in params)
-        for M in range(1, top + 1):
-            assert phi_recursive(M, cls, p, n) == phi_tables(M, cls, p, n).phi
-
-
 def test_phi_value_equals_the_papers_chain_on_a_grid():
     # every integer Q, including Q at or below an exponent, and M past the top scan bound
     rng = random.Random(20261019)

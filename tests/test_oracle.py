@@ -1,5 +1,7 @@
+import math
 import random
 import time
+import tracemalloc
 
 import pytest
 
@@ -15,6 +17,7 @@ from hkbinomial import (
     normalize,
     parse_binomial,
 )
+from hkbinomial import oracle
 from hkbinomial.oracle import node_index
 from tests.conftest import EDGE_SHAPES, random_binomials
 from tests.dense_rank import dense_rank_length
@@ -195,7 +198,10 @@ def test_report_equals_reference(corpus200, corpus_small):
         ), position
 
 
-@pytest.mark.parametrize("poly,p,n", [("x1^5 - x2^3", 31, 2), ("x1*x2^2*x3 - x4^3", 31, 1)])
+LARGE = [("x1^5 - x2^3", 31, 2), ("x1*x2^2*x3 - x4^3", 31, 1)]  # 923,521 nodes each
+
+
+@pytest.mark.parametrize("poly,p,n", LARGE)
 def test_report_at_923521_nodes_is_fast(poly, p, n):
     f = parse_binomial(poly, p)
     q = PrimePower(p, n)
@@ -207,3 +213,34 @@ def test_report_at_923521_nodes_is_fast(poly, p, n):
         elapsed.append(time.perf_counter() - start)
     assert min(elapsed) < 0.1, elapsed
     assert rep.length == hk_direct_count(f, q)
+
+
+def test_report_builds_two_multiplier_masks(corpus_small, monkeypatch):
+    calls = [0]
+    box = oracle._box
+
+    def counted(hi, qq):
+        calls[0] += 1
+        return box(hi, qq)
+
+    monkeypatch.setattr(oracle, "_box", counted)
+    for f, p, n in corpus_small:
+        calls[0] = 0
+        hk_oracle_report(f, PrimePower(p, n))
+        assert calls[0] == 2, (f, p, n)
+
+
+@pytest.mark.parametrize("poly,p,n", LARGE)
+def test_report_at_923521_nodes_holds_few_masks(poly, p, n):
+    # a mask is ceil(nodes / 8) bytes; the doubling holds its ceil(log2 q) + 1
+    # spans, dead and two temporaries, and no multiplier mask outlives it
+    f = parse_binomial(poly, p)
+    q = PrimePower(p, n)
+    mask = math.ceil(q.q**f.m / 8)
+    tracemalloc.start()
+    try:
+        hk_oracle_report(f, q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (math.ceil(math.log2(q.q)) + 4) * mask, peak / mask
