@@ -65,7 +65,6 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> 
     trail_in = _box([qq - a for a in e1], qq)
     lead_in = _box([qq - a for a in e2], qq)
     both = trail_in & lead_in
-    # a shift by index(e) adds e to every such u, with no exponent carry;
     # both lies inside each, so x ^ both is x & ~both, with no negative int
     i1, i2 = node_index(e1, qq), node_index(e2, qq)
     dead = (trail_in ^ both) << i1 | (lead_in ^ both) << i2
