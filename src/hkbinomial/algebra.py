@@ -46,12 +46,12 @@ def is_prime(p: int) -> bool:
     d = (p - 1) >> s
     for b in MR_BASES:
         x = pow(b, d, p)
-        if x == 1 or x == p - 1:
+        if x == 1:
             continue
-        for _ in range(s - 1):
-            x = x * x % p
+        for _ in range(s):  # x^(2^k) for k < s: one of them is p - 1 when p is prime
             if x == p - 1:
                 break
+            x = x * x % p
         else:
             return False
     return True
@@ -208,6 +208,18 @@ def decimal_str(x: int) -> str:
         ) from None
 
 
+MAX_VARS = 14285  # the most m at which 2^(m-1), Kunz's bound on HK at q = 2, has <= 4300 digits
+
+
+def _refuse_many_vars(m: int):
+    """ResourceError past MAX_VARS variables, before any vector of m entries is
+    built.  At the interpreter's default digit limit, `engines.refuse_unwritable`
+    refuses every hk, table and check input past it at every p and n."""
+    if m > MAX_VARS:
+        raise ResourceError(f"{decimal_str(m)} variables, over the limit of {MAX_VARS}",
+                            m, MAX_VARS)
+
+
 def _parse_term(chunk: str, sign: int):
     """Parse one signed term into (coeff, {var_index: exp}), matching each
     factor once."""
@@ -228,7 +240,11 @@ def _parse_term(chunk: str, sign: int):
         idx = _literal(var)
         if idx < 1:
             raise ParseError(f"variables are 1-indexed, got x{idx}")
-        exps[idx] = exps.get(idx, 0) + (_literal(exp) if exp else 1)
+        e = _literal(exp) if exp else 1
+        if idx in exps:  # like factors: their sum is refused as a literal that long is
+            e += exps[idx]
+            decimal_str(e)
+        exps[idx] = e
     return coeff, exps
 
 
@@ -262,6 +278,7 @@ def parse_binomial(text: str, p: int, num_vars: int | None = None) -> Binomial:
     m = num_vars if num_vars is not None else max_var
     if m < 1:
         raise ParseError("no variables found")
+    _refuse_many_vars(m)
     if max_var > m:
         raise ParseError(f"variable x{max_var} exceeds declared count {m}")
     combined = {}
@@ -288,7 +305,7 @@ def render_term(t: Term) -> str:
     for i, e in enumerate(t.exps):
         if e == 1:
             facs.append(f"x{i + 1}")
-        elif e > 1:
+        elif e:
             facs.append(f"x{i + 1}^{e}")
     if t.coeff != 1:
         facs.insert(0, str(t.coeff))
@@ -314,11 +331,12 @@ def parse_monomial(text: str, num_vars: int | None = None) -> tuple:
                 f"expected {num_vars} exponents, got {len(vec)}"
             )
         return vec
-    coeff, exps = _parse_term(s, 1)
+    coeff, exps = _parse_term(s, 1)  # has a variable: a lone integer is the list form above
     if coeff != 1:
         raise ParseError("a monomial must not carry a coefficient")
-    max_var = max(exps) if exps else 0
+    max_var = max(exps)
     m = num_vars if num_vars is not None else max_var
+    _refuse_many_vars(m)
     if max_var > m:
         raise ParseError(f"variable x{max_var} exceeds declared count {m}")
     return tuple(exps.get(i, 0) for i in range(1, m + 1))

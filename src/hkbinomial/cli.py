@@ -252,7 +252,7 @@ def run(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_USAGE
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE  # --help, or argparse's error
     try:
         return _HANDLERS[args.command](args)
     except ResourceError as exc:

@@ -46,14 +46,15 @@ def refuse_unwritable(m: int, p: int, n: int):
     """Refuse before computing, whatever the engine, when Kunz's bound
     HK(q) >= q^(m-1), or q itself for m = 1 (which a trace passes: its scan
     writes exponents >= q), has more decimal digits than the interpreter converts.
-    Since log10(2) < 1/3, q^power has at most limit digits whenever
-    3*(limit - 1) >= n*power*bits(p), which needs no logarithm."""
+    Since p < 2^bits(p) and 3*log10(2) < 0.91, q^power has at most limit
+    digits whenever 3*limit >= n*power*bits(p), which needs no logarithm
+    (a limit other than 0 is at least 640)."""
     limit, power = sys.get_int_max_str_digits(), max(m - 1, 1)
-    if limit == 0 or 3 * (limit - 1) >= n * power * p.bit_length():
+    if limit == 0 or 3 * limit >= n * power * p.bit_length():
         return
     below_log10_p = Fraction(math.log10(p)) * (1 - Fraction(1, 10**12))  # past float error
     digits = math.floor(n * power * below_log10_p) + 1
-    if 0 < limit < digits:
+    if digits > limit:  # a limit of 0, none, has returned above
         subject, bound = ("q", "") if m == 1 else ("the value", f" (HK(q) >= q^{power})")
         raise ResourceError(f"{subject} has at least {digits} decimal digits{bound}, over the "
                             f"interpreter's limit of {limit}", digits, limit)

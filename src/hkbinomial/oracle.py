@@ -82,6 +82,7 @@ def hk_oracle_report(f: Binomial, q: PrimePower, node_cap: int = ORACLE_CAP) -> 
         reach *= 2
     for span, reach in spans:
         dead |= span & (dead >> reach)
+    del spans, span  # the report reads none of them
     heads = ((1 << nodes) - 1) ^ (dead | starts << step)  # live, no incoming edge (all in the grid)
     return OracleReport(
         length=heads.bit_count(),

@@ -1,4 +1,5 @@
 import itertools
+import sys
 import time
 
 import pytest
@@ -77,6 +78,8 @@ def test_normalize_tie_break():
 def test_normalize_zero_coefficient():
     with pytest.raises(ZeroCoefficientError):
         normalize(5, Term(5, (2, 0)), Term(1, (0, 1)))
+    with pytest.raises(ZeroCoefficientError):  # a Binomial takes residues only: 5 is not one
+        Binomial(5, 2, Term(5, (2, 0)), Term(1, (0, 1)))
 
 
 def test_normalize_degenerate_and_constant():
@@ -159,6 +162,15 @@ def test_parse_errors():
 def test_parse_render_round_trip():
     for f, _, _ in random_binomials(99, 40):
         assert parse_binomial(render(f), f.p, f.m) == f
+
+
+def test_a_literal_past_the_digit_limit_parses_when_there_is_no_limit():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert parse_binomial(f"x1^{'9' * 5000} - x2", 5).lead.exps == (10**5000 - 1, 0)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_parse_monomial_forms():

@@ -12,41 +12,15 @@ from pathlib import Path
 import pytest
 
 from hkbinomial import cli, closedform, engines, hk, multiplicity, parse_binomial, render
+from hkbinomial.algebra import MAX_VARS
 from hkbinomial.closedform import hk_closed_form_tables
+from hkbinomial.errors import ResourceError
 
 
 def run_cli(capsys, argv):
     code = cli.run(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_hk_plain(capsys):
-    code, out, _ = run_cli(capsys, ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1"])
-    assert code == 0
-    assert out.strip() == "10"
-
-
-def test_hk_json_value_is_string(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "8", "--format", "json"],
-    )
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["data"]["value"] == "781250"
-    assert payload["data"]["engine"] == "closed"
-    assert "timing" in payload
-
-
-def test_hk_json_deterministic(capsys):
-    argv = ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "2", "--format", "json"]
-    _, out1, _ = run_cli(capsys, argv)
-    _, out2, _ = run_cli(capsys, argv)
-    a, b = json.loads(out1), json.loads(out2)
-    a.pop("timing")
-    b.pop("timing")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_hk_verbose_level_top_is_piecewise(capsys):
@@ -194,6 +168,7 @@ def test_resource_exit_code(capsys):
 
 def test_usage_error(capsys):
     assert cli.run(["hk", "--poly", "x1 - x2"]) == 2  # missing --p/--n
+    assert cli.run(["hk", "--help"]) == 0
     capsys.readouterr()
 
 
@@ -425,7 +400,7 @@ BIG_P, BIG_E = 10**18 + 3, 2**53 + 1  # p > 2^53 makes q and HK large; an expone
          "--verbose"],
         ["table", "--poly", "x1^3 - x2^2", "--p", str(BIG_P), "--n-range", "1..2"],
         ["mult", "--poly", "x1^3 - x2^2", "--p", str(BIG_P)],
-        ["classify", "--poly", f"x1^{BIG_E}*x2 - x2^2", "--p", "5"],
+        ["classify", "--poly", f"x1^{2**53}*x2 - x2^2", "--p", "5"],  # a delta of -2^53
         ["trace", "--poly", "x1^3 - x2^2", "--p", str(BIG_P), "--n", "1",
          "--monomial", f"{3 * 2**53},2"],
         ["check"],
@@ -450,42 +425,71 @@ def test_every_json_int_survives_a_double(tmp_path, capsys, argv):
     else:
         assert code == 0
     assert [x for x in _ints(payload) if not -(2**53) < x < 2**53] == []
-    assert any(f'"{big}"' in out for big in (BIG_P, BIG_E, 3 * 2**53))  # as a string
+    assert any(f'"{big}"' in out for big in (BIG_P, BIG_E, 2**53, 3 * 2**53))  # as a string
 
 
 LONG = "9" * (sys.get_int_max_str_digits() + 100)  # one literal int() refuses to convert
+NINES = "9" * sys.get_int_max_str_digits()  # the longest it converts: plus 1, one digit more
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, digits",
     [
-        ["hk", "--poly", f"{LONG}*x1 - x2", "--p", "5", "--n", "1"],
-        ["table", "--poly", f"x{LONG} - x2", "--p", "5", "--n-range", "1..1"],
-        ["mult", "--poly", f"x1^{LONG}*x2 - x2^2", "--p", "5"],
-        ["classify", "--poly", f"x1^{LONG}*x2 - x2^2", "--p", "5"],
-        ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", f"4,{LONG}"],
-        ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", f"x1^{LONG}"],
-        ["check"],
+        (["hk", "--poly", f"{LONG}*x1 - x2", "--p", "5", "--n", "1"], len(LONG)),
+        (["table", "--poly", f"x{LONG} - x2", "--p", "5", "--n-range", "1..1"], len(LONG)),
+        (["mult", "--poly", f"x1^{LONG}*x2 - x2^2", "--p", "5"], len(LONG)),
+        (["classify", "--poly", f"x1^{LONG}*x2 - x2^2", "--p", "5"], len(LONG)),
+        (["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", f"4,{LONG}"],
+         len(LONG)),
+        (["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", f"x1^{LONG}"],
+         len(LONG)),
+        (["check", f"x1^{LONG}*x2 - x2^2"], len(LONG)),
+        # like factors: each literal converts, their sum does not
+        (["classify", "--poly", f"x1^{NINES}*x1 - x2", "--p", "5"], len(NINES) + 1),
+        (["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", f"x1^{NINES}*x1"],
+         len(NINES) + 1),
+        (["check", f"x1^{NINES}*x1 - x2"], len(NINES) + 1),
     ],
     ids=["coefficient", "variable", "exponent", "classify", "monomial-list", "monomial",
-         "check"],
+         "check", "like-factors", "like-factors-monomial", "like-factors-check"],
 )
-def test_over_long_integer_literal_is_a_resource_error(tmp_path, capsys, argv):
-    # int() raises a bare ValueError past the interpreter's digit limit: a traceback
-    prefix = ""
-    if argv == ["check"]:
+def test_over_long_integer_literal_is_a_resource_error(tmp_path, capsys, argv, digits):
+    # int() and str() raise a bare ValueError past the interpreter's digit limit: a traceback
+    prefix, limit = "", sys.get_int_max_str_digits()
+    if argv[0] == "check":
         corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps({"poly": f"x1^{LONG}*x2 - x2^2", "p": 5, "n": 1}) + "\n")
-        argv, prefix = argv + ["--corpus", str(corpus)], f"{corpus}:1: bad corpus entry: "
-    message = f"{prefix}an integer literal of {len(LONG)} decimal digits is over the interpreter's"
+        corpus.write_text(json.dumps({"poly": argv[1], "p": 5, "n": 1}) + "\n")
+        argv, prefix = ["check", "--corpus", str(corpus)], f"{corpus}:1: bad corpus entry: "
+    literal = "literal " if digits == len(LONG) else ""
+    message = f"{prefix}an integer {literal}of {digits} decimal digits is over the interpreter's"
     code, out, err = run_cli(capsys, argv + ["--format", "json"])
     error = json.loads(err)["error"]
     assert (code, out, error["type"]) == (3, "", "ResourceError")
-    assert (error["required"], error["budget"]) == (len(LONG), sys.get_int_max_str_digits())
-    assert error["message"].startswith(message)
+    assert (error["required"], error["budget"]) == (digits, limit)
+    assert error["message"] == f"{message} limit of {limit}"
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (3, "")
-    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+    assert err == f"error: {message} limit of {limit}\n"
+
+
+def test_variable_count_past_max_vars_is_refused_before_any_vector(capsys):
+    # the first took 16.7 s and 2.5 GB before the bound: the most variables whose
+    # Kunz bound hk, table and check can write at q = 2, so none of them answers past it
+    argvs = [["classify", "--poly", "x1^2 - x3000000", "--p", "5"],
+             ["trace", "--poly", "x1^2 - x2", "--vars", "3000000", "--p", "5", "--n", "1",
+              "--monomial", "1,1"],
+             ["mult", "--poly", f"x1^2 - x{MAX_VARS + 1}", "--p", "5"]]
+    for argv in argvs:
+        started = time.perf_counter()
+        code, out, err = run_cli(capsys, argv + ["--format", "json"])
+        assert time.perf_counter() - started < 0.25
+        error = json.loads(err)["error"]
+        assert (code, out, error["type"], error["budget"]) == (3, "", "ResourceError", MAX_VARS)
+        assert error["message"] == f"{error['required']} variables, over the limit of {MAX_VARS}"
+    assert parse_binomial(f"x1 - x{MAX_VARS}", 2).m == MAX_VARS
+    engines.refuse_unwritable(MAX_VARS, 2, 1)
+    with pytest.raises(ResourceError):
+        engines.refuse_unwritable(MAX_VARS + 1, 2, 1)
 
 
 def _key_paths(obj, path=""):
@@ -626,9 +630,10 @@ def test_check_entry_with_one_value_is_unchecked(tmp_path, capsys, fmt, poly, n,
 
 
 def test_check_names_each_verdict_on_a_mixed_corpus(tmp_path, capsys, monkeypatch):
-    # direct is off by one at p = 3 only, so one line is a mismatch and one agrees
+    # direct is off by one at p = 3 only, so one line agrees and two are mismatches,
+    # the last with two values: q^m = 3^14 is over the oracle's budget
     lines = [(poly, 5, n) for poly, n, _, _ in UNCHECKED_LINES]
-    lines += [("x1^3 - x2^2", 5, 1), ("x1^3*x2 - x1*x2", 3, 1)]
+    lines += [("x1^3 - x2^2", 5, 1), ("x1^3*x2 - x1*x2", 3, 1), ("x1^3 - x2^2", 3, 7)]
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text("".join(json.dumps({"poly": a, "p": p, "n": n}) + "\n" for a, p, n in lines))
     real = engines.hk_direct_count
@@ -640,13 +645,14 @@ def test_check_names_each_verdict_on_a_mixed_corpus(tmp_path, capsys, monkeypatc
     code, out, _ = run_cli(capsys, ["check", "--corpus", str(corpus)])
     assert code == 1
     *rows, total = out.splitlines()
-    assert [row.split()[0] for row in rows] == ["UNCHECKED", "UNCHECKED", "ok", "MISMATCH"]
-    assert total == "4 instances, all_agree=False"
+    assert [row.split()[0] for row in rows] == [
+        "UNCHECKED", "UNCHECKED", "ok", "MISMATCH", "MISMATCH"]
+    assert total == "5 instances, all_agree=False"
     code, out, _ = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", "json"])
     entries = json.loads(out)["data"]
     assert code == 1
     assert [(e["agree"], len(e["values"])) for e in entries] == [
-        (False, 1), (False, 1), (True, 3), (False, 3)]
+        (False, 1), (False, 1), (True, 3), (False, 3), (False, 2)]
 
 
 _BASE_ARGV = {

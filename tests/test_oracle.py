@@ -233,7 +233,8 @@ def test_report_builds_two_multiplier_masks(corpus_small, monkeypatch):
 @pytest.mark.parametrize("poly,p,n", LARGE)
 def test_report_at_923521_nodes_holds_few_masks(poly, p, n):
     # a mask is ceil(nodes / 8) bytes; the doubling holds its ceil(log2 q) + 1
-    # spans, dead and two temporaries, and no multiplier mask outlives it
+    # spans and dead, no multiplier mask outlives it and no span the backward
+    # pass: peaks of 10.3 and 6.9 masks here (11.4 and 8.0 with the spans kept)
     f = parse_binomial(poly, p)
     q = PrimePower(p, n)
     mask = math.ceil(q.q**f.m / 8)
@@ -243,4 +244,4 @@ def test_report_at_923521_nodes_holds_few_masks(poly, p, n):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= (math.ceil(math.log2(q.q)) + 4) * mask, peak / mask
+    assert peak <= (math.ceil(math.log2(q.q)) + 2) * mask, peak / mask
