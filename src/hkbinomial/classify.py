@@ -22,11 +22,10 @@ from .algebra import Binomial
 
 @dataclass(frozen=True)
 class NegVar:
-    """A shrinking variable: a = -delta > 0, b = its minimum power."""
+    """A shrinking variable: a = -delta > 0, nmin = its minimum power."""
 
     var: int  # original 1-based variable index
     a: int
-    b: int
     nmin: int
     nmax: int
 
@@ -34,8 +33,7 @@ class NegVar:
 @dataclass(frozen=True)
 class ZeroVar:
     var: int
-    zmin: int
-    zmax: int
+    zmin: int  # its power in both terms
 
 
 @dataclass(frozen=True)
@@ -84,11 +82,11 @@ def _classify(e2: tuple, e1: tuple) -> Classification:
     for i in order:  # ascending delta; N_i and Z_i count down from the zero block
         d = delta[i]
         if d < 0:
-            neg.append(NegVar(i + 1, -d, e1[i], e1[i], e2[i]))
+            neg.append(NegVar(i + 1, -d, e1[i], e2[i]))
         elif d:
             pos.append(PosVar(i + 1, d, e2[i], e1[i]))
         else:
-            zero.append(ZeroVar(i + 1, e1[i], e1[i]))
+            zero.append(ZeroVar(i + 1, e1[i]))
     neg.reverse()
     zero.reverse()
     return Classification(len(e2), len(neg), len(zero), len(pos), tuple(order),
@@ -105,10 +103,10 @@ def classification_summary(cls: Classification) -> dict:
         "perm": [i + 1 for i in cls.perm],
         "delta": list(cls.delta),
         "neg": [
-            {"var": f"x{v.var}", "a": v.a, "b": v.b, "nmin": v.nmin, "nmax": v.nmax}
+            {"var": f"x{v.var}", "a": v.a, "b": v.nmin, "nmin": v.nmin, "nmax": v.nmax}
             for v in cls.neg
         ],
-        "zero": [{"var": f"x{v.var}", "zmin": v.zmin, "zmax": v.zmax} for v in cls.zero],
+        "zero": [{"var": f"x{v.var}", "zmin": v.zmin, "zmax": v.zmin} for v in cls.zero],
         "pos": [
             {"var": f"x{v.var}", "dp": v.dp, "pmin": v.pmin, "pmax": v.pmax}
             for v in cls.pos

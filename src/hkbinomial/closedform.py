@@ -79,7 +79,7 @@ def _mmax_at(cls: Classification, qq: int) -> tuple:
             raise NotApplicableError(f"q = {qq} does not exceed the max power {rec.nmax} "
                                      f"of x{rec.var}")
     return tuple(
-        MmaxParams(rec.var, rec.a, rec.b, (qq - 1 - rec.b) // rec.a)
+        MmaxParams(rec.var, rec.a, rec.nmin, (qq - 1 - rec.nmin) // rec.a)
         for rec in cls.neg
     )
 

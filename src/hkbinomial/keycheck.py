@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from math import prod
 
-from .algebra import Binomial, PrimePower, require_field
+from .algebra import Binomial, PrimePower, decimal_str, require_field
 from .errors import ContractError, DomainError, ResourceError
 
 # hk_direct_count's default budget on q^m, the monomials it counts.  It is a
@@ -27,6 +27,8 @@ from .errors import ContractError, DomainError, ResourceError
 # bound top <= q: past it `check` skips the direct engine and `--engine
 # direct` refuses.
 ENUM_CAP = 10**7
+# member_scan's budget on the steps it keeps, so `hkb trace` holds O(m*TRACE_CAP)
+TRACE_CAP = 10**5
 
 
 def _check_standard(A, q: PrimePower):
@@ -66,15 +68,22 @@ def member_scan(A, f: Binomial, q: PrimePower):
     reaches q).  Each step is (M, intermediate, candidate, convergent) with
     exponent vectors in the original variable frame.  A trail member has
     no steps, a mutation member `witness_m` and a non-member `mmax_scanned`.
+    A scan of more than TRACE_CAP steps is refused before it starts.
     Used by the trace front end and as the reference implementation in tests.
     """
     require_field(f, q.p)
     _check_standard(A, q)
     e2, e1 = f.lead.exps, f.trail.exps
-    bound = _lead_scan_bound(A, e2, tuple(b - a for a, b in zip(e2, e1)))
+    delta = tuple(b - a for a, b in zip(e2, e1))
+    bound = _lead_scan_bound(A, e2, delta)
     steps = []
     if all(a >= e for a, e in zip(A, e1)):
         return MembershipResult(True, "trail", None, bound), steps
+    # the scan bound, or the first M at which a growing exponent reaches q
+    taken = min([bound, *(-((a - q.q) // d) for a, d in zip(A, delta) if d > 0)])
+    if taken > TRACE_CAP:
+        raise ResourceError(f"the scan takes {decimal_str(taken)} steps, over the limit of {TRACE_CAP}",
+                            required=taken, budget=TRACE_CAP)
     cand = A
     for M in range(1, bound + 1):
         inter = tuple(v - e for v, e in zip(cand, e2))

@@ -48,7 +48,7 @@ def hk_1dim(f: Binomial, p: int, n: int):
         return trail_complement_count(qq, f.trail.exps), label
     neg, pos = cls.neg[0], cls.pos[0]
     a, dp = neg.a, pos.dp
-    V, E = divmod(qq - 1 - neg.b, a)
+    V, E = divmod(qq - 1 - neg.nmin, a)
     K = qq - neg.nmax
 
     def widths_upto(x):  # total bracket width for offsets 0..x

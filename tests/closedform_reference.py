@@ -32,11 +32,11 @@ def classify_reference(f) -> Classification:
     for i in range(1, r + 1):
         orig = order[r - i]
         lo, hi = min(e1[orig], e2[orig]), max(e1[orig], e2[orig])
-        neg.append(NegVar(var=orig + 1, a=-delta_orig[orig], b=lo, nmin=lo, nmax=hi))
+        neg.append(NegVar(var=orig + 1, a=-delta_orig[orig], nmin=lo, nmax=hi))
     zero = []
     for i in range(1, s + 1):
         orig = order[r + s - i]
-        zero.append(ZeroVar(var=orig + 1, zmin=e1[orig], zmax=e1[orig]))
+        zero.append(ZeroVar(var=orig + 1, zmin=e1[orig]))
     pos = []
     for q in range(1, t + 1):
         orig = order[r + s + q - 1]
@@ -132,7 +132,7 @@ def scan_cuts(cls: Classification, qq: int) -> list:
     factors in the block count reaches 0.
     x is q/rate plus an offset, constant on a class of q mod rate and at
     most (E + 1)/rate + 2 in size, E the largest exponent."""
-    cuts = [(N.a, (qq - 1 - N.b) // N.a - 1) for N in cls.neg]
+    cuts = [(N.a, (qq - 1 - N.nmin) // N.a - 1) for N in cls.neg]
     for P in cls.pos:
         cuts += [(P.dp, ceil_div(qq - P.pmin, P.dp) - 1), (P.dp, (qq - P.pmax) // P.dp)]
     return cuts

@@ -11,7 +11,7 @@ def test_worked_instance():
     assert (cls.r, cls.s, cls.t) == (1, 0, 1)
     assert cls.delta == (-3, 2)
     n1 = cls.neg[0]
-    assert (n1.var, n1.a, n1.b, n1.nmax, n1.nmin) == (1, 3, 0, 3, 0)
+    assert (n1.var, n1.a, n1.nmax, n1.nmin) == (1, 3, 3, 0)
     p1 = cls.pos[0]
     assert (p1.var, p1.dp, p1.pmin, p1.pmax) == (2, 2, 0, 2)
 
@@ -19,8 +19,8 @@ def test_worked_instance():
 def test_zero_difference_instance():
     cls = classify(parse_binomial("x1^3*x2 - x1*x2", 3))
     assert (cls.r, cls.s, cls.t) == (1, 1, 0)
-    assert cls.neg[0].b == 1
-    assert (cls.zero[0].zmin, cls.zero[0].zmax) == (1, 1)
+    assert cls.neg[0].nmin == 1
+    assert cls.zero[0].zmin == 1
 
 
 def test_three_variable_instance():
@@ -62,8 +62,8 @@ def test_permutation_invariance_of_record_multisets():
             continue
         ca, cb = classify(f), classify(g)
         # the lead/trail roles may swap under relabeling; compare multisets
-        mine = sorted((rec.a, rec.b) for rec in ca.neg)
-        theirs_neg = sorted((rec.a, rec.b) for rec in cb.neg)
+        mine = sorted((rec.a, rec.nmin) for rec in ca.neg)
+        theirs_neg = sorted((rec.a, rec.nmin) for rec in cb.neg)
         theirs_pos = sorted((rec.dp, rec.pmin) for rec in cb.pos)
         assert mine in (theirs_neg, theirs_pos)
 

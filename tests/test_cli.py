@@ -23,6 +23,14 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def corpus_file(tmp_path, *lines):
+    """A corpus of one line per (poly, p, n), or per text as it stands."""
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join((line if isinstance(line, str) else
+                               json.dumps(dict(zip(("poly", "p", "n"), line)))) + "\n" for line in lines))
+    return corpus
+
+
 def test_hk_verbose_level_top_is_piecewise(capsys):
     argv = ["hk", "--poly", "x1^3 - x2^2", "--p", "5", "--verbose", "--format", "json"]
     started = time.perf_counter()
@@ -35,9 +43,8 @@ def test_hk_verbose_level_top_is_piecewise(capsys):
     # the pieces' Newton forms give back every value of a count by scan bound of four pieces
     poly = "x1^2*x2^2 - x3^3"
     _, ref = hk_closed_form_tables(parse_binomial(poly, 5), 5, 3)
-    code, out, _ = run_cli(
-        capsys, ["hk", "--poly", poly, "--p", "5", "--n", "3", "--verbose", "--format", "json"]
-    )
+    argv = ["hk", "--poly", poly, "--p", "5", "--n", "3", "--verbose", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
     by_bound = json.loads(out)["data"]["tables"]["by_bound"]
     cuts = by_bound["starts"] + [by_bound["length"]]
     values = [
@@ -63,20 +70,12 @@ def test_value_and_verbose_payload_do_not_need_g_chain(capsys, monkeypatch):
     assert code == 0 and "by_bound" in json.loads(out)["data"]["tables"]
 
 
-def test_degenerate_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, ["hk", "--poly", "x1 + x1", "--p", "2", "--n", "1"])
-    assert code == 2
-    assert "2 distinct monomials" in err or "degenerate" in err.lower()
-
-
 def test_json_error_on_stderr(capsys):
-    code, out, err = run_cli(
-        capsys, ["hk", "--poly", "x1 + x1", "--p", "2", "--n", "1", "--format", "json"]
-    )
-    assert code == 2
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["error"]["type"] == "DegenerateBinomialError"
+    argv = ["hk", "--poly", "x1 + x1", "--p", "2", "--n", "1", "--format", "json"]
+    code, out, err = run_cli(capsys, argv)
+    message = "expected exactly 2 distinct monomials after combining, got 0"
+    assert (code, out, json.loads(err)) == (
+        2, "", {"error": {"type": "DegenerateBinomialError", "message": message}})
 
 
 _CLS_ONE_OF_EACH = {  # x1^2*x2 - x2*x3: one variable of each kind
@@ -173,11 +172,8 @@ def test_usage_error(capsys):
 
 
 def test_table_csv(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["table", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..3",
-         "--format", "csv"],
-    )
+    argv = ["table", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..3", "--format", "csv"]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == "n,q,hk,engine,estimate_num,estimate_den"
@@ -186,9 +182,8 @@ def test_table_csv(capsys):
 
 
 def test_classify_json(capsys):
-    code, out, _ = run_cli(
-        capsys, ["classify", "--poly", "x1^3 - x2^2", "--p", "5", "--format", "json"]
-    )
+    argv = ["classify", "--poly", "x1^3 - x2^2", "--p", "5", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     data = json.loads(out)["data"]
     assert (data["r"], data["s"], data["t"]) == (1, 0, 1)
@@ -212,21 +207,25 @@ def test_trace_refuses_a_bad_monomial(capsys, monomial, message):
 
 
 def test_trace_plain(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", "4,1"],
-    )
+    argv = ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", "4,1"]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert "member=False" in out
     assert "M=1" in out and "convergent=False" in out
 
 
+def test_trace_refuses_a_scan_past_its_cap(capsys):
+    # x1^300003 at q = 5^8 allows 100001 trades, one past the cap
+    argv = ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "8", "--monomial", "300003,0"]
+    code, out, err = run_cli(capsys, argv + ["--format", "json"])
+    message = "the scan takes 100001 steps, over the limit of 100000"
+    assert (code, out, json.loads(err)) == (3, "", {"error": {
+        "type": "ResourceError", "message": message, "required": 100001, "budget": 100000}})
+
+
 def test_trace_json_steps(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1",
-         "--monomial", "x1^4*x2", "--format", "json"],
-    )
+    argv = ["trace", "--poly", "x1^3 - x2^2", "--p", "5", "--n", "1", "--monomial", "x1^4*x2"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
     assert code == 0
     data = json.loads(out)["data"]
     assert data["member"] is False
@@ -280,8 +279,7 @@ def test_digit_limit_names_the_value_in_every_subcommand(tmp_path, capsys):
         assert (code, out) == (3, "")
         assert err.startswith("error: an integer of 4301 decimal digits "), argv
     # check skips direct and oracle there, and refuses the closed value of x1^6 - x2^5
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(json.dumps({"poly": "x1^6 - x2^5", "p": 5, "n": 6151}) + "\n")
+    corpus = corpus_file(tmp_path, ("x1^6 - x2^5", 5, 6151))
     code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus)])
     assert (code, out) == (3, "")
     assert err.startswith("error: an integer of 4301 decimal digits ")
@@ -321,8 +319,7 @@ def test_value_too_long_by_kunz_bound_refuses_before_computing(tmp_path, capsys,
     # writes exponents >= q once its scan converges; at n = 10^7 it built p^n twice (16 s)
     poly, digits = case
     if argv == ["check"]:
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps({"poly": poly, "p": 5, "n": n}) + "\n")
+        corpus = corpus_file(tmp_path, (poly, 5, n))
         argv, subject = argv + ["--corpus", str(corpus)], f"{corpus}:1: bad corpus entry: {subject}"
     else:
         n_flag = ["--n-range", f"1..{n}"] if argv[0] == "table" else ["--n", str(n)]
@@ -348,8 +345,7 @@ def test_budget_error_over_digit_limit_exits_3(tmp_path, capsys, argv):
     poly, p, n = "x1^3*x2 - x2^2*x3^2", 5, 2500
     if argv == ["check"]:
         n = 6200
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps({"poly": poly, "p": p, "n": n}) + "\n")
+        corpus = corpus_file(tmp_path, (poly, p, n))
         argv = argv + ["--corpus", str(corpus)]
     else:
         argv = argv + ["--poly", poly, "--p", str(p), "--n", str(n)]
@@ -413,8 +409,7 @@ def test_every_json_int_survives_a_double(tmp_path, capsys, argv):
     # (-2^53, 2^53) into a decimal string: p, the classification, the trace's
     # vectors and scan bound, and each corpus entry's p included
     if argv == ["check"]:
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps({"poly": "x1^3 - x2^2", "p": BIG_P, "n": 1}) + "\n")
+        corpus = corpus_file(tmp_path, ("x1^3 - x2^2", BIG_P, 1))
         argv = argv + ["--corpus", str(corpus)]
     code, out, _ = run_cli(capsys, argv + ["--format", "json"])
     payload = json.loads(out)
@@ -457,8 +452,7 @@ def test_over_long_integer_literal_is_a_resource_error(tmp_path, capsys, argv, d
     # int() and str() raise a bare ValueError past the interpreter's digit limit: a traceback
     prefix, limit = "", sys.get_int_max_str_digits()
     if argv[0] == "check":
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text(json.dumps({"poly": argv[1], "p": 5, "n": 1}) + "\n")
+        corpus = corpus_file(tmp_path, (argv[1], 5, 1))
         argv, prefix = ["check", "--corpus", str(corpus)], f"{corpus}:1: bad corpus entry: "
     literal = "literal " if digits == len(LONG) else ""
     message = f"{prefix}an integer {literal}of {digits} decimal digits is over the interpreter's"
@@ -511,6 +505,10 @@ _REPORT_KEYS = [
     "data", "data.engine", "data.guard_notes", "data.m", "data.n", "data.p", "data.q",
     "data.value", "timing", "timing.ms", "data.classification",
 ] + [f"data.classification.{key}" for key in _CLASSIFICATION_KEYS]
+_CLOSED_KEYS = _REPORT_KEYS + [
+    "data.mmax_params", "data.mmax_params[].var", "data.mmax_params[].a",
+    "data.mmax_params[].b", "data.mmax_params[].top_value",
+]
 
 
 @pytest.mark.parametrize(
@@ -518,10 +516,8 @@ _REPORT_KEYS = [
     [
         (
             ["hk", "--n", "2", "--verbose"],
-            _REPORT_KEYS + [
-                "data.mmax_params", "data.mmax_params[].var", "data.mmax_params[].a",
-                "data.mmax_params[].b", "data.mmax_params[].top_value", "data.tables",
-                "data.tables.by_bound", "data.tables.by_bound.diffs",
+            _CLOSED_KEYS + [
+                "data.tables", "data.tables.by_bound", "data.tables.by_bound.diffs",
                 "data.tables.by_bound.length", "data.tables.by_bound.starts",
             ],
         ),
@@ -533,13 +529,7 @@ _REPORT_KEYS = [
             ],
         ),
         (["classify"], ["data"] + [f"data.{key}" for key in _CLASSIFICATION_KEYS]),
-        (
-            ["hk", "--n", "2"],
-            _REPORT_KEYS + [
-                "data.mmax_params", "data.mmax_params[].var", "data.mmax_params[].a",
-                "data.mmax_params[].b", "data.mmax_params[].top_value",
-            ],
-        ),
+        (["hk", "--n", "2"], _CLOSED_KEYS),
     ],
 )
 def test_json_payload_key_sets(capsys, argv, keys):
@@ -552,11 +542,7 @@ def test_json_payload_key_sets(capsys, argv, keys):
 
 
 def test_check_roundtrip(tmp_path, capsys):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        '{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n'
-        '{"poly": "x1^3*x2 - x1*x2", "p": 3, "n": 1}\n'
-    )
+    corpus = corpus_file(tmp_path, ("x1^3 - x2^2", 5, 1), ("x1^3*x2 - x1*x2", 3, 1))
     argv = ["check", "--corpus", str(corpus), "--format", "json", "--workers", "1"]  # the bench's
     code, out, _ = run_cli(capsys, argv)
     assert code == 0
@@ -568,11 +554,7 @@ def test_check_roundtrip(tmp_path, capsys):
 def test_check_runs_one_loop_whatever_workers_says(tmp_path, capsys, monkeypatch):
     # --workers is accepted and does nothing: no value starts a thread, and the
     # entries keep input order, byte for byte the same at every value
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(
-        '{"poly": "x1^3*x2 - x1*x2", "p": 3, "n": 1}\n'
-        '{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n'
-    )
+    corpus = corpus_file(tmp_path, ("x1^3*x2 - x1*x2", 3, 1), ("x1^3 - x2^2", 5, 1))
 
     def no_thread(self):
         raise RuntimeError("can't start new thread")
@@ -589,8 +571,7 @@ def test_check_runs_one_loop_whatever_workers_says(tmp_path, capsys, monkeypatch
 
 
 def test_check_mismatch_exit_code(tmp_path, capsys, monkeypatch):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n')
+    corpus = corpus_file(tmp_path, ("x1^3 - x2^2", 5, 1))
     real = engines.hk_direct_count
 
     def broken(f, q, enum_cap=10**7):
@@ -614,8 +595,7 @@ UNCHECKED_LINES = [
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_check_entry_with_one_value_is_unchecked(tmp_path, capsys, fmt, poly, n, engine, value):
     # one value compares nothing: the entry fails, as a mismatch does
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(json.dumps({"poly": poly, "p": 5, "n": n}) + "\n")
+    corpus = corpus_file(tmp_path, (poly, 5, n))
     code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", fmt])
     assert (code, err) == (1, "")
     if fmt == "json":
@@ -634,8 +614,7 @@ def test_check_names_each_verdict_on_a_mixed_corpus(tmp_path, capsys, monkeypatc
     # the last with two values: q^m = 3^14 is over the oracle's budget
     lines = [(poly, 5, n) for poly, n, _, _ in UNCHECKED_LINES]
     lines += [("x1^3 - x2^2", 5, 1), ("x1^3*x2 - x1*x2", 3, 1), ("x1^3 - x2^2", 3, 7)]
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text("".join(json.dumps({"poly": a, "p": p, "n": n}) + "\n" for a, p, n in lines))
+    corpus = corpus_file(tmp_path, *lines)
     real = engines.hk_direct_count
 
     def broken(f, q, enum_cap=10**7):
@@ -677,8 +656,7 @@ _UNREAD_FLAGS = [
     "command,flag", [pytest.param(c, f, id=" ".join([c] + f)) for c, f in _UNREAD_FLAGS]
 )
 def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n')
+    corpus = corpus_file(tmp_path, ("x1^3 - x2^2", 5, 1))
     argv = [command] + _BASE_ARGV[command]
     if command == "check":
         argv += ["--corpus", str(corpus)]
@@ -690,8 +668,7 @@ def test_flag_a_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, comm
 
 @pytest.mark.parametrize("fmt", ["plain", "json"])
 def test_bad_budget_is_a_usage_error_in_the_requested_format(tmp_path, capsys, fmt):
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1}\n')
+    corpus = corpus_file(tmp_path, ("x1^3 - x2^2", 5, 1))
     argv = ["check", "--corpus", str(corpus), "--workers", "0", "--format", fmt]
     code, out, err = run_cli(capsys, argv)
     assert (code, out) == (2, "")
@@ -723,10 +700,11 @@ def test_closed_stdout_ends_hkb_as_it_ends_any_filter(argv):
     proc = subprocess.Popen(hkb + argv, stdout=write_end, stderr=subprocess.PIPE, env=env)
     os.close(write_end)
     line = b""
-    while not line.endswith(b"\n"):
-        line += os.read(read_end, 1)
+    while not line.endswith(b"\n") and (byte := os.read(read_end, 1)):  # b"" once hkb has ended
+        line += byte
     os.close(read_end)
     _, err = proc.communicate(timeout=60)
+    assert line.endswith(b"\n"), f"hkb exited {proc.returncode} before a line: {err.decode()}"
     assert line.startswith((b"n=1 q=5 hk=10 ", b"e_HK = "))
     assert (proc.returncode, err) == (-signal.SIGPIPE, b"")
 
@@ -788,10 +766,8 @@ def test_bad_corpus_line_is_a_usage_error_of_its_own_class(tmp_path, capsys, lin
 
 
 def test_table_json(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        ["table", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2", "--format", "json"],
-    )
+    argv = ["table", "--poly", "x1^3 - x2^2", "--p", "5", "--n-range", "1..2", "--format", "json"]
+    code, out, _ = run_cli(capsys, argv)
     assert code == 0
     assert json.loads(out) == {"data": [
         {"n": 1, "q": 5, "hk": "10", "engine": "closed", "estimate": {"num": "2", "den": "1"}},
@@ -835,8 +811,7 @@ def test_mult_answers_a_large_period_at_a_large_prime(capsys):
 
 def test_corpus_line_with_an_over_long_int_is_a_resource_error(tmp_path, capsys):
     # json.loads raises a bare ValueError on such an int: the interpreter's text, exit 2
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": 1' + "0" * 4400 + "}\n")
+    corpus = corpus_file(tmp_path, '{"poly": "x1^3 - x2^2", "p": 5, "n": 1' + "0" * 4400 + "}")
     code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", "json"])
     assert (code, out, len(err.splitlines())) == (3, "", 1)
     error = json.loads(err)["error"]
@@ -849,8 +824,7 @@ def test_corpus_line_with_an_over_long_int_is_a_resource_error(tmp_path, capsys)
 def test_corpus_sign_is_not_a_digit(tmp_path, capsys, digits, code):
     # int() takes "-" and 4300 digits, so only 4301 is over the limit; n < 1 is refused
     # as the line is read, with its prefix, not later by the engines without one
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text('{"poly": "x1^3 - x2^2", "p": 5, "n": -' + "1" * digits + "}\n")
+    corpus = corpus_file(tmp_path, '{"poly": "x1^3 - x2^2", "p": 5, "n": -' + "1" * digits + "}")
     prefix = f"{corpus}:1: bad corpus entry: "
     message = {2: "exponent n must be positive, got -11",
                3: "an integer literal of 4301 decimal digits"}[code]
@@ -865,9 +839,7 @@ def test_corpus_sign_is_not_a_digit(tmp_path, capsys, digits, code):
 def test_corpus_line_keeps_its_resource_error(tmp_path, capsys, fmt):
     # p past the exact primality bound: classify exits 3 on it, and so does check
     p = 3317044064679887385961981
-    corpus = tmp_path / "corpus.jsonl"
-    corpus.write_text(json.dumps({"poly": "x1^3 - x2^2", "p": 5, "n": 1}) + "\n"
-                      + json.dumps({"poly": "x1^3 - x2^2", "p": p, "n": 1}) + "\n")
+    corpus = corpus_file(tmp_path, ("x1^3 - x2^2", 5, 1), ("x1^3 - x2^2", p, 1))
     code, out, err = run_cli(capsys, ["check", "--corpus", str(corpus), "--format", fmt])
     assert (code, out) == (3, "")
     if fmt == "json":

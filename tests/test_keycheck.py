@@ -23,7 +23,8 @@ from hkbinomial import (
 )
 from hkbinomial.classify import classify
 from hkbinomial.closedform import closed_form_at
-from hkbinomial.keycheck import ENUM_CAP, _check_standard
+from hkbinomial import keycheck
+from hkbinomial.keycheck import ENUM_CAP, TRACE_CAP, _check_standard
 from tests.conftest import EDGE_SHAPES
 from tests.keycheck_reference import is_convergent, sorted_vector
 
@@ -112,7 +113,16 @@ def test_lex_shortcut_equals_generator_divisibility(qq, m):
             assert is_convergent(C, A, q) == by_gens, (A, C)
 
 
-def test_member_scan_matches_closed_form_everywhere(corpus_small):
+def test_member_scan_refuses_past_the_trace_cap():
+    # x1^5 - x2*x3^3 at q = 5^9 from (q - 1, a, 0): x2 (delta 1) reaches q at step q - a,
+    # before the scan bound 390624 and before x3 (delta 3) at step 651042
+    f, q = parse_binomial("x1^5 - x2*x3^3", 5), PrimePower(5, 9)
+    assert len(member_scan((q.q - 1, q.q - TRACE_CAP, 0), f, q)[1]) == TRACE_CAP
+    with pytest.raises(ResourceError, match="the scan takes 100001 steps, over the limit of 100000"):
+        member_scan((q.q - 1, q.q - TRACE_CAP - 1, 0), f, q)
+
+
+def test_member_scan_matches_closed_form_everywhere(corpus_small, monkeypatch):
     # closed form: a member iff the trail divides A, or the lead does and the
     # first scan step at which a growing exponent reaches q is within the bound
     for f, p, n in corpus_small:
@@ -133,6 +143,14 @@ def test_member_scan_matches_closed_form_everywhere(corpus_small):
             steps_taken = {"trail": 0, "mutation": ref.witness_m, None: ref.mmax_scanned}
             assert len(steps) == steps_taken[ref.witness], (A, f, p, n)
             assert [M for M, *_ in steps] == list(range(1, len(steps) + 1))
+            # a cap of exactly the steps taken passes, one less refuses before the scan
+            monkeypatch.setattr(keycheck, "TRACE_CAP", len(steps))
+            assert member_scan(A, f, q)[1] == steps
+            monkeypatch.setattr(keycheck, "TRACE_CAP", len(steps) - 1)
+            if steps:
+                with pytest.raises(ResourceError):
+                    member_scan(A, f, q)
+            monkeypatch.undo()
             if ref.witness == "mutation":
                 # witness validity: recompute both monomials of the step
                 M = ref.witness_m
@@ -148,11 +166,6 @@ def test_direct_count_examples():
     assert hk_direct_count(F1, Q5) == 10
     assert hk_direct_count(parse_binomial("x1 - x2", 7), PrimePower(7, 1)) == 7
     assert hk_direct_count(parse_binomial("x1^3*x2 - x1*x2", 3), PrimePower(3, 1)) == 5
-
-
-def test_direct_count_budget():
-    with pytest.raises(ResourceError):
-        hk_direct_count(F1, PrimePower(5, 8), enum_cap=10**6)
 
 
 def test_direct_count_coefficient_invariance():

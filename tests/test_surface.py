@@ -55,7 +55,9 @@ another reached name, so a reference cannot outlive its tests.
 The mutation probe's list of accepted survivors is not stale: the probe's
 mutant generator (`tools/mutants.py`, read without running any test) is
 deterministic, and every entry of `tools/mutants_accepted.txt` names a
-mutant it still makes and gives a one-line reason.
+mutant it still makes and gives a one-line reason.  A test file that the
+probe ends at a timeout runs again past its hung test, so the tests after
+it still record their kills (read from logs, no probe is run).
 """
 
 import argparse
@@ -360,13 +362,37 @@ def test_every_reference_name_is_reached_from_a_test():
     assert len(uses) > 10 and unreached == [], f"reference names no test reaches: {unreached}"
 
 
-def test_the_accepted_survivors_name_mutants_the_probe_still_makes():
+def load_probe():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
     probe = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(probe)
+    return probe
+
+
+def test_the_accepted_survivors_name_mutants_the_probe_still_makes():
+    probe = load_probe()
     names = [name for name, *_ in probe.mutants()]
     assert names == [name for name, *_ in probe.mutants()] and len(set(names)) == len(names)
     accepted = probe.accepted()  # name -> the reason on its line
     stale = sorted(set(accepted) - set(names))
     unexplained = sorted(name for name, reason in accepted.items() if not reason)
     assert len(names) > 300 and stale == [] and unexplained == [], (stale, unexplained)
+
+
+def test_a_timed_out_file_runs_again_past_its_hung_test():
+    probe, test_file, hung = load_probe(), "tests/test_x.py", []
+    killed = "tests/test_x.py::test_a FAILED    [ 20%]\ntests/test_x.py::test_b[1] \n"
+    rerun = "".join(f"tests/test_x.py::test_{t}\n" for t in (
+        "a FAILED    [ 25%]", "c PASSED    [ 50%]", "d FAILED    [ 75%]", "e "))
+    assert probe._timed_out(test_file, killed, hung) == [
+        "tests.test_x::test_a", "tests.test_x::test_b[1]::timeout"]
+    assert hung == ["tests/test_x.py::test_b[1]"]
+    assert "--deselect=tests/test_x.py::test_b[1]" in probe.pytest_argv("r.xml", test_file, hung)
+    # the rerun records the kill after the hung test, and deselects both hung tests next
+    assert probe._timed_out(test_file, rerun, hung) == [
+        "tests.test_x::test_a", "tests.test_x::test_d", "tests.test_x::test_e::timeout"]
+    assert hung == ["tests/test_x.py::test_b[1]", "tests/test_x.py::test_e"]
+    # a run that hangs before its first test, or on a test already deselected, ends the reruns
+    assert probe._timed_out(test_file, "collecting ... \n", hung) == ["tests/test_x.py::timeout"]
+    assert probe._timed_out(test_file, killed, hung)[-1] == "tests.test_x::test_b[1]::timeout"
+    assert len(hung) == 2

@@ -20,7 +20,9 @@ pytest process, one after another, with a timeout of three times the
 file's clean time plus five seconds.  Every failing test is recorded.  A
 timeout ends every process the file's run started; it keeps the failures
 the run had printed and records the test that was running as
-`<test>::timeout` (`<file>::timeout` if none had started).
+`<test>::timeout` (`<file>::timeout` if none had started).  The file then
+runs again with every hung test deselected, until a run finishes, so the
+tests after a hung one record their kills too.
 The one test that reads this list (SELF_CHECK) is not run: it reads the
 mutated source, so it would fail under any mutant that renames a survivor.
 That record, mutant -> failing tests, is the kill matrix, written to
@@ -58,7 +60,7 @@ VALUE_PATH = {
     "closedform": ("ceil_div", "_mmax_at", "_phi_at", "is_monomial_shape", "trail_complement_count",
                    "PiecewisePoly.__init__", "PiecewisePoly.__call__", "_newton", "closed_form_at"),
     "engines": ("refuse_unwritable", "hk", "_check_instance", "load_corpus", "_corpus_entry"),
-    "cli": ("_jsonable", "_parse_range", "_cmd_table", "_cmd_check", "run", "_int_or_null"),
+    "cli": ("_jsonable", "_parse_range", "_cmd_table", "_cmd_check", "run"),
     "keycheck": ("_check_standard", "_lead_scan_bound", "member_scan", "hk_direct_count"),
     "multiplicity": ("_two_variable_case", "hk_1dim", "hk_quasi_polynomial", "_interpolate"),
     "oracle": ("hk_oracle_report", "_box", "_repeat", "node_index"),
@@ -161,44 +163,63 @@ def accepted():
 
 
 def run_file(work, test_file, timeout):
-    """Failing test ids of one pytest run of test_file.  On a timeout, the tests
-    that failed before it, and the test that was running, named `<test id>::timeout`
-    (`<file>::timeout` when none had started)."""
+    """Failing test ids of test_file's pytest runs.  A run that times out keeps
+    the tests that failed before it and the test that was running, named
+    `<test id>::timeout`; the file then runs again with every hung test
+    deselected, until a run finishes or hangs before its first test
+    (`<file>::timeout`)."""
     report, log = work / ".report.xml", work / ".pytest.out"
-    report.unlink(missing_ok=True)
+    failing, hung = [], []
+    while True:
+        report.unlink(missing_ok=True)
+        # a session of its own, so a timeout also ends the processes the tests
+        # started (a mutated demo that loops would otherwise outlive the probe)
+        with open(log, "wb") as out, subprocess.Popen(
+                pytest_argv(report, test_file, hung), cwd=work, stdout=out,
+                stderr=subprocess.DEVNULL, start_new_session=True) as proc:
+            try:
+                proc.wait(timeout=timeout)
+                break
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        before = len(hung)
+        failing += _timed_out(test_file, log.read_text(encoding="utf-8", errors="replace"), hung)
+        if len(hung) == before:
+            return list(dict.fromkeys(failing))
+    if report.exists():
+        failing += [f"{case.get('classname')}::{case.get('name')}" for case in ET.parse(report).iter("testcase")
+                    if case.find("failure") is not None or case.find("error") is not None]
+    else:  # pytest itself failed
+        failing.append(f"{test_file}::no-report")
+    return list(dict.fromkeys(failing))  # a rerun fails the tests before a hung one again
+
+
+def pytest_argv(report, test_file, hung):
+    """The pytest command for test_file, with SELF_CHECK and the hung tests deselected."""
     # -v names each test before it runs, and -u writes that name at once, so a
     # killed run's log ends with the test that hung
-    argv = [sys.executable, "-B", "-u", "-m", "pytest", "-v", "-p", "no:cacheprovider",
-            f"--junitxml={report}", f"--deselect={SELF_CHECK}", test_file]
-    # a session of its own, so a timeout also ends the processes the tests
-    # started (a mutated demo that loops would otherwise outlive the probe)
-    with open(log, "wb") as out, subprocess.Popen(
-            argv, cwd=work, stdout=out, stderr=subprocess.DEVNULL, start_new_session=True) as proc:
-        try:
-            proc.wait(timeout=timeout)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            proc.wait()
-            return _timed_out(test_file, log.read_text(encoding="utf-8", errors="replace"))
-    if not report.exists():  # pytest itself failed
-        return [f"{test_file}::no-report"]
-    return [f"{case.get('classname')}::{case.get('name')}" for case in ET.parse(report).iter("testcase")
-            if case.find("failure") is not None or case.find("error") is not None]
+    return [sys.executable, "-B", "-u", "-m", "pytest", "-v", "-p", "no:cacheprovider",
+            f"--junitxml={report}", *(f"--deselect={test}" for test in [SELF_CHECK, *hung]),
+            test_file]
 
 
-def _timed_out(test_file, log):
+def _timed_out(test_file, log, hung):
     """The failing tests and the hung test of a killed `pytest -v` run's log, as
-    junit ids (`tests.test_cli::test_x[...]`), the hung one with `::timeout`."""
+    junit ids (`tests.test_cli::test_x[...]`), the hung one with `::timeout`
+    (`<file>::timeout` when none had started).  A hung test's node id not yet
+    in `hung` is appended to it, for the rerun to deselect."""
     failed, running = [], None
     for line in log.splitlines():
         if line.startswith(test_file + "::"):
             done = STATUS.match(line)
-            nodeid = done[1] if done else line.strip()
-            test = test_file[:-3].replace("/", ".") + nodeid[len(test_file):]
-            running = None if done else test
-            if done and done[2] in ("FAILED", "ERROR"):
-                failed.append(test)
-    return failed + [f"{running or test_file}::timeout"]
+            running = None if done else line.strip()
+            failed += [done[1]] if done and done[2] in ("FAILED", "ERROR") else []
+    if running and running not in hung:
+        hung.append(running)
+    junit = test_file[:-3].replace("/", ".")  # tests/test_x.py -> tests.test_x
+    hung_id = junit + running[len(test_file):] if running else test_file
+    return [junit + test[len(test_file):] for test in failed] + [f"{hung_id}::timeout"]
 
 
 def main():
